@@ -18,7 +18,6 @@ def main() -> None:
     ap.add_argument("--n", type=int, default=200)
     ap.add_argument("--replicas", type=int, default=2000)
     ap.add_argument("--seed", type=int, default=1001)
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
     args.out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -35,7 +34,6 @@ def main() -> None:
             replicas=replicas,
             seed=args.seed,
             t_grid=t_grid,
-            threads=args.threads,
         )
         rows, c_hat = ex.concentration_audit(config)
         records = [{"t": t, "exceedance": e, "bound": b, "c_hat": c_hat} for t, e, b in rows]

@@ -19,7 +19,6 @@ def main() -> None:
     ap.add_argument("--out-dir", default="results", type=Path)
     ap.add_argument("--replicas", type=int, default=100)
     ap.add_argument("--seed", type=int, default=1002)
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
     args.out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -29,9 +28,7 @@ def main() -> None:
         ("poly", dict(functional="trace_poly", alpha=1.0, n_list=(50, 150, 500), d=3), dict(spike=1.0)),
     ]
     for kind, cfg_kw, extra in runs:
-        config = ex.ExperimentConfig(
-            replicas=args.replicas, seed=args.seed, threads=args.threads, **cfg_kw
-        )
+        config = ex.ExperimentConfig(replicas=args.replicas, seed=args.seed, **cfg_kw)
         rows = ex.equivalent_error_curve(kind, config, **extra)
         (args.out_dir / f"curve_{kind}.csv").write_text(
             ex.emit_csv(config, ("n", "mean_error", "stderr"), rows)
@@ -45,7 +42,6 @@ def main() -> None:
         n_list=(10, 20, 40),
         replicas=args.replicas,
         seed=args.seed,
-        threads=args.threads,
     )
     rows = ex.equivalent_error_curve("lpp", config, spike=3.0, g_eval=shape)
     (args.out_dir / "curve_lpp.csv").write_text(

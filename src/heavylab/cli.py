@@ -114,7 +114,6 @@ def build_parser() -> _Parser:
         p.add_argument("--n", type=int, default=100)
         p.add_argument("--replicas", type=int, default=100)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--out", default=None)
 
     p_sample = sub.add_parser("sample", help="draw from the one-dimensional laws")
@@ -306,7 +305,6 @@ def cmd_audit(args) -> int:
         seed=args.seed,
         t_grid=t_grid,
         beta=args.beta,
-        threads=args.threads,
     )
     rows, c_hat = ex.concentration_audit(config)
     records = [{"t": t, "exceedance": e, "bound": b, "c_hat": c_hat} for t, e, b in rows]

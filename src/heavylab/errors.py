@@ -18,7 +18,7 @@ class ConfigError(HeavylabError, ValueError):
 
 
 class AccuracyError(HeavylabError, RuntimeError):
-    """A quadrature or tabulation failed its accuracy contract."""
+    """A quadrature or fixed point failed its accuracy contract."""
 
 
 class ConvergenceError(HeavylabError, RuntimeError):

@@ -2,7 +2,7 @@
 
 Every audit is a pure function of (config, seed): replicas draw from
 per-replica Philox streams and are reduced in replica order, so results are
-bit-identical regardless of worker count.  Record emission is JSON-lines
+bit-identical across reruns.  Record emission is JSON-lines
 with a header carrying the package version and a hash of the resolved
 config; summaries are small CSV tables.
 """
@@ -12,12 +12,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
+from scipy.optimize import brentq
 
 from . import lpp, measures
 from . import matrixlab as ml
@@ -59,7 +57,6 @@ class ExperimentConfig:
     beta: int = 1
     d: int | None = None
     lattice_dim: int = 2
-    threads: int = 1
     assertable: bool = False
 
     def __post_init__(self):
@@ -75,14 +72,6 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         payload = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
-
-
-def _map_streams(fn, count: int, threads: int):
-    """Evaluate fn(stream) for stream in range(count), reduced in order."""
-    if threads <= 1:
-        return [fn(s) for s in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
 
 
 def k_alpha_shape(functional: str, alpha: float, n: int, t) -> np.ndarray:
@@ -115,14 +104,13 @@ def _spectral_replicas(config: ExperimentConfig, n: int):
             x = ml.sample_wigner(ens, n, config.seed, stream=stream)
             return x.scale(1.0 / root).largest_eig()
 
-        return np.array(_map_streams(one, config.replicas, config.threads))
+        return np.array([one(s) for s in range(config.replicas)])
 
     def one(stream):
         x = ml.sample_wigner(ens, n, config.seed, stream=stream)
         return sm.stieltjes(x.scale(1.0 / root).esm(), nodes)
 
-    rows = np.array(_map_streams(one, config.replicas, config.threads))
-    return rows
+    return np.array([one(s) for s in range(config.replicas)])
 
 
 def concentration_audit(config: ExperimentConfig, n: int | None = None):
@@ -202,7 +190,7 @@ def _esm_errors(config, n, spike):
         g = sm.stieltjes(ml.HermitianMatrix(mat).esm(), nodes)
         return float(np.max(np.abs(g - target)))
 
-    return np.array(_map_streams(one, config.replicas, config.threads))
+    return np.array([one(s) for s in range(config.replicas)])
 
 
 def _eig_errors(config, n, spike):
@@ -215,7 +203,7 @@ def _eig_errors(config, n, spike):
         mat = x.mat / root + ml.spike_matrix(n, spike).mat
         return abs(ml.HermitianMatrix(mat).largest_eig() - target)
 
-    return np.array(_map_streams(one, config.replicas, config.threads))
+    return np.array([one(s) for s in range(config.replicas)])
 
 
 def _poly_errors(config, n, spike, poly):
@@ -231,7 +219,7 @@ def _poly_errors(config, n, spike, poly):
         y = ml.HermitianMatrix(x.mat / root + n ** (1.0 / d) * h.mat)
         return abs(eval_trace(poly, (y,), normalize=True) - limit)
 
-    return np.array(_map_streams(one, config.replicas, config.threads))
+    return np.array([one(s) for s in range(config.replicas)])
 
 
 def _lpp_errors(config, n, spike, g_eval):
@@ -251,7 +239,7 @@ def _lpp_errors(config, n, spike, g_eval):
         t = lpp.last_passage(field, (0,) * config.lattice_dim, (n,) * config.lattice_dim)
         return abs(t / n - t_det)
 
-    return np.array(_map_streams(one, config.replicas, config.threads))
+    return np.array([one(s) for s in range(config.replicas)])
 
 
 def lpp_times(alpha: float, n: int, replicas: int, seed: int, chunk: int = 1000) -> np.ndarray:
@@ -269,6 +257,35 @@ def lpp_times(alpha: float, n: int, replicas: int, seed: int, chunk: int = 1000)
     return out
 
 
+def _power_fit(n: np.ndarray, means: np.ndarray):
+    """Least-squares fit of ``means = g - c * n**(-gamma)``; returns (g, c, gamma).
+
+    For fixed gamma the fit is linear in (g, c), so only gamma is searched: a
+    grid locates the smallest projected residual and a root of its derivative
+    refines it.  The result is the least-squares optimum to rounding, not an
+    iterative optimizer's stopping point, which moves g by ~1e-8 relative.
+    On data without an interior optimum gamma stays at the grid's end.
+    """
+    logn = np.log(n)
+
+    def project(gamma):
+        basis = np.column_stack([np.ones_like(n), -(n ** -gamma)])
+        coef = np.linalg.lstsq(basis, means, rcond=None)[0]
+        return coef, means - basis @ coef
+
+    def slope(gamma):
+        # d/dgamma of the squared residual, up to the factor 2 (envelope theorem)
+        (_, c), r = project(gamma)
+        return -c * np.dot(r, n ** -gamma * logn)
+
+    grid = np.geomspace(1e-4, 4.0, 97)
+    k = int(np.argmin([np.sum(project(gamma)[1] ** 2) for gamma in grid]))
+    lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
+    gamma = brentq(slope, lo, hi) if slope(lo) < 0.0 < slope(hi) else grid[k]
+    (g, c), _ = project(gamma)
+    return float(g), float(c), float(gamma)
+
+
 def estimate_g_limit(alpha: float, n_list, replicas: int, seed: int):
     """Limit-shape estimate by superadditive extrapolation.
 
@@ -280,18 +297,9 @@ def estimate_g_limit(alpha: float, n_list, replicas: int, seed: int):
     if n_arr.size < 3:
         raise DomainError("extrapolation needs at least three lattice sizes")
     means = np.array([float(lpp_times(alpha, int(n), replicas, seed).mean()) for n in n_arr])
-    with warnings.catch_warnings():
-        # the covariance is discarded; with 3 sizes it is not estimable
-        warnings.simplefilter("ignore")
-        (g_hat, c_fit, gamma), _ = curve_fit(
-            lambda n, g, c, gam: g - c * n ** (-gam),
-            n_arr,
-            means,
-            p0=[means[-1] + 5.0, 20.0, 0.33],
-            maxfev=40000,
-        )
-    diag = {"means": means.tolist(), "c": float(c_fit), "gamma": float(gamma)}
-    return float(g_hat), diag
+    g_hat, c_fit, gamma = _power_fit(n_arr, means)
+    diag = {"means": means.tolist(), "c": c_fit, "gamma": gamma}
+    return g_hat, diag
 
 
 def tail_rate(config: ExperimentConfig, x: float):

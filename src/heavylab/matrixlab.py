@@ -107,11 +107,6 @@ class HermitianMatrix:
         self.beta = beta
         self._spectrum = None
 
-    @staticmethod
-    def from_dense(a: np.ndarray) -> "HermitianMatrix":
-        """Wrap a dense array, symmetrizing from its upper triangle."""
-        return HermitianMatrix(a)
-
     def __add__(self, other: "HermitianMatrix") -> "HermitianMatrix":
         return HermitianMatrix(self.mat + other.mat)
 
@@ -211,22 +206,6 @@ def sample_wigner(ens: WignerEnsemble, n: int, seed: int, stream: int = 0) -> He
     upper[np.diag_indices(n)] = diag
     upper[np.triu_indices(n, k=1)] = off_re + 1j * ens.offdiag_imag_scale * im_draws
     return HermitianMatrix(upper)
-
-
-def spectrum(a: HermitianMatrix) -> np.ndarray:
-    return a.spectrum()
-
-
-def esm(a: HermitianMatrix) -> Measure1D:
-    return a.esm()
-
-
-def lp_norm(a: HermitianMatrix, p: float) -> float:
-    return a.lp_norm(p)
-
-
-def schatten(a: HermitianMatrix, q: float) -> float:
-    return a.schatten(q)
 
 
 def rho(x: float) -> float:

@@ -6,7 +6,9 @@ Two families are supported: the symmetric law with density
 ``alpha in (0, 2]``.  Sampling is routed through the monotone rearrangement
 ``phi`` that pushes the exponential law onto the one-sided law (odd extension
 ``psi`` for the symmetric law), so every Monte Carlo draw exercises the
-transport map.  A direct inverse-CDF sampler exists only as a test oracle.
+transport map.  phi has a closed form through the inverse regularized
+incomplete Gamma function; draws go through a cubic Hermite table of it.
+A direct inverse-CDF sampler exists only as a test oracle.
 """
 
 from __future__ import annotations
@@ -15,14 +17,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
-from scipy.special import gammainc, gammaincc, gammainccinv
+from scipy.special import gammainc, gammaincc, gammainccinv, gammaincinv
 
 from . import rng
-from .errors import AccuracyError, DomainError
+from .errors import DomainError
 
-# Largest x for which exp(-x) is a normal double; the tabulated map covers it.
+# Upper end of the map's domain; exp(-709) is still a nonzero double.
 _X_MAX = 709.0
 
 
@@ -35,12 +35,6 @@ def normalizers(alpha: float) -> tuple[float, float]:
         raise DomainError(f"alpha must be positive, got {alpha}")
     z = math.gamma(1.0 + 1.0 / alpha)
     return 2.0 * z, z
-
-
-def tail_mass(alpha: float, v) -> np.ndarray:
-    """Upper tail P(X > v) of the one-sided law, exact via regularized Gamma."""
-    v = np.asarray(v, dtype=float)
-    return gammaincc(1.0 / alpha, np.power(np.maximum(v, 0.0), alpha))
 
 
 def cdf_one_sided(alpha: float, x) -> np.ndarray:
@@ -58,77 +52,81 @@ def cdf_two_sided(alpha: float, x) -> np.ndarray:
     return 0.5 + 0.5 * np.sign(x) * cdf_one_sided(alpha, np.abs(x))
 
 
+def _phi_pow(alpha: float, x) -> np.ndarray:
+    """phi(x)**alpha = Q(1/alpha, exp(-x)) for x >= 0 (vectorized).
+
+    Q inverts the regularized upper incomplete Gamma function.  Below
+    x = 0.5, where exp(-x) rounds towards 1, the lower function P is
+    inverted at 1 - exp(-x) instead.
+    """
+    x = np.asarray(x, dtype=float)
+    a = 1.0 / alpha
+    out = np.empty_like(x)
+    lo = x < 0.5
+    out[lo] = gammaincinv(a, -np.expm1(-x[lo]))
+    hi = ~lo
+    out[hi] = gammainccinv(a, np.exp(-x[hi]))
+    return out
+
+
+def _phi(alpha: float, x) -> np.ndarray:
+    """The transport map phi(x) in closed form (vectorized)."""
+    return _phi_pow(alpha, x) ** (1.0 / alpha)
+
+
 def rearrangement(alpha: float, x: float) -> float:
     """Transport value phi(x) matching exponential and one-sided tails.
 
-    Solves ``exp(-x) = P(X > phi(x))`` for the one-sided law by bracketed
-    root-finding on the (monotone) upper incomplete Gamma tail.  Absolute
-    tolerance 1e-10 for x in [0, 700].
+    phi solves ``exp(-x) = P(X > phi(x))`` for the one-sided law; the tail
+    is a regularized upper incomplete Gamma function, so phi is its inverse
+    in closed form.
     """
     if not 0.0 < alpha <= 2.0:
         raise DomainError(f"alpha must lie in (0, 2], got {alpha}")
     if x < 0:
         raise DomainError(f"x must be non-negative, got {x}")
-    if x == 0.0:
-        return 0.0
     if x > _X_MAX:
         raise DomainError(f"x beyond tabulated range [0, {_X_MAX}]")
-    target = math.exp(-x)
-    f = lambda v: tail_mass(alpha, v) - target
-    # tight bracket seeded by the inverse regularized Gamma, widened on demand
-    v0 = float(gammainccinv(1.0 / alpha, target) ** (1.0 / alpha))
-    lo, hi = 0.999 * v0, 1.001 * v0 + 1e-12
-    if not (f(lo) >= 0.0 >= f(hi)):
-        lo, hi = 0.0, max(2.0, 2.0 * v0)
-        for _ in range(200):
-            if f(hi) < 0.0:
-                break
-            hi *= 2.0
-        else:  # pragma: no cover - cannot happen for x <= 709
-            raise AccuracyError("failed to bracket the rearrangement root")
-    return brentq(f, lo, hi, xtol=1e-12, rtol=8.9e-16)
+    return float(_phi(alpha, x))
+
+
+# The table spans t = log x over [log _X_LO, log _X_MAX]; _X_LO lies below
+# 2^-53, the smallest nonzero exponential draw.
+_X_LO = 2.0**-60
+_T_LO = math.log(_X_LO)
+_NODES = 2049
+_STEP = (math.log(_X_MAX) - _T_LO) / (_NODES - 1)
 
 
 @dataclass(frozen=True)
 class RearrangementMap:
-    """Tabulated monotone transport map phi with its inverse.
+    """Tabulated monotone transport map phi with its exact inverse.
 
-    phi is tabulated on a log-spaced grid and interpolated in log-log
-    coordinates with a monotone cubic (PCHIP); node midpoints where the
-    interpolant misses direct root solves by more than ``tol`` (relative)
-    are inserted until the whole table is within tolerance.  Below the
-    first node phi is linear (the one-sided density is positive at 0).
+    y = log phi is tabulated against t = log x on a uniform grid and
+    interpolated by cubic Hermite segments whose slopes come from the
+    analytic derivative phi'(x) = Z_alpha * exp(phi(x)^alpha - x).  The grid
+    index is found by arithmetic; inputs below the first node are evaluated
+    in closed form.  The inverse is the incomplete Gamma tail itself.
     """
 
     alpha: float
-    tol: float = 1e-8
-    _x_lo: float = field(init=False, repr=False, compare=False)
-    _slope0: float = field(init=False, repr=False, compare=False)
-    _fwd: PchipInterpolator = field(init=False, repr=False, compare=False)
-    _inv: PchipInterpolator = field(init=False, repr=False, compare=False)
+    _coef: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 2.0:
             raise DomainError(f"alpha must lie in (0, 2], got {self.alpha}")
-        logx = np.log(np.geomspace(1e-8, _X_MAX, 513))
-        logp = np.array([math.log(rearrangement(self.alpha, math.exp(t))) for t in logx])
-        for _ in range(6):
-            fwd = PchipInterpolator(logx, logp, extrapolate=False)
-            mid = 0.5 * (logx[:-1] + logx[1:])
-            exact = np.array([math.log(rearrangement(self.alpha, math.exp(t))) for t in mid])
-            # root solves carry ~eps/x absolute noise where the tail is near 1
-            allowance = 0.5 * self.tol + 2e-16 / np.exp(mid)
-            if np.all(np.abs(fwd(mid) - exact) <= allowance):
-                break
-            # double the (log-uniform) grid, reusing the audited midpoints
-            logx = np.sort(np.concatenate([logx, mid]))
-            logp = np.sort(np.concatenate([logp, exact]))
-        else:  # pragma: no cover
-            raise AccuracyError("rearrangement tabulation did not refine")
-        object.__setattr__(self, "_x_lo", float(np.exp(logx[0])))
-        object.__setattr__(self, "_slope0", float(np.exp(logp[0] - logx[0])))
-        object.__setattr__(self, "_fwd", fwd)
-        object.__setattr__(self, "_inv", PchipInterpolator(logp, logx, extrapolate=False))
+        t = _T_LO + _STEP * np.arange(_NODES)
+        x = np.exp(t)
+        w = _phi_pow(self.alpha, x)
+        y = np.log(w) / self.alpha
+        # dy/dt = x * phi'(x) / phi(x), taken in logs so nothing overflows
+        dy = _STEP * np.exp(t + math.lgamma(1.0 + 1.0 / self.alpha) + w - x - y)
+        rise = np.diff(y)
+        # Hermite segment k in the local coordinate s in [0, 1], low order first
+        coef = np.array(
+            [y[:-1], dy[:-1], 3.0 * rise - 2.0 * dy[:-1] - dy[1:], dy[:-1] + dy[1:] - 2.0 * rise]
+        )
+        object.__setattr__(self, "_coef", coef)
 
     def __call__(self, x):
         """phi(x) for non-negative x (vectorized)."""
@@ -137,21 +135,39 @@ class RearrangementMap:
         x = np.atleast_1d(x)
         if np.any(x < 0) or np.any(x > _X_MAX):
             raise DomainError(f"rearrangement map evaluated outside [0, {_X_MAX}]")
-        out = self._slope0 * x
-        big = x >= self._x_lo
-        out[big] = np.exp(self._fwd(np.log(x[big])))
+        s = np.maximum(x, _X_LO)
+        np.log(s, out=s)
+        s -= _T_LO
+        s /= _STEP
+        k = np.minimum(s.astype(np.intp), _NODES - 2)
+        s -= k
+        # Horner in s; each gather is one temporary of the input's size
+        c = self._coef
+        out = c[3][k]
+        for row in c[2::-1]:
+            out *= s
+            out += row[k]
+        np.exp(out, out=out)
+        small = x < _X_LO
+        if small.any():
+            out[small] = _phi(self.alpha, x[small])
         return float(out[0]) if scalar else out
 
     def inverse(self, v):
-        """phi^{-1}(v) for v in the tabulated range."""
+        """phi^{-1}(v) for v >= 0, exact: -log P(X > v) (vectorized)."""
         v = np.asarray(v, dtype=float)
         scalar = v.ndim == 0
         v = np.atleast_1d(v)
         if np.any(v < 0):
             raise DomainError("inverse map evaluated at negative value")
-        out = v / self._slope0
-        big = v >= self._slope0 * self._x_lo
-        out[big] = np.exp(self._inv(np.log(v[big])))
+        a = 1.0 / self.alpha
+        w = v**self.alpha
+        out = gammainc(a, w)
+        # -log1p(-P) keeps its digits while P is small, -log Q once Q is
+        lo = out < 0.5
+        out[lo] = -np.log1p(-out[lo])
+        hi = ~lo
+        out[hi] = -np.log(gammaincc(a, w[hi]))
         return float(out[0]) if scalar else out
 
     def odd(self, x) -> np.ndarray:
@@ -252,8 +268,6 @@ def sample(law: AlphaLaw, count: int, seed: int, stream: int = 0) -> np.ndarray:
 
 def sample_inverse_cdf(law: AlphaLaw, count: int, seed: int, stream: int = 0) -> np.ndarray:
     """Direct inverse-CDF sampler.  Test oracle only; not used by callers."""
-    from scipy.special import gammaincinv
-
     u = rng.uniforms(seed, stream, count)
     a = law.alpha
     if law.sided == "one":

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from heavylab import cli
 
 
@@ -111,6 +113,22 @@ def test_lpp_command_jsonl(capsys, tmp_path):
     recs = [json.loads(line) for line in lines[1:]]
     assert len(recs) == 20
     assert {"n", "alpha", "seed", "T", "T_det", "g11_hat", "stream"} <= set(recs[0])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sample", "--law", "mu", "--alpha", "0.3"),
+        ("lpp", "--alpha", "0.3", "--n", "8", "--replicas", "20"),
+        ("net", "--p", "0.3", "--m", "8"),
+    ],
+    ids=["sample", "lpp", "net"],
+)
+def test_commands_at_alpha_0_3(capsys, argv):
+    # the transport map at alpha = 0.3 once failed to tabulate
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert out.strip()
 
 
 def test_lpp_rejects_bad_alpha(capsys):
