@@ -258,13 +258,14 @@ def lpp_times(alpha: float, n: int, replicas: int, seed: int, chunk: int = 1000)
 
 
 def _power_fit(n: np.ndarray, means: np.ndarray):
-    """Least-squares fit of ``means = g - c * n**(-gamma)``; returns (g, c, gamma).
+    """Least-squares fit of ``means = g - c * n**(-gamma)``; returns (g, c, gamma, at_grid_end).
 
     For fixed gamma the fit is linear in (g, c), so only gamma is searched: a
     grid locates the smallest projected residual and a root of its derivative
     refines it.  The result is the least-squares optimum to rounding, not an
     iterative optimizer's stopping point, which moves g by ~1e-8 relative.
-    On data without an interior optimum gamma stays at the grid's end.
+    On data without an interior optimum gamma stays at the grid's end, and
+    ``at_grid_end`` says so.
     """
     logn = np.log(n)
 
@@ -283,7 +284,7 @@ def _power_fit(n: np.ndarray, means: np.ndarray):
     lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
     gamma = brentq(slope, lo, hi) if slope(lo) < 0.0 < slope(hi) else grid[k]
     (g, c), _ = project(gamma)
-    return float(g), float(c), float(gamma)
+    return float(g), float(c), float(gamma), bool(gamma in (grid[0], grid[-1]))
 
 
 def estimate_g_limit(alpha: float, n_list, replicas: int, seed: int):
@@ -291,14 +292,15 @@ def estimate_g_limit(alpha: float, n_list, replicas: int, seed: int):
 
     Finite-n means increase toward g(1,1); fitting m_n = g - c n^(-gamma)
     on the provided sizes removes the leading bias.  Returns (g_hat, fit
-    diagnostics dict).
+    diagnostics dict); ``gamma_at_grid_end`` in the dict flags data without
+    an interior least-squares optimum.
     """
     n_arr = np.array(sorted(n_list), dtype=float)
     if n_arr.size < 3:
         raise DomainError("extrapolation needs at least three lattice sizes")
     means = np.array([float(lpp_times(alpha, int(n), replicas, seed).mean()) for n in n_arr])
-    g_hat, c_fit, gamma = _power_fit(n_arr, means)
-    diag = {"means": means.tolist(), "c": c_fit, "gamma": gamma}
+    g_hat, c_fit, gamma, at_end = _power_fit(n_arr, means)
+    diag = {"means": means.tolist(), "c": c_fit, "gamma": gamma, "gamma_at_grid_end": at_end}
     return g_hat, diag
 
 

@@ -4,8 +4,10 @@ Everything spectral in the package flows through `Measure1D` (sorted atoms,
 weights).  Distances between measures are evaluated through Stieltjes
 transforms on a fixed contour above the real axis, through quantile-coupled
 Wasserstein costs, or through the fractional-moment distance d_p for
-exponents below 1.  Free convolution with the semicircle law is computed by
-the subordination fixed point G(z) = g_nu(z - G(z)).
+exponents below 1.  Free convolution with the semicircle law is computed from
+Biane's subordination equation G(z) = g_nu(z - G(z)) (Indiana Univ. Math. J.
+46, 1997), solved by Newton's method with its exact derivative and a damped
+fixed-point step as the safeguard.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from scipy.optimize import brentq
 from .errors import AccuracyError, ConvergenceError, DomainError
 
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
+# Newton iterations per free-convolution solve before ConvergenceError
+_NEWTON_ITERS = 1000
 
 
 @dataclass(frozen=True)
@@ -134,12 +138,22 @@ def default_contour(count: int = 64) -> StieltjesContour:
     return StieltjesContour(np.linspace(0.0, 1.0, count) + 2.0j)
 
 
-def stieltjes(mu: Measure1D, z) -> np.ndarray:
-    """g_mu(z) = sum_i w_i / (z - x_i) for Im z > 0."""
+def stieltjes(mu: Measure1D, z, derivative: bool = False):
+    """g_mu(z) = sum_i w_i / (z - x_i) for Im z > 0.
+
+    With ``derivative`` returns the pair (g_mu(z), g_mu'(z)), where
+    g_mu'(z) = -sum_i w_i / (z - x_i)^2 comes from the same differences.
+    """
     z = np.asarray(z, dtype=complex)
     if np.any(z.imag <= 0):
         raise DomainError("Stieltjes transform needs Im z > 0")
-    return (mu.weights[None, :] / (z.reshape(-1, 1) - mu.atoms[None, :])).sum(axis=1).reshape(z.shape)
+    gaps = z.reshape(-1, 1) - mu.atoms[None, :]
+    terms = mu.weights[None, :] / gaps
+    g = terms.sum(axis=1).reshape(z.shape)
+    if not derivative:
+        return g
+    terms /= gaps
+    return g, -terms.sum(axis=1).reshape(z.shape)
 
 
 def g_semicircle(z) -> np.ndarray:
@@ -313,34 +327,49 @@ def semicircle_measure(n_atoms: int = 2000, radius: float = 2.0) -> Measure1D:
     return Measure1D.from_atoms(atoms)
 
 
-def freeconv_transform(nu: Measure1D, z_nodes, tol: float = 1e-12, max_iter: int = 100_000):
+def freeconv_transform(nu: Measure1D, z_nodes, tol: float = 1e-12):
     """Subordination fixed point G(z) = g_nu(z - G(z)) at arbitrary Im z > 0.
 
-    Damped iteration started at the semicircle transform; the damping is
-    halved when the update oscillates.  Returns G with Im G < 0.
+    Newton's method on F(G) = G - g_nu(z - G), whose exact derivative is
+    F'(G) = 1 - sum_i w_i / (z - G - x_i)^2, started at the semicircle
+    transform (Biane, Indiana Univ. Math. J. 46, 1997).  The safeguard is
+    the damped step (G + g_nu(z - G)) / 2, which stays in the lower half
+    plane and converges from anywhere there: a node takes it where the
+    Newton step is not finite or leaves the lower half plane, and in place
+    of a Newton step that did not shrink |F(G)|^2 / (Im G Im g_nu(z - G)),
+    a monotone function of the hyperbolic distance from G to g_nu(z - G).
+    A node stops once |F(G)| < tol and still takes that iteration's step, so
+    the returned residual lies well below tol.  Returns G with Im G < 0.
     """
-    z = np.atleast_1d(np.asarray(z_nodes, dtype=complex))
+    z = np.asarray(z_nodes, dtype=complex).reshape(-1)
     if np.any(z.imag <= 0):
         raise DomainError("fixed point needs Im z > 0")
     g = np.asarray(g_semicircle(z), dtype=complex).copy()
-    theta = np.full(z.shape, 0.5)
-    last_step = np.full(z.shape, np.inf)
-    active = np.ones(z.shape, dtype=bool)
-    for _ in range(max_iter):
-        target = stieltjes(nu, z[active] - g[active])
-        step = np.abs(target - g[active])
-        # halve the damping on oscillation, let it recover otherwise
-        theta_act = theta[active]
-        osc = step > 1.25 * last_step[active]
-        theta_act[osc] *= 0.5
-        theta_act[~osc] = np.minimum(0.5, theta_act[~osc] * 1.02)
-        theta[active] = theta_act
-        g[active] = (1.0 - theta_act) * g[active] + theta_act * target
-        last_step[active] = step
-        done = step < tol
-        sub = np.where(active)[0]
-        active[sub[done]] = False
-        if not active.any():
+    # per node: the damped step from the last point whose merit set the bar
+    fallback = np.empty_like(g)
+    bar = np.full(z.shape, np.inf)
+    newton = np.zeros(z.shape, dtype=bool)
+    active = np.arange(z.size)
+    for _ in range(_NEWTON_ITERS):
+        cur = g[active]
+        target, slope = stieltjes(nu, z[active] - cur, derivative=True)
+        resid = cur - target
+        done = np.abs(resid) < tol
+        damped = 0.5 * (cur + target)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            merit = np.abs(resid) ** 2 / (cur.imag * target.imag)
+            step = cur - resid / (1.0 + slope)
+        unsafe = ~np.isfinite(step) | (step.imag >= 0)
+        step[unsafe] = damped[unsafe]
+        # undo a Newton step that did not pay off: damped step from its origin
+        undo = newton[active] & ~done & ~(merit < bar[active])
+        step[undo] = fallback[active[undo]]
+        keep = active[~undo]
+        fallback[keep], bar[keep] = damped[~undo], merit[~undo]
+        newton[active] = ~(unsafe | undo)
+        g[active] = step
+        active = active[~done]
+        if active.size == 0:
             break
     else:
         raise ConvergenceError("free convolution fixed point did not converge")

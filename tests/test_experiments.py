@@ -132,6 +132,8 @@ def test_estimate_g_limit_exceeds_finite_means():
     g_hat, diag = ex.estimate_g_limit(0.5, (8, 16, 32), replicas=300, seed=5)
     assert g_hat > max(diag["means"])
     assert 0.0 < diag["gamma"] < 1.5
+    # these means' increments grow, so there is no interior optimum
+    assert diag["gamma_at_grid_end"] is True
 
 
 def test_power_fit_is_stationary():
@@ -139,7 +141,8 @@ def test_power_fit_is_stationary():
     # every Jacobian column is orthogonal to the residual to rounding
     n = np.array([10.0, 20.0, 40.0, 80.0, 160.0])
     means = 33.3 - 18.9 * n**-0.34 + np.array([0.01, -0.02, 0.015, -0.01, 0.005])
-    g, c, gamma = ex._power_fit(n, means)
+    g, c, gamma, at_grid_end = ex._power_fit(n, means)
+    assert at_grid_end is False
     r = means - (g - c * n**-gamma)
     jac = np.column_stack([np.ones_like(n), -(n**-gamma), c * n**-gamma * np.log(n)])
     cosines = jac.T @ r / (np.linalg.norm(jac, axis=0) * np.linalg.norm(r))
