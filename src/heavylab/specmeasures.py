@@ -24,6 +24,8 @@ from .errors import AccuracyError, ConvergenceError, DomainError
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 # Newton iterations per free-convolution solve before ConvergenceError
 _NEWTON_ITERS = 1000
+# points per d_p difference evaluation; bounds the (points x atoms) temporaries
+_DP_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -215,38 +217,59 @@ def monotone_coupling_cost(mu: Measure1D, nu: Measure1D, p: float) -> float:
 
 
 def _dp_diff(mu: Measure1D, nu: Measure1D, p: float):
+    """t -> int (t-x)_+^p dmu - int (t-x)_+^p dnu, elementwise over any t.
+
+    Points are evaluated in runs of ``_DP_CHUNK``; each point is summed on
+    its own, so the values do not depend on the chunking.
+    """
+
     def diff(t):
         t = np.asarray(t, dtype=float)
-        a = np.sum(
-            mu.weights[None, :] * np.maximum(t[..., None] - mu.atoms[None, :], 0.0) ** p,
-            axis=-1,
-        )
-        b = np.sum(
-            nu.weights[None, :] * np.maximum(t[..., None] - nu.atoms[None, :], 0.0) ** p,
-            axis=-1,
-        )
-        return a - b
+        flat = t.reshape(-1)
+        out = np.empty(flat.size)
+        for start in range(0, flat.size, _DP_CHUNK):
+            x = flat[start : start + _DP_CHUNK, None]
+            a = np.sum(mu.weights[None, :] * np.maximum(x - mu.atoms[None, :], 0.0) ** p, axis=-1)
+            b = np.sum(nu.weights[None, :] * np.maximum(x - nu.atoms[None, :], 0.0) ** p, axis=-1)
+            out[start : start + _DP_CHUNK] = a - b
+        return out.reshape(t.shape)
 
     return diff
 
 
-def _golden_max(fun, lo: float, hi: float, iters: int = 80) -> float:
-    a, b = lo, hi
+def _golden_max(fun, lo, hi, iters: int = 80) -> np.ndarray:
+    """Golden-section maxima of ``fun`` on the brackets [lo_i, hi_i], in lockstep.
+
+    ``fun`` maps an array of points to their values.  Every bracket takes
+    the scalar golden-section update, one ``fun`` call per step for all
+    live brackets, and leaves the live set at its own stop
+    b - a < 1e-13 max(1, |a| + |b|) or after ``iters`` steps.  Returns
+    max(f(c), f(d)) of each bracket's final probe pair.
+    """
+    a = np.asarray(lo, dtype=float)
+    b = np.asarray(hi, dtype=float)
     c = b - _GOLD * (b - a)
     d = a + _GOLD * (b - a)
-    fc, fd = fun(c), fun(d)
+    fc, fd = np.split(fun(np.concatenate([c, d])), 2)
+    best = np.empty(a.size)
+    live = np.arange(a.size)
     for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLD * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLD * (b - a)
-            fd = fun(d)
-        if b - a < 1e-13 * max(1.0, abs(a) + abs(b)):
-            break
-    return max(fc, fd)
+        # left: keep [a, d], old c becomes d; right: keep [c, b], old d becomes c
+        left = fc >= fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        probe = np.where(left, b - _GOLD * (b - a), a + _GOLD * (b - a))
+        f = fun(probe)
+        c, d = np.where(left, probe, d), np.where(left, c, probe)
+        fc, fd = np.where(left, f, fd), np.where(left, fc, f)
+        done = b - a < 1e-13 * np.maximum(1.0, np.abs(a) + np.abs(b))
+        if done.any():
+            best[live[done]] = np.maximum(fc[done], fd[done])
+            keep = ~done
+            a, b, c, d, fc, fd, live = (v[keep] for v in (a, b, c, d, fc, fd, live))
+            if live.size == 0:
+                return best
+    best[live] = np.maximum(fc, fd)
+    return best
 
 
 def distance_dp(mu: Measure1D, nu: Measure1D, p: float, tol: float = 1e-9) -> float:
@@ -256,27 +279,27 @@ def distance_dp(mu: Measure1D, nu: Measure1D, p: float, tol: float = 1e-9) -> fl
     except for kinks at atoms, so the sup is searched per inter-atom
     interval (plus a tail window) by sampling and golden-section
     refinement, doubling the sampling density until stable to ``tol``.
+    All segments are sampled in one evaluation and refined by one lockstep
+    golden section; the difference is evaluated in chunks of points, which
+    bounds memory without changing any value.
     """
     if not 0.0 < p < 1.0:
         raise DomainError("distance_dp needs p in (0, 1)")
     diff = _dp_diff(mu, nu, p)
-    absdiff = lambda t: float(np.abs(diff(np.atleast_1d(t)))[0])
+    absdiff = lambda t: np.abs(diff(t))
     knots = np.unique(np.concatenate([mu.atoms, nu.atoms]))
     span = max(knots[-1] - knots[0], 1.0)
-    segments = list(zip(knots[:-1], knots[1:]))
-    segments.append((knots[-1], knots[-1] + 10.0 * span))
+    ends = np.append(knots[1:], knots[-1] + 10.0 * span)
+    at_knots = float(np.max(absdiff(knots)))
+    rows = np.arange(knots.size)
 
     def sweep(per_segment: int) -> float:
-        best = float(np.max(np.abs(diff(knots))))
-        for a, b in segments:
-            ts = np.linspace(a, b, per_segment)
-            vals = np.abs(diff(ts))
-            k = int(np.argmax(vals))
-            best = max(best, float(vals[k]))
-            lo = ts[max(k - 1, 0)]
-            hi = ts[min(k + 1, per_segment - 1)]
-            best = max(best, _golden_max(absdiff, lo, hi))
-        return best
+        ts = np.linspace(knots, ends, per_segment, axis=1)
+        vals = absdiff(ts)
+        k = np.argmax(vals, axis=1)
+        a = ts[rows, np.maximum(k - 1, 0)]
+        b = ts[rows, np.minimum(k + 1, per_segment - 1)]
+        return max(at_knots, float(np.max(vals)), float(np.max(_golden_max(absdiff, a, b))))
 
     result = sweep(17)
     for per_segment in (33, 65, 129):

@@ -117,7 +117,7 @@ _TABLE_CACHE: dict[tuple, np.ndarray] = {}
 
 def _weight_table(w, grid: np.ndarray) -> np.ndarray:
     key = None
-    if isinstance(w, WeightFunction) and grid.size <= 1600:
+    if isinstance(w, WeightFunction):
         key = (w, grid.tobytes())
         hit = _TABLE_CACHE.get(key)
         if hit is not None:
@@ -145,12 +145,14 @@ def inf_convolution(f, w, grid) -> np.ndarray:
     if f.shape != grid.shape:
         raise DomainError("tabulated f must match the grid")
     n = grid.size
-    if n <= 1600:
-        return np.min(f[None, :] + _weight_table(w, grid), axis=1)
+    # cached table rows up to 1600 nodes, rows computed per block above;
+    # 64-row blocks keep every temporary in cache
+    table = _weight_table(w, grid) if n <= 1600 else None
     out = np.empty(n)
-    for start in range(0, n, 512):  # bounded memory on large grids
-        rows = grid[start : start + 512, None] - grid[None, :]
-        out[start : start + 512] = np.min(f[None, :] + w(rows), axis=1)
+    for start in range(0, n, 64):
+        block = slice(start, start + 64)
+        rows = w(grid[block, None] - grid[None, :]) if table is None else table[block]
+        out[block] = np.min(f[None, :] + rows, axis=1)
     return out
 
 

@@ -200,6 +200,154 @@ def test_distance_dp_dominated_by_coupling_cost():
             assert sm.distance_dp(a, b, p) <= cost + 1e-9
 
 
+def scalar_dp_diff(mu, nu, p):
+    """The d_p difference on all points at once, without chunking."""
+
+    def diff(t):
+        t = np.asarray(t, dtype=float)
+        a = np.sum(mu.weights[None, :] * np.maximum(t[..., None] - mu.atoms[None, :], 0.0) ** p, axis=-1)
+        b = np.sum(nu.weights[None, :] * np.maximum(t[..., None] - nu.atoms[None, :], 0.0) ** p, axis=-1)
+        return a - b
+
+    return diff
+
+
+def scalar_golden_max(fun, lo, hi, iters=80):
+    """Golden-section maximum of a scalar function on one bracket [lo, hi]."""
+    a, b = lo, hi
+    c = b - sm._GOLD * (b - a)
+    d = a + sm._GOLD * (b - a)
+    fc, fd = fun(c), fun(d)
+    for _ in range(iters):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - sm._GOLD * (b - a)
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + sm._GOLD * (b - a)
+            fd = fun(d)
+        if b - a < 1e-13 * max(1.0, abs(a) + abs(b)):
+            break
+    return max(fc, fd)
+
+
+def scalar_distance_dp(mu, nu, p, tol=1e-9):
+    """Segment-by-segment sweep with one scalar search per segment, the oracle."""
+    diff = scalar_dp_diff(mu, nu, p)
+    absdiff = lambda t: float(np.abs(diff(np.atleast_1d(t)))[0])
+    knots = np.unique(np.concatenate([mu.atoms, nu.atoms]))
+    span = max(knots[-1] - knots[0], 1.0)
+    segments = list(zip(knots[:-1], knots[1:]))
+    segments.append((knots[-1], knots[-1] + 10.0 * span))
+
+    def sweep(per_segment):
+        best = float(np.max(np.abs(diff(knots))))
+        for a, b in segments:
+            ts = np.linspace(a, b, per_segment)
+            vals = np.abs(diff(ts))
+            k = int(np.argmax(vals))
+            best = max(best, float(vals[k]))
+            lo = ts[max(k - 1, 0)]
+            hi = ts[min(k + 1, per_segment - 1)]
+            best = max(best, scalar_golden_max(absdiff, lo, hi))
+        return best
+
+    result = sweep(17)
+    for per_segment in (33, 65, 129):
+        refined = sweep(per_segment)
+        if abs(refined - result) <= tol:
+            return max(refined, result)
+        result = refined
+    return result
+
+
+def test_distance_dp_matches_scalar_oracle():
+    # the lockstep search probes the same points as the scalar sweep, so
+    # every result agrees bit for bit
+    rng = np.random.default_rng(41)
+    cases = []
+    for _ in range(200):
+        span = 10.0 ** rng.uniform(-2.0, 3.0)
+        p = float(rng.uniform(0.02, 0.98))
+        cases.append((random_measure(rng, span=span), random_measure(rng, span=span), p))
+    d0, d1 = sm.Measure1D.dirac(0.0), sm.Measure1D.dirac(1.5)
+    m = random_measure(rng)
+    cases += [(d0, d1, 0.5), (d1, d0, 0.02), (d0, d0, 0.98), (m, m, 0.5)]
+    for span in (1e-2, 1e3):
+        for p in (0.02, 0.98):
+            cases.append((random_measure(rng, span=span), random_measure(rng, span=span), p))
+    # 540 segments: the first golden probes (two per segment) span two chunks
+    wide = sm.Measure1D.from_atoms(rng.normal(size=500))
+    narrow = sm.Measure1D.from_atoms(rng.normal(size=40))
+    assert 2 * (wide.atoms.size + narrow.atoms.size) > sm._DP_CHUNK
+    cases.append((wide, narrow, 0.4))
+    for a, b, p in cases:
+        assert sm.distance_dp(a, b, p) == scalar_distance_dp(a, b, p)
+
+
+@pytest.mark.parametrize("iters", [80, 20])
+def test_golden_max_matches_scalar_search(iters):
+    # distance_dp's sup sat at a knot on every probability pair tried, so
+    # the search is checked on its own: widths from 1e-6 to 10 leave the
+    # live set at different steps, 20 steps stop most brackets at the cap,
+    # and the quartic has interior maxima
+    rng = np.random.default_rng(47)
+    fun = lambda t: 0.5 * t - (t * t - 1.0) ** 2
+    lo = rng.uniform(-2.0, 2.0, size=300)
+    hi = lo + 10.0 ** rng.uniform(-6.0, 1.0, size=300)
+    scalar = lambda t: float(fun(np.atleast_1d(t))[0])
+    want = [scalar_golden_max(scalar, a, b, iters) for a, b in zip(lo, hi)]
+    assert np.array_equal(sm._golden_max(fun, lo, hi, iters), want)
+
+
+def test_distance_dp_benchmark_pair_pinned():
+    small = sm.semicircle_measure(200)
+    dilated = small.dilate(1.05)
+    pinned = {0.25: 0.014452800899268828, 0.5: 0.014726446038897473, 0.75: 0.01686586660759687}
+    for p, value in pinned.items():
+        assert sm.distance_dp(small, dilated, p) == value
+
+
+def test_distance_dp_diff_call_count(monkeypatch):
+    # one difference evaluation per search step for all segments together;
+    # the scalar sweep made about 38 000 for this pair
+    calls = []
+    plain = sm._dp_diff
+
+    def counted(*args, **kwargs):
+        diff = plain(*args, **kwargs)
+
+        def wrapped(t):
+            calls.append(1)
+            return diff(t)
+
+        return wrapped
+
+    monkeypatch.setattr(sm, "_dp_diff", counted)
+    small = sm.semicircle_measure(200)
+    for p in (0.25, 0.5, 0.75):
+        calls.clear()
+        sm.distance_dp(small, small.dilate(1.05), p)
+        assert len(calls) <= 4 * 84
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=12),
+    st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=12),
+    st.floats(min_value=-2.0, max_value=3.0),
+    st.floats(min_value=0.02, max_value=0.98),
+)
+def test_distance_dp_symmetric_and_above_knots(unit_a, unit_b, log_spread, p):
+    a = sm.Measure1D.from_atoms(10.0**log_spread * np.array(unit_a))
+    b = sm.Measure1D.from_atoms(10.0**log_spread * np.array(unit_b))
+    d = sm.distance_dp(a, b, p)
+    assert d == sm.distance_dp(b, a, p)
+    knots = np.concatenate([a.atoms, b.atoms])
+    assert d >= np.max(np.abs(sm._dp_diff(a, b, p)(knots)))
+
+
 def test_cp_constant_values():
     assert sm.cp_constant(1.0) == pytest.approx(4.0, rel=1e-12)
     assert sm.cp_constant(1e-9) == pytest.approx(math.pi, rel=1e-6)

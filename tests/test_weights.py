@@ -9,9 +9,11 @@ from heavylab import measures, weights
 from heavylab.errors import AccuracyError, DomainError
 
 
-def brute_inf_conv(f, w, grid):
-    out = np.empty(len(grid))
-    for i, x in enumerate(grid):
+def brute_inf_conv(f, w, grid, at=None):
+    """min_j f_j + w(x - y_j) at the nodes x of ``at`` (all of ``grid`` by default)."""
+    at = grid if at is None else at
+    out = np.empty(len(at))
+    for i, x in enumerate(at):
         best = math.inf
         for j, y in enumerate(grid):
             val = f[j] + float(w(x - y))
@@ -158,6 +160,19 @@ def test_inf_convolution_brute_force_201_nodes():
     assert np.array_equal(
         weights.inf_convolution(f, w, grid), brute_inf_conv(f, w, grid)
     )
+
+
+def test_inf_convolution_large_grid_with_inf_entries():
+    # above 1600 nodes the weight rows are computed block by block; the
+    # brute force runs on every 16th row and the rows around block ends
+    grid = np.linspace(-30, 30, 1601)
+    rng = np.random.default_rng(17)
+    f = rng.uniform(0, 4, size=grid.size)
+    f[rng.random(grid.size) < 0.2] = np.inf
+    w = weights.corexp(0.25)
+    rows = np.unique(np.r_[0 : grid.size : 16, 63, 64, 1535, 1536, 1599, 1600])
+    fw = weights.inf_convolution(f, w, grid)
+    assert np.array_equal(fw[rows], brute_inf_conv(f, w, grid, at=grid[rows]))
 
 
 def test_inf_convolution_rejects_bad_grid():
