@@ -258,7 +258,7 @@ def cmd_lpp(args) -> int:
     if not 0.0 < args.alpha < 1.0:
         raise ConfigError("lpp needs alpha in (0, 1)")
     n = args.n
-    times = ex.lpp_times(args.alpha, n, args.replicas, args.seed)
+    times = lpp_mod.passage_times(args.alpha, (n + 1, n + 1), args.replicas, args.seed) / n
     g11_hat = float(times.mean())
     spike = args.spike
     records = []

@@ -2,9 +2,11 @@
 
 Every audit is a pure function of (config, seed): replicas draw from
 per-replica Philox streams and are reduced in replica order, so results are
-bit-identical across reruns.  Record emission is JSON-lines
-with a header carrying the package version and a hash of the resolved
-config; summaries are small CSV tables.
+bit-identical across reruns.  Across machines that holds for the draws and
+the last-passage audits, not for spectral audits: their BLAS eigensolvers
+can differ in the last digits with the BLAS thread count.  Record emission
+is JSON-lines with a header carrying the package version and a hash of the
+resolved config; summaries are small CSV tables.
 """
 
 from __future__ import annotations
@@ -229,32 +231,10 @@ def _lpp_errors(config, n, spike, g_eval):
     hvals[(n,) * config.lattice_dim] = spike
     h = lpp.WeightField(config.lattice_dim, n, hvals)
     t_det = lpp.deterministic_equivalent_T(h, g_eval)
-    law = measures.mu(config.alpha)
-    count = (n + 1) ** config.lattice_dim
-
-    def one(stream):
-        draws = measures.sample(law, count, config.seed, stream=stream)
-        deformed = np.maximum(draws.reshape(hvals.shape) + n * hvals, 0.0)
-        field = lpp.WeightField(config.lattice_dim, n, deformed)
-        t = lpp.last_passage(field, (0,) * config.lattice_dim, (n,) * config.lattice_dim)
-        return abs(t / n - t_det)
-
-    return np.array([one(s) for s in range(config.replicas)])
-
-
-def lpp_times(alpha: float, n: int, replicas: int, seed: int, chunk: int = 1000) -> np.ndarray:
-    """Corner passage times T/n for i.i.d. one-sided weights (d = 2)."""
-    law = measures.mu(alpha)
-    out = np.empty(replicas)
-    for start in range(0, replicas, chunk):
-        m = min(chunk, replicas - start)
-        stack = np.empty((m, n + 1, n + 1))
-        for k in range(m):
-            stack[k] = measures.sample(law, (n + 1) ** 2, seed, stream=start + k).reshape(
-                n + 1, n + 1
-            )
-        out[start : start + m] = lpp.last_passage_batch_2d(stack) / n
-    return out
+    times = lpp.passage_times(
+        config.alpha, hvals.shape, config.replicas, config.seed, shift=n * hvals
+    )
+    return np.abs(times / n - t_det)
 
 
 def _power_fit(n: np.ndarray, means: np.ndarray):
@@ -298,7 +278,9 @@ def estimate_g_limit(alpha: float, n_list, replicas: int, seed: int):
     n_arr = np.array(sorted(n_list), dtype=float)
     if n_arr.size < 3:
         raise DomainError("extrapolation needs at least three lattice sizes")
-    means = np.array([float(lpp_times(alpha, int(n), replicas, seed).mean()) for n in n_arr])
+    means = np.empty(n_arr.size)
+    for k, n in enumerate(n_arr.astype(int)):
+        means[k] = (lpp.passage_times(alpha, (n + 1, n + 1), replicas, seed) / n).mean()
     g_hat, c_fit, gamma, at_end = _power_fit(n_arr, means)
     diag = {"means": means.tolist(), "c": c_fit, "gamma": gamma, "gamma_at_grid_end": at_end}
     return g_hat, diag
@@ -315,7 +297,7 @@ def tail_rate(config: ExperimentConfig, x: float):
         raise DomainError("tail_rate currently audits the last-passage functional")
     rows = []
     for n in config.n_list:
-        times = lpp_times(config.alpha, n, config.replicas, config.seed)
+        times = lpp.passage_times(config.alpha, (n + 1, n + 1), config.replicas, config.seed) / n
         hits = int(np.sum(times > x))
         v = speed("lpp_time", config.alpha, n)
         p_hat = hits / config.replicas

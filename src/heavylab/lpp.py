@@ -1,11 +1,19 @@
 """Last-passage percolation: passage times, limit shape, deterministic twin.
 
 Directed paths increase one coordinate per step; a path is identified with
-its vertex set, endpoints included.  The deterministic equivalent replaces
-random fluctuation with the limit shape g between chain vertices, collecting
-the positive part of the deformation at every chain vertex (including both
-endpoints).  Chains are ordered coordinatewise so every increment stays in
-the closed positive orthant where g lives.
+its vertex set, endpoints included.  Monte Carlo passage times come from
+one engine, `passage_times`: it fills a chunk of replicas from their
+(seed, stream) draws, with as many replicas as fit a fixed budget of 2^22
+cells (32 MB of draws), lays the chunk out with replicas last, and runs the
+dynamic program as a wavefront over planes of constant coordinate sum,
+each step one vector operation across the replicas.  The max is exact and
+every cell keeps its single addition, so the times equal the per-site
+`last_passage` bit for bit; `last_passage` and `enumerate_paths` serve as
+test oracles.  The deterministic equivalent replaces random fluctuation
+with the limit shape g between chain vertices, collecting the positive
+part of the deformation at every chain vertex (including both endpoints).
+Chains are ordered coordinatewise so every increment stays in the closed
+positive orthant where g lives.
 """
 
 from __future__ import annotations
@@ -91,23 +99,6 @@ def last_passage(field: WeightField, v1, v2) -> float:
     return float(m[tuple(s - 1 for s in sub.shape)])
 
 
-def last_passage_batch_2d(fields: np.ndarray) -> np.ndarray:
-    """Corner-to-corner passage times for a (replicas, n+1, n+1) stack.
-
-    Same recurrence as `last_passage`, vectorized across replicas.
-    """
-    r, rows, cols = fields.shape
-    m = np.empty_like(fields)
-    m[:, 0, 0] = fields[:, 0, 0]
-    for j in range(1, cols):
-        m[:, 0, j] = m[:, 0, j - 1] + fields[:, 0, j]
-    for i in range(1, rows):
-        m[:, i, 0] = m[:, i - 1, 0] + fields[:, i, 0]
-        for j in range(1, cols):
-            m[:, i, j] = fields[:, i, j] + np.maximum(m[:, i - 1, j], m[:, i, j - 1])
-    return m[:, -1, -1]
-
-
 def enumerate_paths(v1, v2):
     """All directed paths between ordered lattice points (test oracle)."""
     v1, v2 = tuple(v1), tuple(v2)
@@ -119,6 +110,80 @@ def enumerate_paths(v1, v2):
             nxt = v1[:axis] + (v1[axis] + 1,) + v1[axis + 1 :]
             for tail in enumerate_paths(nxt, v2):
                 yield [v1] + tail
+
+
+# Cells per chunk of the passage-time engine: a chunk holds
+# floor(budget / cells) replicas (at least one), so its draws take 32 MB
+# whatever the box.
+_CELL_BUDGET = 2**22
+
+
+def passage_times(alpha: float, box, replicas: int, seed: int, shift=None) -> np.ndarray:
+    """Corner-to-corner passage times of ``replicas`` i.i.d. weight boxes.
+
+    ``box`` gives the side lengths (two or three of them).  Replica k takes
+    the one-sided draws of stream k in C order of the box; with ``shift``
+    (an array of the box's shape) its weights are (draws + shift)^+.  The
+    raw times come back in stream order, identical to `last_passage` on
+    each replica's field, whatever the chunking.
+    """
+    box = tuple(int(s) for s in box)
+    if len(box) not in (2, 3) or min(box) < 1:
+        raise DomainError(f"box must have two or three positive sides, got {box}")
+    law = measures.mu(alpha)
+    cells = math.prod(box)
+    per_chunk = max(1, _CELL_BUDGET // cells)
+    if shift is not None:
+        shift = np.asarray(shift, dtype=float).reshape(cells, 1)
+    out = np.empty(replicas)
+    for start in range(0, replicas, per_chunk):
+        streams = range(start, min(start + per_chunk, replicas))
+        field = measures.sample(law, cells, seed, streams).T.copy()  # replicas last
+        if shift is not None:
+            field += shift
+            np.maximum(field, 0.0, out=field)
+        out[start : streams.stop] = _wavefront(field, box)
+        del field  # free before the next chunk's draws
+    return out
+
+
+def _wavefront(field: np.ndarray, box) -> np.ndarray:
+    """Corner values of the passage-time DP on a (cells, replicas) field.
+
+    The DP sweeps planes of constant coordinate sum.  ``front`` is indexed
+    by all coordinates but the last, each shifted by one behind a -inf
+    border, and holds each position's value on the latest plane it met.
+    On a plane, fixing the leading coordinates (the prefix) leaves a run
+    of consecutive second-to-last coordinates: the run's field values are
+    one strided slice, and its predecessors are slices of ``front``.  Each
+    cell takes f + max(predecessors), as in `last_passage`.  Prefixes go in
+    descending order, so a run reads its lower neighbours before they are
+    overwritten with the current plane.
+    """
+    *heads, k_side, l_side = box
+    reps = field.shape[1]
+    front = np.full(tuple(s + 1 for s in box[:-1]) + (reps,), -np.inf)
+    front[(1,) * (len(box) - 1)] = 0.0  # the origin's predecessor
+    best = np.empty((k_side, reps))
+    step = max(l_side - 1, 1)
+    strides = [math.prod(box[a + 1 :]) for a in range(len(heads))]
+    prefixes = list(itertools.product(*(range(s - 1, -1, -1) for s in heads)))
+    for plane in range(sum(box) - len(box) + 1):
+        for prefix in prefixes:
+            t = plane - sum(prefix)  # k + l along the run
+            lo, hi = max(0, t - l_side + 1), min(k_side - 1, t)
+            if lo > hi:
+                continue
+            row = front[tuple(i + 1 for i in prefix)]
+            acc = best[: hi - lo + 1]
+            np.maximum(row[lo : hi + 1], row[lo + 1 : hi + 2], out=acc)
+            for a in range(len(heads)):
+                lower = tuple(i + (b != a) for b, i in enumerate(prefix))
+                np.maximum(acc, front[lower][lo + 1 : hi + 2], out=acc)
+            first = sum(i * st for i, st in zip(prefix, strides)) + t + lo * (l_side - 1)
+            cells = field[first : first + (hi - lo) * step + 1 : step]
+            np.add(cells, acc, out=row[lo + 1 : hi + 2])
+    return front[(-1,) * (len(box) - 1)]
 
 
 def estimate_g(alpha: float, v, n: int, replicas: int, seed: int):
@@ -134,30 +199,10 @@ def estimate_g(alpha: float, v, n: int, replicas: int, seed: int):
     corner = tuple(int(math.floor(n * c)) for c in v)
     if any(c < 0 for c in corner):
         raise DomainError("direction must be non-negative")
-    shape = tuple(c + 1 for c in corner)
-    law = measures.mu(alpha)
-    count = int(np.prod(shape))
-    if len(shape) == 2:
-        stack = np.empty((replicas,) + shape)
-        for rep in range(replicas):
-            stack[rep] = measures.sample(law, count, seed, stream=rep).reshape(shape)
-        times = last_passage_batch_2d(stack) / n
-    else:
-        times = np.empty(replicas)
-        for rep in range(replicas):
-            vals = measures.sample(law, count, seed, stream=rep).reshape(shape)
-            field = WeightField(len(shape), max(s - 1 for s in shape), _padded(vals, shape))
-            times[rep] = last_passage(field, (0,) * len(shape), corner) / n
+    times = passage_times(alpha, tuple(c + 1 for c in corner), replicas, seed) / n
     mean = float(times.mean())
     stderr = float(times.std(ddof=1) / math.sqrt(replicas))
     return mean, stderr
-
-
-def _padded(vals: np.ndarray, shape) -> np.ndarray:
-    side = max(shape)
-    out = np.zeros((side,) * len(shape))
-    out[tuple(slice(0, s) for s in shape)] = vals
-    return out
 
 
 def additive_g(v) -> float:

@@ -249,21 +249,37 @@ def variance(law: AlphaLaw) -> float:
     return moment(law, 2) - m1 * m1
 
 
-def sample(law: AlphaLaw, count: int, seed: int, stream: int = 0) -> np.ndarray:
+# Draws pass through the map in blocks of this many: a block and the map's
+# temporaries stay in cache, where one pass over a whole chunk would not.
+_MAP_BLOCK = 2**16
+
+
+def sample(law: AlphaLaw, count: int, seed: int, stream: int | range = 0) -> np.ndarray:
     """i.i.d. draws routed through the transport map.
 
     One-sided: exponential draws mapped through phi.  Two-sided: Laplace
     draws mapped through the odd extension psi.  Deterministic given
-    (seed, stream).
+    (seed, stream).  With a range of streams the result has one row of
+    ``count`` draws per stream, each row equal to that stream's own draw.
     """
     if count < 0:
         raise DomainError(f"count must be non-negative, got {count}")
-    if count == 0:
-        return np.zeros(0)
     tmap = rearrangement_map(law.alpha)
     if law.sided == "one":
-        return np.asarray(tmap(rng.exponentials(seed, stream, count)))
-    return np.asarray(tmap.odd(rng.laplaces(seed, stream, count)))
+        draw, transport = rng.exponentials, tmap
+    else:
+        draw, transport = rng.laplaces, tmap.odd
+    if isinstance(stream, range):
+        out = np.empty((len(stream), count))
+        for row, s in zip(out, stream):
+            row[:] = draw(seed, s, count)
+    else:
+        out = draw(seed, stream, count)
+    flat = out.reshape(-1)
+    for lo in range(0, flat.size, _MAP_BLOCK):
+        block = flat[lo : lo + _MAP_BLOCK]
+        block[:] = transport(block)
+    return out
 
 
 def sample_inverse_cdf(law: AlphaLaw, count: int, seed: int, stream: int = 0) -> np.ndarray:

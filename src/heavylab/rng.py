@@ -2,9 +2,12 @@
 
 Every stochastic routine in the package draws from Philox4x64 keyed by
 ``(seed, stream)``.  Philox is a counter-based 64-bit generator whose output
-is fixed by specification, so runs are bit-identical across platforms and
-independent of thread scheduling.  Parallel replicas use ``stream = replica
-index``; no generator state is ever shared.
+is fixed by specification, so draws are bit-identical across platforms and
+independent of thread scheduling.  That carries over to results computed
+from draws by exact or elementwise arithmetic, such as last-passage times,
+but not to spectra: BLAS eigensolvers can differ in the last digits with
+their thread count.  Parallel replicas use ``stream = replica index``; no
+generator state is ever shared.
 
 Non-uniform draws are derived from uniforms through explicit inverse-CDF
 transforms so the mapping from counter stream to output is documented here

@@ -1,9 +1,11 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from heavylab import experiments as ex
 from heavylab import lpp, measures
 from heavylab.errors import DomainError
 
@@ -13,6 +15,44 @@ def brute_force_T(field, v1, v2):
     for path in lpp.enumerate_paths(v1, v2):
         best = max(best, sum(field.values[v] for v in path))
     return best
+
+
+def last_passage_batch_2d(fields):
+    """The replicas-first (r, n+1, n+1) DP the engine replaced (oracle)."""
+    r, rows, cols = fields.shape
+    m = np.empty_like(fields)
+    m[:, 0, 0] = fields[:, 0, 0]
+    for j in range(1, cols):
+        m[:, 0, j] = m[:, 0, j - 1] + fields[:, 0, j]
+    for i in range(1, rows):
+        m[:, i, 0] = m[:, i - 1, 0] + fields[:, i, 0]
+        for j in range(1, cols):
+            m[:, i, j] = fields[:, i, j] + np.maximum(m[:, i - 1, j], m[:, i, j - 1])
+    return m[:, -1, -1]
+
+
+def lpp_times(alpha, n, replicas, seed, chunk=1000):
+    """The per-replica fill and replicas-first DP the engine replaced (oracle)."""
+    law = measures.mu(alpha)
+    out = np.empty(replicas)
+    for start in range(0, replicas, chunk):
+        m = min(chunk, replicas - start)
+        stack = np.empty((m, n + 1, n + 1))
+        for k in range(m):
+            stack[k] = measures.sample(law, (n + 1) ** 2, seed, stream=start + k).reshape(
+                n + 1, n + 1
+            )
+        out[start : start + m] = last_passage_batch_2d(stack) / n
+    return out
+
+
+def site_passage(values):
+    """Per-site `last_passage` over a box of any side lengths (oracle)."""
+    side = max(2, *values.shape)  # a WeightField is a cube of side >= 2
+    cube = np.zeros((side,) * values.ndim)
+    cube[tuple(slice(0, s) for s in values.shape)] = values
+    field = lpp.WeightField(values.ndim, side - 1, cube)
+    return lpp.last_passage(field, (0,) * values.ndim, tuple(s - 1 for s in values.shape))
 
 
 def test_field_validation_and_csv():
@@ -63,12 +103,98 @@ def test_last_passage_3d_oracle():
 
 
 def test_batch_matches_scalar_dp():
-    rng = np.random.default_rng(10)
-    stack = rng.normal(size=(6, 5, 5))
-    batch = lpp.last_passage_batch_2d(stack)
+    batch = lpp.passage_times(0.5, (5, 5), 6, seed=10)
     for k in range(6):
-        f = lpp.WeightField(2, 4, stack[k])
+        draws = measures.sample(measures.mu(0.5), 25, 10, stream=k)
+        f = lpp.WeightField(2, 4, draws.reshape(5, 5))
         assert batch[k] == pytest.approx(lpp.last_passage(f, (0, 0), (4, 4)))
+
+
+def random_boxes():
+    rng = np.random.default_rng(20)
+    fixed = [(1, 1), (1, 6), (6, 1), (7, 3), (3, 7), (1, 1, 1), (4, 3, 5), (5, 1, 3), (1, 4, 1)]
+    drawn = [tuple(rng.integers(1, 9, size=2).tolist()) for _ in range(6)]
+    drawn += [tuple(rng.integers(1, 6, size=3).tolist()) for _ in range(6)]
+    return fixed + drawn
+
+
+@pytest.mark.parametrize("box", random_boxes(), ids=str)
+def test_engine_equals_site_oracle(box):
+    law = measures.mu(0.5)
+    shift = np.random.default_rng(sum(box)).normal(scale=2.0, size=box)
+    for sh in (None, shift):
+        times = lpp.passage_times(0.5, box, 4, seed=21, shift=sh)
+        for k in range(4):
+            vals = measures.sample(law, math.prod(box), 21, stream=k).reshape(box)
+            if sh is not None:
+                vals = np.maximum(vals + sh, 0.0)
+            assert times[k] == site_passage(vals)
+
+
+@pytest.mark.parametrize("box", random_boxes(), ids=str)
+def test_wavefront_equals_site_oracle_on_signed_fields(box):
+    # signed weights: a wrong -inf border or a stale front entry would win the max
+    fields = np.random.default_rng(len(box) * 100 + sum(box)).normal(size=(3,) + box)
+    corner = lpp._wavefront(fields.reshape(3, -1).T.copy(), box)
+    assert corner.tolist() == [site_passage(f) for f in fields]
+
+
+@pytest.mark.parametrize("n, budget", [(1, 2**11), (10, 2**17), (40, None), (160, None)])
+def test_engine_equals_replaced_lpp_times(monkeypatch, n, budget):
+    if budget is not None:
+        monkeypatch.setattr(lpp, "_CELL_BUDGET", budget)
+    per_chunk = lpp._CELL_BUDGET // (n + 1) ** 2
+    for replicas in (per_chunk - 1, per_chunk + 1):
+        times = lpp.passage_times(0.5, (n + 1, n + 1), replicas, seed=22) / n
+        assert np.array_equal(times, lpp_times(0.5, n, replicas, seed=22))
+
+
+@pytest.mark.parametrize("budget", [1, 1000])
+def test_outputs_do_not_depend_on_chunking(monkeypatch, budget):
+    # 101 replicas: with 1000 cells a chunk holds 4, 10 or 40 replicas,
+    # none of which divides the total
+    cfg = ex.ExperimentConfig(
+        functional="lpp_time", alpha=0.5, n_list=(4, 9), replicas=101, seed=23
+    )
+
+    def outputs():
+        return (
+            lpp.estimate_g(0.5, (1.0, 0.5), n=12, replicas=101, seed=23),
+            lpp.estimate_g(0.5, (1.0, 1.0, 1.0), n=5, replicas=101, seed=23),
+            ex.tail_rate(cfg, 2.5),
+            ex.equivalent_error_curve("lpp", cfg, spike=3.0, g_eval=lpp.additive_g),
+        )
+
+    default = outputs()
+    monkeypatch.setattr(lpp, "_CELL_BUDGET", budget)
+    assert outputs() == default
+
+
+def test_estimate_g_3d_equals_site_oracle_mean():
+    mean, se = lpp.estimate_g(0.5, (1, 1, 1), n=6, replicas=20, seed=24)
+    law = measures.mu(0.5)
+    fields = [measures.sample(law, 343, 24, stream=k).reshape(7, 7, 7) for k in range(20)]
+    times = np.array([site_passage(f) / 6 for f in fields])
+    assert mean == float(times.mean())
+    assert se == float(times.std(ddof=1) / math.sqrt(20))
+
+
+def test_engine_memory_stays_within_the_cell_budget():
+    lpp.passage_times(0.5, (3, 3), 2, seed=0)  # the transport map is built outside the trace
+    tracemalloc.start()
+    try:
+        lpp.passage_times(0.5, (161, 161), 400, seed=25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a chunk's draws and their replicas-last copy are 2 x budget x 8 bytes
+    assert peak <= 4 * lpp._CELL_BUDGET * 8
+
+
+def test_passage_times_rejects_bad_boxes():
+    for box in ((5,), (2, 2, 2, 2), (0, 3)):
+        with pytest.raises(DomainError):
+            lpp.passage_times(0.5, box, 3, seed=0)
 
 
 def test_estimate_g_monotone_in_direction():
@@ -206,10 +332,6 @@ def test_uniform_equivalent_echo_median_shrinks():
         h = lpp.WeightField(2, n, hvals)
         t_det = lpp.deterministic_equivalent_T(h, shape)
         reps = 60
-        stack = np.empty((reps, n + 1, n + 1))
-        for rep in range(reps):
-            draws = measures.sample(measures.mu(alpha), (n + 1) ** 2, 17, stream=rep)
-            stack[rep] = draws.reshape(n + 1, n + 1) + n * hvals
-        times = lpp.last_passage_batch_2d(np.maximum(stack, 0.0)) / n
+        times = lpp.passage_times(alpha, (n + 1, n + 1), reps, 17, shift=n * hvals) / n
         medians[n] = float(np.median(np.abs(times - t_det)))
     assert medians[80] < medians[20]

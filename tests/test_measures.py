@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate
 from scipy.stats import ks_2samp, kstest
 
-from heavylab import measures
+from heavylab import measures, rng
 from heavylab.errors import DomainError
 
 ALPHAS = [0.5, 1.0, 1.5, 2.0]
@@ -129,6 +129,23 @@ def test_sample_empty_and_deterministic():
     assert np.array_equal(a, b)
     c = measures.sample(law, 1000, seed=42, stream=4)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("law", [measures.mu(0.5), measures.nu(1.3)], ids=["mu", "nu"])
+def test_sample_blocks_and_stream_ranges_keep_every_draw(law):
+    # the map runs in blocks; rows of a stream range are single-stream draws
+    tmap = measures.rearrangement_map(law.alpha)
+    count = 3 * measures._MAP_BLOCK + 17
+    if law.sided == "one":
+        whole = tmap(rng.exponentials(5, 2, count))
+    else:
+        whole = tmap.odd(rng.laplaces(5, 2, count))
+    assert np.array_equal(measures.sample(law, count, seed=5, stream=2), whole)
+    rows = measures.sample(law, 40_001, seed=5, stream=range(1, 5))
+    assert rows.shape == (4, 40_001)
+    for k, stream in enumerate(range(1, 5)):
+        assert np.array_equal(rows[k], measures.sample(law, 40_001, seed=5, stream=stream))
+    assert measures.sample(law, 3, seed=5, stream=range(0)).shape == (0, 3)
 
 
 def test_sample_variance_matches_moment():
