@@ -12,8 +12,6 @@ Exit codes: 0 success, 1 domain/config error, 2 numerical non-convergence.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import math
 import sys
 
@@ -40,26 +38,15 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _fmt(x: float) -> str:
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return repr(float(x))
-
-
 def _resolved_config(args: argparse.Namespace) -> dict:
     skip = {"config", "out", "func"}
     conf = {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
     return conf
 
 
-def _config_hash(conf: dict) -> str:
-    payload = json.dumps(conf, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(payload.encode()).hexdigest()[:12]
-
-
 def _header(conf: dict) -> str:
     pairs = " ".join(f"{k}={v}" for k, v in conf.items())
-    return f"# heavylab {VERSION} config_hash={_config_hash(conf)} {pairs}"
+    return f"# heavylab {VERSION} config_hash={ex.config_hash(conf)} {pairs}"
 
 
 def _write(out: str | None, text: str) -> None:
@@ -191,7 +178,7 @@ def cmd_sample(args) -> int:
     draws = measures.sample(law, args.count, args.seed)
     conf = _resolved_config(args)
     lines = [_header(conf), "draw"]
-    lines.extend(_fmt(v) for v in draws)
+    lines.extend(repr(float(v)) for v in draws)
     _write(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -203,7 +190,7 @@ def cmd_spectrum(args) -> int:
         x = x.scale(1.0 / math.sqrt(args.n))
     conf = _resolved_config(args)
     lines = [_header(conf), "eigenvalue"]
-    lines.extend(_fmt(v) for v in x.spectrum())
+    lines.extend(repr(float(v)) for v in x.spectrum())
     _write(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -222,7 +209,7 @@ def cmd_freeconv(args) -> int:
     conf = _resolved_config(args)
     lines = [_header(conf), "x,re_g,im_g,density"]
     for x, gv, dv in zip(grid, g, dens):
-        lines.append(f"{_fmt(x)},{_fmt(gv.real)},{_fmt(gv.imag)},{_fmt(dv)}")
+        lines.append(f"{float(x)!r},{float(gv.real)!r},{float(gv.imag)!r},{float(dv)!r}")
     _write(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -243,11 +230,11 @@ def cmd_rate(args) -> int:
     conf = _resolved_config(args)
     if args.out is None and len(xs) == 1:
         # single evaluation: header plus the bare value
-        _write(None, _header(conf) + "\n" + _fmt(fn(xs[0])) + "\n")
+        _write(None, _header(conf) + "\n" + repr(float(fn(xs[0]))) + "\n")
         return 0
     lines = [_header(conf), "x,rate"]
     for x in xs:
-        lines.append(f"{_fmt(x)},{_fmt(fn(x))}")
+        lines.append(f"{float(x)!r},{float(fn(x))!r}")
     _write(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -260,38 +247,18 @@ def cmd_lpp(args) -> int:
     n = args.n
     times = lpp_mod.passage_times(args.alpha, (n + 1, n + 1), args.replicas, args.seed) / n
     g11_hat = float(times.mean())
-    spike = args.spike
-    records = []
-    if spike > 0.0:
+    t_det = None
+    if args.spike > 0.0:
         hvals = np.zeros((n + 1, n + 1))
-        hvals[n, n] = spike
+        hvals[n, n] = args.spike
         h = lpp_mod.WeightField(2, n, hvals)
         t_det = lpp_mod.deterministic_equivalent_T(h, lpp_mod.additive_g)
-    else:
-        t_det = None
-    for rep, t in enumerate(times):
-        rec = {
-            "n": n,
-            "alpha": args.alpha,
-            "seed": args.seed,
-            "stream": rep,
-            "T": float(t),
-            "T_det": t_det,
-            "g11_hat": g11_hat,
-        }
-        records.append(rec)
-    conf = _resolved_config(args)
-    head = {
-        "header": True,
-        "version": VERSION,
-        "config": conf,
-        "config_hash": _config_hash(conf),
-    }
-    lines = [json.dumps(head, sort_keys=True, separators=(",", ":"), default=str)]
-    lines.extend(
-        json.dumps(r, sort_keys=True, separators=(",", ":"), default=str) for r in records
-    )
-    _write(args.out, "\n".join(lines) + "\n")
+    records = [
+        {"n": n, "alpha": args.alpha, "seed": args.seed, "stream": rep, "T": float(t),
+         "T_det": t_det, "g11_hat": g11_hat}
+        for rep, t in enumerate(times)
+    ]
+    _write(args.out, ex.jsonl_text(_resolved_config(args), records))
     return 0
 
 
@@ -320,7 +287,7 @@ def cmd_net(args) -> int:
     conf = _resolved_config(args)
     lines = [_header(conf), "eps,size"]
     for eps, size in profile:
-        lines.append(f"{_fmt(eps)},{size}")
+        lines.append(f"{float(eps)!r},{size}")
     _write(args.out, "\n".join(lines) + "\n")
     return 0
 

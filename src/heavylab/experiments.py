@@ -4,9 +4,15 @@ Every audit is a pure function of (config, seed): replicas draw from
 per-replica Philox streams and are reduced in replica order, so results are
 bit-identical across reruns.  Across machines that holds for the draws and
 the last-passage audits, not for spectral audits: their BLAS eigensolvers
-can differ in the last digits with the BLAS thread count.  Record emission
-is JSON-lines with a header carrying the package version and a hash of the
-resolved config; summaries are small CSV tables.
+can differ in the last digits with the BLAS thread count.
+
+Spectral audits and curves share one replica loop, `_wigner_replicas`: each
+replica's Wigner matrix is built once, scaled by 1/sqrt(n), shifted in place
+at its [0, 0] corner (the rank-one spike of the curves) and handed to the
+functional.  Last-passage audits share `lpp.passage_times`.
+
+Record emission is JSON-lines with a header carrying the package version
+and a hash of the resolved config; summaries are small CSV tables.
 """
 
 from __future__ import annotations
@@ -72,8 +78,16 @@ class ExperimentConfig:
         object.__setattr__(self, "t_grid", tuple(float(t) for t in self.t_grid))
 
     def config_hash(self) -> str:
-        payload = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode()).hexdigest()[:12]
+        return config_hash(asdict(self))
+
+
+def _json_line(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=str)
+
+
+def config_hash(conf: dict) -> str:
+    """First 12 hex digits of the SHA-256 of the compact, key-sorted JSON of conf."""
+    return hashlib.sha256(_json_line(conf).encode()).hexdigest()[:12]
 
 
 def k_alpha_shape(functional: str, alpha: float, n: int, t) -> np.ndarray:
@@ -95,22 +109,22 @@ def k_alpha_shape(functional: str, alpha: float, n: int, t) -> np.ndarray:
     raise DomainError("concentration audits cover esm_distance and largest_eig")
 
 
-def _spectral_replicas(config: ExperimentConfig, n: int):
-    """Per-replica functional values (and transform rows for esm)."""
+def _wigner_replicas(config: ExperimentConfig, n: int, fn, corner: float = 0.0) -> np.ndarray:
+    """``fn(X / sqrt(n) + corner e1 e1^T)`` for every replica stream, in stream order.
+
+    X is the unit-variance Wigner matrix of the config's alpha and beta drawn
+    from stream s of ``config.seed``, for s < ``config.replicas``.  Each
+    replica's matrix is built once: the scaled draw is a fresh array, the
+    corner shift is added to its [0, 0] entry in place, and the result is
+    wrapped for ``fn`` as it is.
+    """
     ens = ml.unit_variance_ensemble(config.alpha, beta=config.beta)
-    nodes = sm.default_contour().nodes
     root = math.sqrt(n)
 
-    if config.functional == "largest_eig":
-        def one(stream):
-            x = ml.sample_wigner(ens, n, config.seed, stream=stream)
-            return x.scale(1.0 / root).largest_eig()
-
-        return np.array([one(s) for s in range(config.replicas)])
-
     def one(stream):
-        x = ml.sample_wigner(ens, n, config.seed, stream=stream)
-        return sm.stieltjes(x.scale(1.0 / root).esm(), nodes)
+        mat = ml.sample_wigner(ens, n, config.seed, stream=stream).mat / root
+        mat[0, 0] += corner
+        return fn(ml.HermitianMatrix._wrap(mat))
 
     return np.array([one(s) for s in range(config.replicas)])
 
@@ -125,11 +139,12 @@ def concentration_audit(config: ExperimentConfig, n: int | None = None):
     """
     n = config.n_list[-1] if n is None else n
     if config.functional == "largest_eig":
-        vals = _spectral_replicas(config, n)
+        vals = _wigner_replicas(config, n, ml.HermitianMatrix.largest_eig)
         center = float(np.median(vals))
         devs = np.abs(vals - center)
     elif config.functional == "esm_distance":
-        rows = _spectral_replicas(config, n)
+        nodes = sm.default_contour().nodes
+        rows = _wigner_replicas(config, n, lambda x: sm.stieltjes(x.esm(), nodes))
         center = np.median(rows.real, axis=0) + 1j * np.median(rows.imag, axis=0)
         devs = np.max(np.abs(rows - center[None, :]), axis=1)
     else:
@@ -176,52 +191,33 @@ def equivalent_error_curve(
 
 
 def _esm_errors(config, n, spike):
-    ens = ml.unit_variance_ensemble(config.alpha, beta=config.beta)
     nodes = sm.default_contour().nodes
-    root = math.sqrt(n)
     if spike == 0.0:
         target = sm.g_semicircle(nodes)
     else:
         target = sm.freeconv_transform(sm.Measure1D.from_atoms(np.array([spike] + [0.0] * (n - 1))), nodes)
 
-    def one(stream):
-        x = ml.sample_wigner(ens, n, config.seed, stream=stream)
-        mat = x.mat / root
-        if spike != 0.0:
-            mat = mat + ml.spike_matrix(n, spike).mat
-        g = sm.stieltjes(ml.HermitianMatrix(mat).esm(), nodes)
-        return float(np.max(np.abs(g - target)))
+    def err(x):
+        return float(np.max(np.abs(sm.stieltjes(x.esm(), nodes) - target)))
 
-    return np.array([one(s) for s in range(config.replicas)])
+    return _wigner_replicas(config, n, err, spike)
 
 
 def _eig_errors(config, n, spike):
-    ens = ml.unit_variance_ensemble(config.alpha, beta=config.beta)
-    root = math.sqrt(n)
     target = ml.rho(spike)
-
-    def one(stream):
-        x = ml.sample_wigner(ens, n, config.seed, stream=stream)
-        mat = x.mat / root + ml.spike_matrix(n, spike).mat
-        return abs(ml.HermitianMatrix(mat).largest_eig() - target)
-
-    return np.array([one(s) for s in range(config.replicas)])
+    return _wigner_replicas(config, n, lambda x: abs(x.largest_eig() - target), spike)
 
 
 def _poly_errors(config, n, spike, poly):
     poly = poly or NCPolynomial.word_power(1, 3)
     d = poly.total_degree
-    ens = ml.unit_variance_ensemble(config.alpha, beta=config.beta)
-    root = math.sqrt(n)
     h = ml.spike_matrix(n, spike)
     limit = tau_semicircular(poly) + eval_trace(homogeneous_part(poly, d), (h,))
 
-    def one(stream):
-        x = ml.sample_wigner(ens, n, config.seed, stream=stream)
-        y = ml.HermitianMatrix(x.mat / root + n ** (1.0 / d) * h.mat)
+    def err(y):
         return abs(eval_trace(poly, (y,), normalize=True) - limit)
 
-    return np.array([one(s) for s in range(config.replicas)])
+    return _wigner_replicas(config, n, err, n ** (1.0 / d) * spike)
 
 
 def _lpp_errors(config, n, spike, g_eval):
@@ -412,24 +408,21 @@ def greedy_net_profile(p: float, q: float, eps_list, m: int, trials: int, seed: 
 # ------------------------------------------------------------------ emission
 
 
-def jsonl_header(config: ExperimentConfig) -> str:
-    head = {
-        "header": True,
-        "version": VERSION,
-        "config": asdict(config),
-        "config_hash": config.config_hash(),
-    }
-    return json.dumps(head, sort_keys=True, separators=(",", ":"))
+def jsonl_header(conf: dict) -> str:
+    """Header line: package version, the resolved config and its hash."""
+    head = {"header": True, "version": VERSION, "config": conf, "config_hash": config_hash(conf)}
+    return _json_line(head)
+
+
+def jsonl_text(conf: dict, records) -> str:
+    """JSON-lines text: the header line for conf, then one record per line."""
+    return "\n".join([jsonl_header(conf), *map(_json_line, records)]) + "\n"
 
 
 def emit_jsonl(config: ExperimentConfig, records) -> str:
-    """JSON-lines text: header line, then one record per line."""
-    lines = [jsonl_header(config)]
-    for rec in records:
-        body = {"seed": config.seed, "config_hash": config.config_hash()}
-        body.update(rec)
-        lines.append(json.dumps(body, sort_keys=True, separators=(",", ":")))
-    return "\n".join(lines) + "\n"
+    """`jsonl_text` for a config; every record carries its seed and config hash."""
+    stamp = {"seed": config.seed, "config_hash": config.config_hash()}
+    return jsonl_text(asdict(config), ({**stamp, **rec} for rec in records))
 
 
 def emit_csv(config: ExperimentConfig, header_cols, rows) -> str:

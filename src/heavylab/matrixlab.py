@@ -80,10 +80,14 @@ def unit_variance_ensemble(alpha: float, beta: int = BETA_SYMMETRIC) -> WignerEn
 
 
 class HermitianMatrix:
-    """Dense self-adjoint matrix; the lower triangle mirrors the upper one.
+    """Dense self-adjoint matrix, read-only; spectra are cached on first request.
 
-    The stored array is exactly self-adjoint by construction and read-only.
-    Spectra are cached after the first request.
+    ``HermitianMatrix(upper)`` takes a square array from outside (a CSV, a
+    rate-function search, a test) and builds the stored matrix from its
+    upper triangle: the strict lower triangle is replaced by the mirrored
+    (conjugated) upper one and the diagonal by its real part.  Matrices
+    made here -- `sample_wigner`, `scale`, `+` -- are exactly self-adjoint
+    already and are wrapped as they are, with no second build.
     """
 
     __slots__ = ("mat", "n", "beta", "_spectrum")
@@ -92,26 +96,33 @@ class HermitianMatrix:
         upper = np.asarray(upper)
         if upper.ndim != 2 or upper.shape[0] != upper.shape[1]:
             raise DomainError("need a square array")
-        n = upper.shape[0]
+        u = np.triu(upper, 1)
         if np.iscomplexobj(upper):
-            u = np.triu(upper, 1)
             full = u + u.conj().T + np.diag(np.real(np.diag(upper)))
-            beta = BETA_HERMITIAN
         else:
-            u = np.triu(upper, 1)
             full = u + u.T + np.diag(np.diag(upper).astype(float))
-            beta = BETA_SYMMETRIC
+        self._adopt(full)
+
+    @classmethod
+    def _wrap(cls, full: np.ndarray) -> "HermitianMatrix":
+        """Wrap an exactly self-adjoint array as is; the array becomes read-only."""
+        obj = cls.__new__(cls)
+        obj._adopt(full)
+        return obj
+
+    def _adopt(self, full: np.ndarray) -> None:
         full.setflags(write=False)
         self.mat = full
-        self.n = n
-        self.beta = beta
+        self.n = full.shape[0]
+        self.beta = BETA_HERMITIAN if np.iscomplexobj(full) else BETA_SYMMETRIC
         self._spectrum = None
 
     def __add__(self, other: "HermitianMatrix") -> "HermitianMatrix":
-        return HermitianMatrix(self.mat + other.mat)
+        return HermitianMatrix._wrap(self.mat + other.mat)
 
     def scale(self, t: float) -> "HermitianMatrix":
-        return HermitianMatrix(self.mat * t)
+        """The matrix times the real number t."""
+        return HermitianMatrix._wrap(self.mat * float(t))
 
     def spectrum(self) -> np.ndarray:
         """Ascending eigenvalues (dense self-adjoint solver)."""
@@ -185,27 +196,27 @@ def w_alpha_energy(a: HermitianMatrix, ens: WignerEnsemble) -> float:
 def sample_wigner(ens: WignerEnsemble, n: int, seed: int, stream: int = 0) -> HermitianMatrix:
     """Draw from the ensemble: entry = coef^(-1/alpha) x (symmetric-law draw).
 
-    Fill order is fixed (diagonal first, then the upper triangle row-major;
+    Draw order is fixed (diagonal first, then the upper triangle row-major;
     imaginary parts from the following stream), so output is deterministic
-    per (seed, n, stream).
+    per (seed, n, stream).  The draws fill the diagonal and both triangles
+    of one array -- the lower triangle gets the conjugates for beta = 2 --
+    which is wrapped without a second build.
     """
     if n < 1:
         raise DomainError(f"dimension must be >= 1, got {n}")
     law = measures.nu(ens.alpha)
     n_off = n * (n - 1) // 2
     draws = measures.sample(law, n + n_off, seed, stream=2 * stream)
-    diag = ens.diag_scale * draws[:n]
-    off_re = ens.offdiag_real_scale * draws[n:]
-    if ens.beta == BETA_SYMMETRIC:
-        upper = np.zeros((n, n))
-        upper[np.diag_indices(n)] = diag
-        upper[np.triu_indices(n, k=1)] = off_re
-        return HermitianMatrix(upper)
-    im_draws = measures.sample(law, n_off, seed, stream=2 * stream + 1)
-    upper = np.zeros((n, n), dtype=complex)
-    upper[np.diag_indices(n)] = diag
-    upper[np.triu_indices(n, k=1)] = off_re + 1j * ens.offdiag_imag_scale * im_draws
-    return HermitianMatrix(upper)
+    off = ens.offdiag_real_scale * draws[n:]
+    if ens.beta == BETA_HERMITIAN:
+        im_draws = measures.sample(law, n_off, seed, stream=2 * stream + 1)
+        off = off + 1j * ens.offdiag_imag_scale * im_draws
+    full = np.empty((n, n), dtype=off.dtype)
+    full[np.diag_indices(n)] = ens.diag_scale * draws[:n]
+    rows, cols = np.triu_indices(n, k=1)
+    full[rows, cols] = off
+    full[cols, rows] = off.conj()
+    return HermitianMatrix._wrap(full)
 
 
 def rho(x: float) -> float:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -113,6 +114,23 @@ def test_lpp_command_jsonl(capsys, tmp_path):
     recs = [json.loads(line) for line in lines[1:]]
     assert len(recs) == 20
     assert {"n", "alpha", "seed", "T", "T_det", "g11_hat", "stream"} <= set(recs[0])
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("lpp", "--alpha", "0.5", "--n", "8", "--replicas", "20", "--seed", "3"),
+         "5048cded72b5def230fc8b20e89b10d9272f178cc844473182a32f191f4fb08e"),
+        (("lpp", "--alpha", "0.3", "--n", "8", "--replicas", "20", "--seed", "3", "--spike", "2"),
+         "cf429639ca64f7dda71589b8015601981405790c0567c9d69725b90a29c2b1f1"),
+    ],
+    ids=["alpha0.5", "alpha0.3-spike2"],
+)
+def test_lpp_output_bytes_pinned(capsys, argv, digest):
+    # SHA-256 of the whole output, header and records: the bytes are part of the contract
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

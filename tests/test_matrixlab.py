@@ -57,6 +57,20 @@ def test_sample_hermitian_adjoint():
     assert np.all(x.mat.diagonal().imag == 0)
 
 
+@pytest.mark.parametrize("beta", [1, 2])
+def test_built_matrices_are_read_only_with_n_and_beta(beta):
+    ens = ml.unit_variance_ensemble(1.0, beta=beta)
+    x = ml.sample_wigner(ens, 6, seed=3)
+    y = ml.sample_wigner(ens, 6, seed=3, stream=1)
+    for m in (x, x.scale(0.5), x + y, ml.HermitianMatrix(np.array(x.mat))):
+        assert not m.mat.flags.writeable
+        assert (m.n, m.beta) == (6, beta)
+        with pytest.raises(ValueError):
+            m.mat[0, 0] = 1.0
+    assert np.array_equal((x + y).mat, x.mat + y.mat)
+    assert np.array_equal(x.scale(0.5).mat, x.mat * 0.5)
+
+
 def test_unit_variance_offdiagonal_moment():
     # 82 replicas x 1225 entries > 1e5 draws per beta
     for beta in (1, 2):
