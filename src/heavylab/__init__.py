@@ -5,7 +5,6 @@ lattice passage-time dynamic programs, and Monte Carlo audits.
 """
 
 from . import (
-    cli,
     experiments,
     freeprob,
     lpp,
@@ -27,7 +26,6 @@ from .errors import (
 __version__ = experiments.VERSION
 
 __all__ = [
-    "cli",
     "experiments",
     "freeprob",
     "lpp",

@@ -44,11 +44,6 @@ def _resolved_config(args: argparse.Namespace) -> dict:
     return conf
 
 
-def _header(conf: dict) -> str:
-    pairs = " ".join(f"{k}={v}" for k, v in conf.items())
-    return f"# heavylab {VERSION} config_hash={ex.config_hash(conf)} {pairs}"
-
-
 def _write(out: str | None, text: str) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -176,10 +171,7 @@ def _ensemble(args) -> ml.WignerEnsemble:
 def cmd_sample(args) -> int:
     law = measures.nu(args.alpha) if args.law == "nu" else measures.mu(args.alpha)
     draws = measures.sample(law, args.count, args.seed)
-    conf = _resolved_config(args)
-    lines = [_header(conf), "draw"]
-    lines.extend(repr(float(v)) for v in draws)
-    _write(args.out, "\n".join(lines) + "\n")
+    _write(args.out, ex.csv_text(_resolved_config(args), ("draw",), ((v,) for v in draws)))
     return 0
 
 
@@ -188,10 +180,8 @@ def cmd_spectrum(args) -> int:
     x = ml.sample_wigner(ens, args.n, args.seed)
     if args.scale == "sqrtn":
         x = x.scale(1.0 / math.sqrt(args.n))
-    conf = _resolved_config(args)
-    lines = [_header(conf), "eigenvalue"]
-    lines.extend(repr(float(v)) for v in x.spectrum())
-    _write(args.out, "\n".join(lines) + "\n")
+    rows = ((v,) for v in x.spectrum())
+    _write(args.out, ex.csv_text(_resolved_config(args), ("eigenvalue",), rows))
     return 0
 
 
@@ -206,11 +196,8 @@ def cmd_freeconv(args) -> int:
     hi = args.grid_hi if args.grid_hi is not None else float(nu.atoms.max() + 3.5)
     grid = np.linspace(lo, hi, args.grid_count)
     g, dens = sm.free_conv_semicircle(nu, args.eta, grid)
-    conf = _resolved_config(args)
-    lines = [_header(conf), "x,re_g,im_g,density"]
-    for x, gv, dv in zip(grid, g, dens):
-        lines.append(f"{float(x)!r},{float(gv.real)!r},{float(gv.imag)!r},{float(dv)!r}")
-    _write(args.out, "\n".join(lines) + "\n")
+    rows = zip(grid, g.real, g.imag, dens)
+    _write(args.out, ex.csv_text(_resolved_config(args), ("x", "re_g", "im_g", "density"), rows))
     return 0
 
 
@@ -230,12 +217,9 @@ def cmd_rate(args) -> int:
     conf = _resolved_config(args)
     if args.out is None and len(xs) == 1:
         # single evaluation: header plus the bare value
-        _write(None, _header(conf) + "\n" + repr(float(fn(xs[0]))) + "\n")
+        _write(None, ex.csv_header(conf) + "\n" + repr(float(fn(xs[0]))) + "\n")
         return 0
-    lines = [_header(conf), "x,rate"]
-    for x in xs:
-        lines.append(f"{float(x)!r},{float(fn(x))!r}")
-    _write(args.out, "\n".join(lines) + "\n")
+    _write(args.out, ex.csv_text(conf, ("x", "rate"), ((x, float(fn(x))) for x in xs)))
     return 0
 
 
@@ -284,11 +268,7 @@ def cmd_audit(args) -> int:
 def cmd_net(args) -> int:
     eps_list = tuple(float(tok) for tok in args.eps.split(",") if tok)
     profile = ex.greedy_net_profile(args.p, args.q, eps_list, args.m, args.trials, args.seed)
-    conf = _resolved_config(args)
-    lines = [_header(conf), "eps,size"]
-    for eps, size in profile:
-        lines.append(f"{float(eps)!r},{size}")
-    _write(args.out, "\n".join(lines) + "\n")
+    _write(args.out, ex.csv_text(_resolved_config(args), ("eps", "size"), profile))
     return 0
 
 

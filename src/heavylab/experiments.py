@@ -11,8 +11,12 @@ replica's Wigner matrix is built once, scaled by 1/sqrt(n), shifted in place
 at its [0, 0] corner (the rank-one spike of the curves) and handed to the
 functional.  Last-passage audits share `lpp.passage_times`.
 
-Record emission is JSON-lines with a header carrying the package version
-and a hash of the resolved config; summaries are small CSV tables.
+Every output goes through one of two emitters, and both open with a header
+carrying the package version, the resolved config and its hash.
+`jsonl_text` writes a JSON header line, then one JSON record per line;
+`csv_text` writes ``# heavylab <version> config_hash=<hash> k=v ...``, the
+column line, then one line per row.  `emit_jsonl` and `emit_csv` apply
+them to an `ExperimentConfig`.
 """
 
 from __future__ import annotations
@@ -425,12 +429,26 @@ def emit_jsonl(config: ExperimentConfig, records) -> str:
     return jsonl_text(asdict(config), ({**stamp, **rec} for rec in records))
 
 
-def emit_csv(config: ExperimentConfig, header_cols, rows) -> str:
-    lines = [f"# heavylab {VERSION} config_hash={config.config_hash()} seed={config.seed}"]
-    lines.append(",".join(header_cols))
+def csv_header(conf: dict) -> str:
+    """Header line: package version, the hash of conf, then its key=value pairs."""
+    pairs = " ".join(f"{k}={v}" for k, v in conf.items())
+    return f"# heavylab {VERSION} config_hash={config_hash(conf)} {pairs}"
+
+
+def csv_text(conf: dict, cols, rows) -> str:
+    """CSV text: the header line for conf, the column line, then one line per row.
+
+    Floats, numpy's included, are written as ``repr(float(v))``; other cells as ``str(v)``.
+    """
+    lines = [csv_header(conf), ",".join(cols)]
     for row in rows:
         lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row))
     return "\n".join(lines) + "\n"
+
+
+def emit_csv(config: ExperimentConfig, cols, rows) -> str:
+    """`csv_text` for a config."""
+    return csv_text(asdict(config), cols, rows)
 
 
 # shipped presets; every preset is deterministic from its embedded seed

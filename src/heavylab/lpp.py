@@ -213,8 +213,9 @@ def additive_g(v) -> float:
 class CachedShape:
     """Limit shape cached on a direction grid with multilinear interpolation.
 
-    The deterministic-equivalent DP evaluates g O(n^(2d)) times, so Monte
-    Carlo estimates are taken once per grid direction and interpolated.
+    The deterministic-equivalent DP evaluates g at every lattice gap of the
+    box, so Monte Carlo estimates are taken once per grid direction and
+    interpolated.
     """
 
     def __init__(self, alpha: float, d: int, n_mc: int, replicas: int, seed: int, grid_points: int = 9):
@@ -255,49 +256,27 @@ def deterministic_equivalent_T(h: WeightField, g_eval, n: int | None = None) -> 
     M(v) = H_v^+ + max over coordinatewise-smaller u of (M(u) + g((v-u)/n)),
     chains implicitly starting at 0 and ending at (n,...,n), both collecting
     their H^+.  Always at least g(1,...,1).
+
+    One window recursion serves d = 2 and 3.  g is tabulated once per
+    lattice gap, gtab[k] = g(k/n); then, in row-major order, which reaches
+    every coordinatewise-smaller u before v, the candidates M(u) + g((v-u)/n)
+    for all u <= v are the box m[:v+1] plus gtab reversed along every axis,
+    with u = v masked out.  Each candidate is one addition and the max is
+    exact, so M does not depend on the order in which candidates are met.
     """
     n = h.n if n is None else n
     hp = np.maximum(h.values, 0.0)
-    if h.d == 2:
-        return _det_equiv_2d(hp, g_eval, n)
-    shape = hp.shape
-    m = np.full(shape, -np.inf)
-    order = sorted(itertools.product(*(range(s) for s in shape)), key=sum)
-    for idx in order:
-        if all(i == 0 for i in idx):
-            m[idx] = hp[idx]
-            continue
-        best = -np.inf
-        for u in itertools.product(*(range(i + 1) for i in idx)):
-            if u == idx:
-                continue
-            gap = tuple((a - b) / n for a, b in zip(idx, u))
-            cand = m[u] + g_eval(gap)
-            if cand > best:
-                best = cand
-        m[idx] = hp[idx] + best
-    return float(m[tuple(s - 1 for s in shape)])
-
-
-def _det_equiv_2d(hp: np.ndarray, g_eval, n: int) -> float:
-    side = hp.shape[0]
-    # increment table g((a, b)/n) for all lattice gaps
-    gtab = np.zeros((side, side))
-    for a in range(side):
-        for b in range(side):
-            if a == 0 and b == 0:
-                continue
-            gtab[a, b] = g_eval((a / n, b / n))
+    cells = list(np.ndindex(hp.shape))[1:]  # row-major, the origin left out
+    gtab = np.zeros(hp.shape)
+    for gap in cells:
+        gtab[gap] = g_eval(tuple(k / n for k in gap))
     m = np.full(hp.shape, -np.inf)
-    m[0, 0] = hp[0, 0]
-    for i in range(side):
-        for j in range(side):
-            if i == 0 and j == 0:
-                continue
-            window = m[: i + 1, : j + 1] + gtab[i::-1, j::-1]
-            window[i, j] = -np.inf  # u = v is not a step
-            m[i, j] = hp[i, j] + window.max()
-    return float(m[-1, -1])
+    m.flat[0] = hp.flat[0]
+    for v in cells:
+        window = m[tuple(slice(k + 1) for k in v)] + gtab[tuple(slice(k, None, -1) for k in v)]
+        window[v] = -np.inf  # u = v is not a step
+        m[v] = hp[v] + window.max()
+    return float(m.flat[-1])
 
 
 def rate_L_consistency(h: WeightField, g_eval, alpha: float, n: int | None = None) -> float:

@@ -175,8 +175,8 @@ def g_semicircle(z) -> np.ndarray:
 
 def distance_d(mu: Measure1D, nu: Measure1D, contour: StieltjesContour | None = None) -> float:
     """sup over contour nodes of |g_mu - g_nu|."""
-    contour = contour or default_contour()
-    return float(np.max(np.abs(stieltjes(mu, contour.nodes) - stieltjes(nu, contour.nodes))))
+    nodes = (contour or default_contour()).nodes
+    return transform_distance(stieltjes(mu, nodes), stieltjes(nu, nodes))
 
 
 def transform_distance(gvals_a, gvals_b) -> float:
@@ -205,9 +205,7 @@ def wasserstein_p(mu: Measure1D, nu: Measure1D, p: float) -> float:
     """
     if p < 1:
         raise DomainError("wasserstein_p needs p >= 1; use distance_dp below 1")
-    mass, xa, xb = _quantile_slices(mu, nu)
-    cost = float(np.sum(mass * np.abs(xa - xb) ** p))
-    return cost ** (1.0 / p)
+    return monotone_coupling_cost(mu, nu, p) ** (1.0 / p)
 
 
 def monotone_coupling_cost(mu: Measure1D, nu: Measure1D, p: float) -> float:

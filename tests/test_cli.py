@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -131,6 +135,53 @@ def test_lpp_output_bytes_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("sample", "--law", "mu", "--alpha", "0.5", "--count", "50", "--seed", "9"),
+         "2bb8a950460383ffa926c0eaafb61e7aab5d3926274b607301bea46304c8d012"),
+        (("sample", "--law", "nu", "--alpha", "0.3", "--count", "50", "--seed", "1"),
+         "5f8a15382f55083ef3b046838bf0b763e0ec5eaaffbdf8bdcf17d3065e80b1c2"),
+        (("freeconv", "--theta", "2", "--eta", "0.01", "--grid-count", "41"),
+         "76850d8ac30711eba56c4b65fe63728b4fd0436b5f6c4e492eb67fb7f2287247"),
+        (("rate", "--kind", "J", "--alpha", "1", "--c", "1", "--x", "2"),
+         "f3b2055949c2fa0f5624723d5913d340d110ecbe4337f4fbd1855cdcb0e21ff7"),
+        (("rate", "--kind", "J", "--alpha", "1", "--c", "1", "--x", "1,2,2.5"),
+         "df3fac1025d4a1970714bb67b8268b5b68c6eaf3edd40c9a60ff6fe2eeb65e22"),
+        (("net", "--p", "0.5", "--q", "2", "--eps", "0.5,0.9", "--m", "8", "--trials", "30",
+          "--seed", "5"),
+         "f63b213caa95e176e9f27a4ea8bd55e9fb587c3b7085a44f3447b5c2ce828338"),
+    ],
+    ids=["sample-mu", "sample-nu-alpha0.3", "freeconv", "rate-single", "rate-multi", "net"],
+)
+def test_csv_output_bytes_pinned(capsys, argv, digest):
+    # spectrum is left out: its eigenvalues depend on the BLAS thread count
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_module_run_does_not_preload_cli():
+    # `python -m heavylab.cli` warns at runtime if `import heavylab` already imported the CLI
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    argv = ["rate", "--kind", "J", "--alpha", "1", "--c", "1", "--x", "2"]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "heavylab.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0.0"
+    assert proc.stderr == ""
+    probe = "import sys, heavylab; print('heavylab.cli' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize(

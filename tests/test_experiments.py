@@ -183,7 +183,11 @@ def test_emission_headers_and_determinism():
     rec = json.loads(lines[1])
     assert rec["seed"] == cfg.seed and rec["config_hash"] == cfg.config_hash()
     csv_text = ex.emit_csv(cfg, ("a", "b"), [(1, 2.5)])
-    assert csv_text.splitlines()[0].startswith("# heavylab")
+    head = csv_text.splitlines()[0]
+    assert head.startswith(f"# heavylab {ex.VERSION} ")
+    assert f"config_hash={cfg.config_hash()}" in head.split()
+    assert f"seed={cfg.seed}" in head.split()
+    assert csv_text.splitlines()[1:] == ["a,b", "1,2.5"]
 
 
 def test_preset_rerun_byte_identical():

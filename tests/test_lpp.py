@@ -270,17 +270,60 @@ def brute_force_det_equiv(h, g_eval, n):
     return best
 
 
+def root_shape(v) -> float:
+    """(sum_i sqrt(v_i))^2: a superadditive shape that is not additive."""
+    return float(np.sum(np.sqrt(np.asarray(v, dtype=float))) ** 2)
+
+
+def sparse_signed_field(rng, d, n):
+    vals = rng.normal(size=(n + 1,) * d)
+    keep = rng.random(vals.shape) < 0.2
+    return lpp.WeightField(d, n, np.where(keep, np.abs(vals), -np.abs(vals)))
+
+
 def test_det_equivalent_matches_chain_enumeration():
     rng = np.random.default_rng(12)
-    n = 3
-    for trial in range(100):
-        vals = rng.normal(size=(n + 1, n + 1))
-        keep = rng.random((n + 1, n + 1)) < 0.2
-        vals = np.where(keep, np.abs(vals), -np.abs(vals))
-        h = lpp.WeightField(2, n, vals)
-        mine = lpp.deterministic_equivalent_T(h, lpp.additive_g)
-        oracle = brute_force_det_equiv(h, lpp.additive_g, n)
-        assert mine == pytest.approx(oracle, abs=1e-12)
+    for d, n, trials in ((2, 3, 100), (3, 2, 20)):
+        for trial in range(trials):
+            h = sparse_signed_field(rng, d, n)
+            for g_eval in (lpp.additive_g, root_shape):
+                mine = lpp.deterministic_equivalent_T(h, g_eval)
+                oracle = brute_force_det_equiv(h, g_eval, n)
+                assert mine == pytest.approx(oracle, abs=1e-12)
+
+
+def pairwise_det_equiv(h, g_eval, n):
+    """The recursion one (u, v) pair at a time, vertices in order of coordinate sum."""
+    hp = np.maximum(h.values, 0.0)
+    shape = hp.shape
+    m = np.full(shape, -np.inf)
+    order = sorted(itertools.product(*(range(s) for s in shape)), key=sum)
+    for idx in order:
+        if all(i == 0 for i in idx):
+            m[idx] = hp[idx]
+            continue
+        best = -np.inf
+        for u in itertools.product(*(range(i + 1) for i in idx)):
+            if u == idx:
+                continue
+            gap = tuple((a - b) / n for a, b in zip(idx, u))
+            cand = m[u] + g_eval(gap)
+            if cand > best:
+                best = cand
+        m[idx] = hp[idx] + best
+    return float(m[tuple(s - 1 for s in shape)])
+
+
+@pytest.mark.parametrize("d, sizes", [(2, (1, 2, 5, 8)), (3, (1, 2, 4))], ids=["d2", "d3"])
+def test_det_equivalent_equals_pairwise_oracle(d, sizes):
+    # the window recursion meets the same candidates as the pairwise loop, so == holds
+    rng = np.random.default_rng(20 + d)
+    cached = lpp.CachedShape(0.5, d, n_mc=4, replicas=20, seed=18, grid_points=3)
+    for n in sizes:
+        for _ in range(3):
+            h = lpp.WeightField(d, n, rng.normal(size=(n + 1,) * d))
+            for g_eval in (lpp.additive_g, cached):
+                assert lpp.deterministic_equivalent_T(h, g_eval) == pairwise_det_equiv(h, g_eval, n)
 
 
 def test_det_equivalent_monotone_in_h():
