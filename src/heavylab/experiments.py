@@ -24,17 +24,17 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import shlex
 from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.optimize import brentq
 
-from . import lpp, measures
+from . import lpp, measures, rng
 from . import matrixlab as ml
 from . import specmeasures as sm
 from .errors import DomainError
 from .freeprob import NCPolynomial, eval_trace, tau_semicircular, homogeneous_part
-from .rng import philox
 
 VERSION = "0.1.0"
 
@@ -330,7 +330,7 @@ def sample_lp_ball(p: float, m: int, count: int, seed: int, stream: int = 0) -> 
     valid for every p > 0.
     """
     g = measures.sample(measures.nu(p), count * m, seed, stream).reshape(count, m)
-    e = -np.log1p(-philox(seed, stream + 2**33).random(count))
+    e = rng.exponentials(seed, stream + 2**33, count)
     radius = (np.sum(np.abs(g) ** p, axis=1) + e) ** (1.0 / p)
     return g / radius[:, None]
 
@@ -382,7 +382,7 @@ def greedy_net_centers(p: float, q: float, eps: float, m: int, trials: int, seed
         raise DomainError("probe sampling covers p in (0, 2]")
     centers = [] if centers is None else [np.asarray(c) for c in centers]
     covered_run = 0
-    gen = philox(seed, 2**34)
+    gen = rng.philox(seed, 2**34)
     while covered_run < trials:
         probe = _net_probe(p, m, gen)
         dist = (
@@ -429,9 +429,28 @@ def emit_jsonl(config: ExperimentConfig, records) -> str:
     return jsonl_text(asdict(config), ({**stamp, **rec} for rec in records))
 
 
+def _header_value(v) -> str:
+    """A header value that `shlex.split` returns whole.
+
+    Tuples are written without spaces, ``(0.2,0.5,1.0)``; strings holding
+    whitespace, quotes or backslashes are shlex-quoted; anything else is
+    ``str(v)``.
+    """
+    if isinstance(v, tuple):
+        inner = ",".join(map(_header_value, v))
+        return f"({inner},)" if len(v) == 1 else f"({inner})"
+    text = str(v)
+    if isinstance(v, str) and any(c.isspace() or c in "'\"\\" for c in text):
+        return shlex.quote(text)
+    return text
+
+
 def csv_header(conf: dict) -> str:
-    """Header line: package version, the hash of conf, then its key=value pairs."""
-    pairs = " ".join(f"{k}={v}" for k, v in conf.items())
+    """Header line: package version, the hash of conf, then its key=value pairs.
+
+    The line splits back into its ``k=v`` pairs with `shlex.split`.
+    """
+    pairs = " ".join(f"{k}={_header_value(v)}" for k, v in conf.items())
     return f"# heavylab {VERSION} config_hash={config_hash(conf)} {pairs}"
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -180,13 +181,24 @@ class HermitianMatrix:
         return HermitianMatrix(upper)
 
 
+@lru_cache(maxsize=8)
+def _strict_upper(n: int) -> np.ndarray:
+    """Read-only boolean mask of the strict upper triangle, per n.
+
+    Boolean indexing visits it in row-major order, the order of the draws;
+    on the transposed view it addresses the mirrored lower triangle.
+    """
+    mask = np.triu(np.ones((n, n), dtype=bool), k=1)
+    mask.flags.writeable = False
+    return mask
+
+
 def w_alpha_energy(a: HermitianMatrix, ens: WignerEnsemble) -> float:
     """Matrix energy W_alpha(A); homogeneous of degree alpha."""
     m = a.mat
     alpha = ens.alpha
     diag = ens.b * np.sum(np.abs(np.diag(m).real) ** alpha)
-    iu = np.triu_indices(a.n, k=1)
-    off = m[iu]
+    off = m[_strict_upper(a.n)]
     total = diag + ens.a1 * np.sum(np.abs(off.real) ** alpha)
     if a.beta == BETA_HERMITIAN:
         total += ens.a2 * np.sum(np.abs(off.imag) ** alpha)
@@ -213,9 +225,9 @@ def sample_wigner(ens: WignerEnsemble, n: int, seed: int, stream: int = 0) -> He
         off = off + 1j * ens.offdiag_imag_scale * im_draws
     full = np.empty((n, n), dtype=off.dtype)
     full[np.diag_indices(n)] = ens.diag_scale * draws[:n]
-    rows, cols = np.triu_indices(n, k=1)
-    full[rows, cols] = off
-    full[cols, rows] = off.conj()
+    upper = _strict_upper(n)
+    full[upper] = off
+    full.T[upper] = off.conj()
     return HermitianMatrix._wrap(full)
 
 

@@ -260,7 +260,10 @@ def sample(law: AlphaLaw, count: int, seed: int, stream: int | range = 0) -> np.
     One-sided: exponential draws mapped through phi.  Two-sided: Laplace
     draws mapped through the odd extension psi.  Deterministic given
     (seed, stream).  With a range of streams the result has one row of
-    ``count`` draws per stream, each row equal to that stream's own draw.
+    ``count`` draws per stream, each row equal to that stream's own draw:
+    one `rng` call fills the whole chunk, resetting one local Philox to each
+    stream's key in turn (no state is shared across calls), and the map
+    then runs over the chunk in place, block by block.
     """
     if count < 0:
         raise DomainError(f"count must be non-negative, got {count}")
@@ -269,12 +272,7 @@ def sample(law: AlphaLaw, count: int, seed: int, stream: int | range = 0) -> np.
         draw, transport = rng.exponentials, tmap
     else:
         draw, transport = rng.laplaces, tmap.odd
-    if isinstance(stream, range):
-        out = np.empty((len(stream), count))
-        for row, s in zip(out, stream):
-            row[:] = draw(seed, s, count)
-    else:
-        out = draw(seed, stream, count)
+    out = draw(seed, stream, count)
     flat = out.reshape(-1)
     for lo in range(0, flat.size, _MAP_BLOCK):
         block = flat[lo : lo + _MAP_BLOCK]

@@ -196,3 +196,35 @@ def test_preset_rerun_byte_identical():
     assert out1 == out2
     with pytest.raises(DomainError):
         ex.run_preset("nope")
+
+
+def test_lp_ball_sampler_draws_radius_exponentials_from_offset_stream():
+    from heavylab import measures, rng
+
+    p, m, count, seed, stream = 0.7, 5, 300, 9, 4
+    g = measures.sample(measures.nu(p), count * m, seed, stream).reshape(count, m)
+    e = -np.log1p(-rng.philox(seed, stream + 2**33).random(count))
+    radius = (np.sum(np.abs(g) ** p, axis=1) + e) ** (1.0 / p)
+    assert np.array_equal(ex.sample_lp_ball(p, m, count, seed, stream), g / radius[:, None])
+
+
+def test_csv_header_splits_back_into_every_pair():
+    import shlex
+    from dataclasses import asdict
+
+    cfg = ex.PRESETS["eig-concentration-small"]
+    head = ex.emit_csv(cfg, ("a",), [(1,)]).splitlines()[0]
+    tokens = shlex.split(head)
+    assert tokens[:4] == ["#", "heavylab", ex.VERSION, f"config_hash={cfg.config_hash()}"]
+    pairs = dict(tok.split("=", 1) for tok in tokens[4:])
+    assert pairs["t_grid"] == "(0.1,0.2,0.4,0.8)" and pairs["n_list"] == "(50,)"
+    for key, value in asdict(cfg).items():
+        assert pairs[key] == (value if isinstance(value, str) else str(value).replace(" ", ""))
+    conf = {"measure": "my runs/atoms 1.csv", "quote": "it's", "t_grid": (), "eta": 0.01}
+    tokens = shlex.split(ex.csv_text(conf, ("x",), []).splitlines()[0])
+    assert dict(tok.split("=", 1) for tok in tokens[4:]) == {
+        "measure": "my runs/atoms 1.csv",
+        "quote": "it's",
+        "t_grid": "()",
+        "eta": "0.01",
+    }

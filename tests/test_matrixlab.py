@@ -266,3 +266,17 @@ def test_freeconv_matches_monte_carlo_histogram():
     nu = sm.Measure1D(np.array([-2.0, 2.0]), np.array([0.5, 0.5]))
     g = sm.freeconv_transform(nu, nodes)
     assert sm.transform_distance(mc, g) < 0.05
+
+
+def test_strict_upper_mask_cached_read_only():
+    mask = ml._strict_upper(7)
+    assert ml._strict_upper(7) is mask and not mask.flags.writeable
+    vals = np.arange(21.0)
+    rows, cols = np.triu_indices(7, k=1)
+    a = np.zeros((7, 7))
+    a[mask] = vals
+    a.T[mask] = -vals
+    b = np.zeros((7, 7))
+    b[rows, cols] = vals
+    b[cols, rows] = -vals
+    assert np.array_equal(a, b)
