@@ -228,6 +228,8 @@ def cmd_lpp(args) -> int:
         raise ConfigError("the CLI Monte Carlo path covers d = 2")
     if not 0.0 < args.alpha < 1.0:
         raise ConfigError("lpp needs alpha in (0, 1)")
+    if args.n < 1 or args.replicas < 1:
+        raise ConfigError("lpp needs --n >= 1 and --replicas >= 1")
     n = args.n
     times = lpp_mod.passage_times(args.alpha, (n + 1, n + 1), args.replicas, args.seed) / n
     g11_hat = float(times.mean())

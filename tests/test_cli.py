@@ -205,6 +205,20 @@ def test_lpp_rejects_bad_alpha(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("--n", "0", "--replicas", "10"), ("--n", "8", "--replicas", "0"),
+     ("--n", "8", "--replicas", "-3")],
+    ids=["n0", "replicas0", "replicas-3"],
+)
+def test_lpp_rejects_empty_runs(capsys, argv):
+    # an empty box or run is a config error, not a record with T = inf or a bare header
+    code, out, err = run(capsys, "lpp", "--alpha", "0.5", *argv)
+    assert code == 1
+    assert out == ""
+    assert "config error" in err
+
+
 def test_audit_command(capsys, tmp_path):
     out = tmp_path / "audit.jsonl"
     summary = tmp_path / "audit.csv"

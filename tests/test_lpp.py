@@ -1,5 +1,8 @@
 import itertools
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -143,7 +146,7 @@ def test_wavefront_equals_site_oracle_on_signed_fields(box):
 def test_engine_equals_replaced_lpp_times(monkeypatch, n, budget):
     if budget is not None:
         monkeypatch.setattr(lpp, "_CELL_BUDGET", budget)
-    per_chunk = lpp._CELL_BUDGET // (n + 1) ** 2
+    per_chunk = lpp._chunk_replicas((n + 1) ** 2)
     for replicas in (per_chunk - 1, per_chunk + 1):
         times = lpp.passage_times(0.5, (n + 1, n + 1), replicas, seed=22) / n
         assert np.array_equal(times, lpp_times(0.5, n, replicas, seed=22))
@@ -151,8 +154,8 @@ def test_engine_equals_replaced_lpp_times(monkeypatch, n, budget):
 
 @pytest.mark.parametrize("budget", [1, 1000])
 def test_outputs_do_not_depend_on_chunking(monkeypatch, budget):
-    # 101 replicas: with 1000 cells a chunk holds 4, 10 or 40 replicas,
-    # none of which divides the total
+    # 101 replicas, a prime: with 1000 cells a chunk holds one replica or a
+    # few, and no chunk size from 2 to 100 divides the total
     cfg = ex.ExperimentConfig(
         functional="lpp_time", alpha=0.5, n_list=(4, 9), replicas=101, seed=23
     )
@@ -168,6 +171,68 @@ def test_outputs_do_not_depend_on_chunking(monkeypatch, budget):
     default = outputs()
     monkeypatch.setattr(lpp, "_CELL_BUDGET", budget)
     assert outputs() == default
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("box", [(5, 4), (3, 2, 4)], ids=str)
+def test_pool_equals_site_oracle(monkeypatch, workers, box):
+    # 480 cells: 2 to 12 replicas per chunk, none of which divides 23
+    monkeypatch.setattr(lpp, "_WORKERS", workers)
+    monkeypatch.setattr(lpp, "_CELL_BUDGET", 480)
+    assert 1 < lpp._chunk_replicas(math.prod(box)) < 23
+    law = measures.mu(0.5)
+    shift = np.random.default_rng(workers).normal(scale=2.0, size=box)
+    interval = sys.getswitchinterval()
+    for sh in (None, shift):
+        sys.setswitchinterval(1e-6)  # hand the interpreter lock between chunks often
+        try:
+            times = lpp.passage_times(0.5, box, 23, seed=26, shift=sh)
+        finally:
+            sys.setswitchinterval(interval)
+        oracle = []
+        for k in range(23):
+            vals = measures.sample(law, math.prod(box), 26, stream=k).reshape(box)
+            if sh is not None:
+                vals = np.maximum(vals + sh, 0.0)
+            oracle.append(site_passage(vals))
+        assert times.tolist() == oracle
+
+
+def test_pool_cancels_chunks_after_a_failure(monkeypatch):
+    monkeypatch.setattr(lpp, "_WORKERS", 2)
+    monkeypatch.setattr(lpp, "_CELL_BUDGET", 2 * 2 * 25)  # one replica per chunk
+    sample = measures.sample
+    starts = []
+
+    def failing_sample(law, count, seed, streams):
+        starts.append(streams.start)  # list.append is atomic
+        if streams.start == 2:
+            raise DomainError("third chunk")
+        time.sleep(0.01)  # the caller sees the failure before the other worker ends
+        return sample(law, count, seed, streams)
+
+    monkeypatch.setattr(measures, "sample", failing_sample)
+    with pytest.raises(DomainError, match="third chunk"):
+        lpp.passage_times(0.5, (5, 5), 40, seed=27)
+    assert 2 in starts
+    assert len(starts) < 40
+
+
+def test_pool_tabulates_a_fresh_map_once_outside_the_workers(monkeypatch):
+    built = []
+
+    class RecordingMap(measures.RearrangementMap):
+        def __post_init__(self):
+            built.append(threading.current_thread())
+            super().__post_init__()
+
+    monkeypatch.setattr(measures, "RearrangementMap", RecordingMap)
+    monkeypatch.setattr(measures, "_MAP_CACHE", {})
+    monkeypatch.setattr(lpp, "_WORKERS", 3)
+    monkeypatch.setattr(lpp, "_CELL_BUDGET", 600)  # 4 replicas per chunk, 5 chunks
+    lpp.passage_times(0.4321, (5, 5), 20, seed=28)
+    assert list(measures._MAP_CACHE) == [0.4321]
+    assert built == [threading.main_thread()]
 
 
 def test_estimate_g_3d_equals_site_oracle_mean():
@@ -195,6 +260,11 @@ def test_passage_times_rejects_bad_boxes():
     for box in ((5,), (2, 2, 2, 2), (0, 3)):
         with pytest.raises(DomainError):
             lpp.passage_times(0.5, box, 3, seed=0)
+
+
+def test_passage_times_rejects_negative_replicas():
+    with pytest.raises(DomainError):
+        lpp.passage_times(0.5, (3, 3), -3, seed=0)
 
 
 def test_estimate_g_monotone_in_direction():
