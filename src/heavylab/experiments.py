@@ -28,7 +28,6 @@ import shlex
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import lpp, measures, rng
 from . import matrixlab as ml
@@ -241,9 +240,10 @@ def _power_fit(n: np.ndarray, means: np.ndarray):
     """Least-squares fit of ``means = g - c * n**(-gamma)``; returns (g, c, gamma, at_grid_end).
 
     For fixed gamma the fit is linear in (g, c), so only gamma is searched: a
-    grid locates the smallest projected residual and a root of its derivative
-    refines it.  The result is the least-squares optimum to rounding, not an
-    iterative optimizer's stopping point, which moves g by ~1e-8 relative.
+    grid locates the smallest projected residual and bisection of its
+    derivative's sign change, down to adjacent doubles, refines it.  The
+    result is the least-squares optimum to rounding, not an iterative
+    optimizer's stopping point, which moves g by ~1e-8 relative.
     On data without an interior optimum gamma stays at the grid's end, and
     ``at_grid_end`` says so.
     """
@@ -262,7 +262,10 @@ def _power_fit(n: np.ndarray, means: np.ndarray):
     grid = np.geomspace(1e-4, 4.0, 97)
     k = int(np.argmin([np.sum(project(gamma)[1] ** 2) for gamma in grid]))
     lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
-    gamma = brentq(slope, lo, hi) if slope(lo) < 0.0 < slope(hi) else grid[k]
+    gamma = grid[k]
+    if slope(lo) < 0.0 < slope(hi):
+        while lo < (gamma := 0.5 * (lo + hi)) < hi:
+            lo, hi = (gamma, hi) if slope(gamma) < 0.0 else (lo, gamma)
     (g, c), _ = project(gamma)
     return float(g), float(c), float(gamma), bool(gamma in (grid[0], grid[-1]))
 
@@ -385,6 +388,9 @@ def greedy_net_centers(p: float, q: float, eps: float, m: int, trials: int, seed
     gen = rng.philox(seed, 2**34)
     while covered_run < trials:
         probe = _net_probe(p, m, gen)
+        if not np.isfinite(probe).all():
+            # a NaN distance compares as covered and would end the net early
+            raise DomainError(f"a probe of the l^p ball at p={p} is not finite")
         dist = (
             min(float(np.sum(np.abs(probe - c) ** q) ** (1.0 / q)) for c in centers)
             if centers

@@ -24,6 +24,9 @@ from .errors import DomainError
 
 # Upper end of the map's domain; exp(-709) is still a nonzero double.
 _X_MAX = 709.0
+# Smallest exponent with finite normalizers: Y = 2 Gamma(1 + 1/alpha)
+# overflows a double once 1 + 1/alpha exceeds 171.48957582105547.
+_ALPHA_MIN = 1.0 / 170.48957582105547
 
 
 def normalizers(alpha: float) -> tuple[float, float]:
@@ -31,8 +34,11 @@ def normalizers(alpha: float) -> tuple[float, float]:
 
     Z = Gamma(1 + 1/alpha) is the one-sided mass, Y = 2Z the two-sided one.
     """
-    if alpha <= 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
+    if not alpha >= _ALPHA_MIN:
+        raise DomainError(
+            f"alpha must be at least {_ALPHA_MIN:.6g}, below which the normalizer "
+            f"2 Gamma(1 + 1/alpha) overflows a double; got {alpha}"
+        )
     z = math.gamma(1.0 + 1.0 / alpha)
     return 2.0 * z, z
 
@@ -240,7 +246,10 @@ def moment(law: AlphaLaw, k: int, signed: bool = False) -> float:
     if signed and law.sided == "two" and k % 2 == 1:
         return 0.0
     a = law.alpha
-    return math.exp(math.lgamma((k + 1.0) / a) - math.lgamma(1.0 / a))
+    try:
+        return math.exp(math.lgamma((k + 1.0) / a) - math.lgamma(1.0 / a))
+    except OverflowError:
+        raise DomainError(f"moment {k} of the law with alpha={a} overflows a double") from None
 
 
 def variance(law: AlphaLaw) -> float:

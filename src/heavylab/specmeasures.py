@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import AccuracyError, ConvergenceError, DomainError
 
@@ -336,6 +335,10 @@ def frac_integral(sigma: Measure1D, alpha: float, t: float, side: str) -> float:
 
 def semicircle_measure(n_atoms: int = 2000, radius: float = 2.0) -> Measure1D:
     """Equal-mass quantile discretization of the semicircle law."""
+    # imported here, not at the top: scipy.optimize nearly doubles the
+    # package's import time, and only this table needs it
+    from scipy.optimize import brentq
+
     if n_atoms < 1:
         raise DomainError("need at least one atom")
 

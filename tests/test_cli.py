@@ -163,11 +163,15 @@ def test_csv_output_bytes_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_module_run_does_not_preload_cli():
-    # `python -m heavylab.cli` warns at runtime if `import heavylab` already imported the CLI
+def _src_env():
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_module_run_does_not_preload_cli():
+    # `python -m heavylab.cli` warns at runtime if `import heavylab` already imported the CLI
+    env = _src_env()
     argv = ["rate", "--kind", "J", "--alpha", "1", "--c", "1", "--x", "2"]
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "heavylab.cli", *argv],
@@ -182,6 +186,40 @@ def test_module_run_does_not_preload_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_import_loads_no_scipy_subpackage_but_special():
+    # every CLI process pays for the package's imports; scipy.optimize alone
+    # once took two thirds of them
+    probe = (
+        "import sys, heavylab, heavylab.cli; print(sorted(name for name, mod in sys.modules.items()"
+        " if name.startswith('scipy.') and name.count('.') == 1 and hasattr(mod, '__path__')"
+        " and not name.startswith('scipy._')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_src_env(), timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['scipy.special']"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("sample", "--alpha", "0.005"), "at least 0.00586546"),
+        (("audit", "--functional", "largest_eig", "--alpha", "0.01", "--n", "10",
+          "--replicas", "10"), "moment 2"),
+        (("net", "--p", "0.005", "--m", "8"), "not finite"),
+    ],
+    ids=["sample", "audit", "net"],
+)
+def test_small_exponent_exits_one(capsys, argv, message):
+    # these ended in an OverflowError traceback (sample, audit) or in a
+    # one-center net of NaN probes with exit 0 (net)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert message in err
 
 
 @pytest.mark.parametrize(

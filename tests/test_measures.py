@@ -33,6 +33,15 @@ def test_normalizers_rejects_nonpositive_alpha():
         measures.normalizers(-1.0)
 
 
+def test_normalizers_smallest_alpha_is_where_they_overflow():
+    y, z = measures.normalizers(measures._ALPHA_MIN)
+    assert math.isfinite(y) and math.isfinite(z)
+    below = math.nextafter(measures._ALPHA_MIN, 0.0)
+    assert 2.0 * math.gamma(1.0 + 1.0 / below) == math.inf
+    with pytest.raises(DomainError, match="at least"):
+        measures.normalizers(below)
+
+
 @pytest.mark.parametrize("alpha", ALPHAS)
 @pytest.mark.parametrize("sided", ["two", "one"])
 def test_density_integrates_to_one(alpha, sided):

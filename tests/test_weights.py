@@ -10,13 +10,18 @@ from heavylab.errors import AccuracyError, DomainError
 
 
 def brute_inf_conv(f, w, grid, at=None):
-    """min_j f_j + w(x - y_j) at the nodes x of ``at`` (all of ``grid`` by default)."""
+    """min_j f_j + w(x - y_j) at the nodes x of ``at`` (all of ``grid`` by default).
+
+    Each row w(x - grid) is evaluated on an array, as `inf_convolution` does:
+    the weight evaluated one scalar at a time can differ from it by 1 ulp.
+    """
     at = grid if at is None else at
     out = np.empty(len(at))
     for i, x in enumerate(at):
+        row = w(x - grid)
         best = math.inf
-        for j, y in enumerate(grid):
-            val = f[j] + float(w(x - y))
+        for j in range(len(grid)):
+            val = f[j] + row[j]
             if val < best:
                 best = val
         out[i] = best
