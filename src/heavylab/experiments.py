@@ -7,9 +7,14 @@ the last-passage audits, not for spectral audits: their BLAS eigensolvers
 can differ in the last digits with the BLAS thread count.
 
 Spectral audits and curves share one replica loop, `_wigner_replicas`: each
-replica's Wigner matrix is built once, scaled by 1/sqrt(n), shifted in place
-at its [0, 0] corner (the rank-one spike of the curves) and handed to the
-functional.  Last-passage audits share `lpp.passage_times`.
+replica's Wigner matrix is built once, divided by sqrt(n) in place, shifted
+in place at its [0, 0] corner (the rank-one spike of the curves) and handed
+to the functional.  Its chunks of streams run on the replica pool that
+`lpp.passage_times` uses as well (`pool.run`).  When the pool runs more
+than one thread, eigensolves run on one BLAS thread each and release the
+interpreter lock (`openblas`).  Matrices too large for two in the pool's
+memory budget (n >= 916 for beta = 1, n >= 648 for beta = 2) run serially on
+the default BLAS, as before.
 
 Every output goes through one of two emitters, and both open with a header
 carrying the package version, the resolved config and its hash.
@@ -29,7 +34,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import lpp, measures, rng
+from . import lpp, measures, pool, rng
 from . import matrixlab as ml
 from . import specmeasures as sm
 from .errors import DomainError
@@ -117,19 +122,25 @@ def _wigner_replicas(config: ExperimentConfig, n: int, fn, corner: float = 0.0) 
 
     X is the unit-variance Wigner matrix of the config's alpha and beta drawn
     from stream s of ``config.seed``, for s < ``config.replicas``.  Each
-    replica's matrix is built once: the scaled draw is a fresh array, the
-    corner shift is added to its [0, 0] entry in place, and the result is
-    wrapped for ``fn`` as it is.
+    replica's matrix is built once: the draw is divided by sqrt(n) in place,
+    the corner shift is added to its [0, 0] entry in place, and the result is
+    wrapped for ``fn`` as it is.  Chunks of streams run on the replica pool
+    (`pool.run`); ``fn`` must be safe to call from several threads at once.
     """
     ens = ml.unit_variance_ensemble(config.alpha, beta=config.beta)
+    measures.rearrangement_map(ens.alpha)  # tabulated here, not by two workers at once
     root = math.sqrt(n)
+    values = [None] * config.replicas
 
-    def one(stream):
-        mat = ml.sample_wigner(ens, n, config.seed, stream=stream).mat / root
-        mat[0, 0] += corner
-        return fn(ml.HermitianMatrix._wrap(mat))
+    def run_chunk(streams: range) -> None:
+        for s in streams:
+            mat = ml._wigner_array(ens, n, config.seed, s)
+            np.divide(mat, root, out=mat)
+            mat[0, 0] += corner
+            values[s] = fn(ml.HermitianMatrix._wrap(mat))
 
-    return np.array([one(s) for s in range(config.replicas)])
+    pool.run(run_chunk, config.replicas, ml._replica_cells(n, config.beta))
+    return np.array(values)
 
 
 def concentration_audit(config: ExperimentConfig, n: int | None = None):

@@ -2,21 +2,21 @@
 
 Directed paths increase one coordinate per step; a path is identified with
 its vertex set, endpoints included.  Monte Carlo passage times come from
-one engine, `passage_times`: it splits the replicas into chunks and runs
-them on one thread per usable CPU.  A chunk fills its replicas from their
-(seed, stream) draws, lays them out with replicas last, and runs the
-dynamic program as a wavefront over planes of constant coordinate sum,
-each step one vector operation across the replicas.  Chunks are sized so
-that the draws and replicas-last copies of all chunks in flight together
-hold at most 2^22 cells (32 MB).  The max is exact and every cell keeps its
-single addition, so the times equal the per-site `last_passage` bit for
-bit, whatever the chunking, the thread count or the scheduling;
-`last_passage` and `enumerate_paths` serve as test oracles.  The
-deterministic equivalent replaces random fluctuation with the limit shape
-g between chain vertices, collecting the positive part of the deformation
-at every chain vertex (including both endpoints).  Chains are ordered
-coordinatewise so every increment stays in the closed positive orthant
-where g lives.
+one engine, `passage_times`: it hands the replicas to the replica pool
+(`pool.run`), which runs chunks of them on one thread per usable CPU.  A
+chunk fills its replicas from their (seed, stream) draws, lays them out
+with replicas last, and runs the dynamic program as a wavefront over
+planes of constant coordinate sum, each step one vector operation across
+the replicas.  The draws and replicas-last copies of all chunks in flight
+together stay within the pool's 2^22-cell budget (32 MB).  The max is
+exact and every cell keeps its single addition, so the times equal the
+per-site `last_passage` bit for bit, whatever the chunking, the thread
+count or the scheduling; `last_passage` and `enumerate_paths` serve as
+test oracles.  The deterministic equivalent replaces random fluctuation
+with the limit shape g between chain vertices, collecting the positive
+part of the deformation at every chain vertex (including both endpoints).
+Chains are ordered coordinatewise so every increment stays in the closed
+positive orthant where g lives.
 """
 
 from __future__ import annotations
@@ -24,13 +24,11 @@ from __future__ import annotations
 import io
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import measures
+from . import measures, pool
 from .errors import DomainError
 
 
@@ -117,23 +115,6 @@ def enumerate_paths(v1, v2):
                 yield [v1] + tail
 
 
-# Cells in flight in the passage-time engine, across all its threads: each
-# running chunk holds its draws and their replicas-last copy, so every chunk
-# gets at most budget / (2 * workers) cells, 32 MB in all whatever the box.
-_CELL_BUDGET = 2**22
-
-# Chunks run at once: one per CPU this process may use.
-if hasattr(os, "sched_getaffinity"):
-    _WORKERS = len(os.sched_getaffinity(0))
-else:  # no affinity call on this platform
-    _WORKERS = os.cpu_count() or 1
-
-
-def _chunk_replicas(cells: int) -> int:
-    """Replicas per chunk of the engine for a box of ``cells`` sites (at least one)."""
-    return max(1, _CELL_BUDGET // (2 * _WORKERS * cells))
-
-
 def passage_times(alpha: float, box, replicas: int, seed: int, shift=None) -> np.ndarray:
     """Corner-to-corner passage times of ``replicas`` i.i.d. weight boxes.
 
@@ -143,10 +124,10 @@ def passage_times(alpha: float, box, replicas: int, seed: int, shift=None) -> np
     raw times come back in stream order, identical to `last_passage` on
     each replica's field, whatever the chunking or the thread count.
 
-    Chunks of `_chunk_replicas` replicas run on `_WORKERS` threads (numpy
+    Chunks of replicas run on the replica pool (`pool.run`; numpy
     releases the interpreter lock in the draws, the map and the wavefront)
-    and write disjoint slices of the result.  If a chunk raises, chunks not
-    yet started are cancelled and its exception reaches the caller.
+    and write disjoint slices of the result.  A chunk holds its draws and
+    their replicas-last copy, two cells per site and replica.
     """
     box = tuple(int(s) for s in box)
     if len(box) not in (2, 3) or min(box) < 1:
@@ -156,26 +137,18 @@ def passage_times(alpha: float, box, replicas: int, seed: int, shift=None) -> np
     law = measures.mu(alpha)
     measures.rearrangement_map(law.alpha)  # tabulated here, not by two workers at once
     cells = math.prod(box)
-    per_chunk = _chunk_replicas(cells)
     if shift is not None:
         shift = np.asarray(shift, dtype=float).reshape(cells, 1)
     out = np.empty(replicas)
 
-    def run_chunk(start: int) -> None:
-        streams = range(start, min(start + per_chunk, replicas))
+    def run_chunk(streams: range) -> None:
         field = measures.sample(law, cells, seed, streams).T.copy()  # replicas last
         if shift is not None:
             field += shift
             np.maximum(field, 0.0, out=field)
-        out[start : streams.stop] = _wavefront(field, box)
+        out[streams.start : streams.stop] = _wavefront(field, box)
 
-    pool = ThreadPoolExecutor(max_workers=_WORKERS)
-    try:
-        futures = [pool.submit(run_chunk, start) for start in range(0, replicas, per_chunk)]
-        for future in as_completed(futures):
-            future.result()
-    finally:
-        pool.shutdown(cancel_futures=True)
+    pool.run(run_chunk, replicas, 2 * cells)
     return out
 
 

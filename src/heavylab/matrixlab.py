@@ -11,6 +11,12 @@ Entries of a sampled matrix scale the base symmetric law by coef^(-1/alpha),
 so each draw flows through the transport-map sampler of `measures`.  With
 ``unit_variance`` the off-diagonal coefficients are derived from closed-form
 moments so that E|X_12|^2 = 1.
+
+Spectra come from `openblas.eigvalsh`, the LAPACK call `np.linalg.eigvalsh`
+makes, with identical output; it releases the interpreter lock, so the
+replica pool's threads solve at the same time.  `_replica_cells` gives the
+memory one sampled matrix holds until its spectrum is known, which sets how
+many replicas the pool runs at once.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import measures
+from . import measures, openblas
 from .errors import DomainError
 from .specmeasures import Measure1D
 
@@ -126,9 +132,9 @@ class HermitianMatrix:
         return HermitianMatrix._wrap(self.mat * float(t))
 
     def spectrum(self) -> np.ndarray:
-        """Ascending eigenvalues (dense self-adjoint solver)."""
+        """Ascending eigenvalues, equal to ``np.linalg.eigvalsh`` (`openblas.eigvalsh`)."""
         if self._spectrum is None:
-            self._spectrum = np.linalg.eigvalsh(self.mat)
+            self._spectrum = openblas.eigvalsh(self.mat)
         return self._spectrum
 
     def largest_eig(self) -> float:
@@ -214,12 +220,18 @@ def sample_wigner(ens: WignerEnsemble, n: int, seed: int, stream: int = 0) -> He
     of one array -- the lower triangle gets the conjugates for beta = 2 --
     which is wrapped without a second build.
     """
+    return HermitianMatrix._wrap(_wigner_array(ens, n, seed, stream))
+
+
+def _wigner_array(ens: WignerEnsemble, n: int, seed: int, stream: int) -> np.ndarray:
+    """The writable array `sample_wigner` wraps; the off-diagonal draws are scaled in place."""
     if n < 1:
         raise DomainError(f"dimension must be >= 1, got {n}")
     law = measures.nu(ens.alpha)
     n_off = n * (n - 1) // 2
     draws = measures.sample(law, n + n_off, seed, stream=2 * stream)
-    off = ens.offdiag_real_scale * draws[n:]
+    off = draws[n:]
+    off *= ens.offdiag_real_scale
     if ens.beta == BETA_HERMITIAN:
         im_draws = measures.sample(law, n_off, seed, stream=2 * stream + 1)
         off = off + 1j * ens.offdiag_imag_scale * im_draws
@@ -227,8 +239,19 @@ def sample_wigner(ens: WignerEnsemble, n: int, seed: int, stream: int = 0) -> He
     full[np.diag_indices(n)] = ens.diag_scale * draws[:n]
     upper = _strict_upper(n)
     full[upper] = off
-    full.T[upper] = off.conj()
-    return HermitianMatrix._wrap(full)
+    full.T[upper] = off.conj() if ens.beta == BETA_HERMITIAN else off
+    return full
+
+
+def _replica_cells(n: int, beta: int) -> int:
+    """Cells (doubles) one sampled matrix holds at once until its spectrum is known.
+
+    The draw block, the matrix and the eigensolver's copy of it, a complex
+    entry counting two cells.
+    """
+    entry = 1 if beta == BETA_SYMMETRIC else 2
+    draws = n + (n * (n - 1) // 2) * entry
+    return draws + 2 * entry * n * n
 
 
 def rho(x: float) -> float:

@@ -97,11 +97,18 @@ def rearrangement(alpha: float, x: float) -> float:
 
 
 # The table spans t = log x over [log _X_LO, log _X_MAX]; _X_LO lies below
-# 2^-53, the smallest nonzero exponential draw.
+# 2^-53, the smallest nonzero exponential draw.  The largest draw is
+# -log 2^-53 = 53 log 2.
 _X_LO = 2.0**-60
 _T_LO = math.log(_X_LO)
 _NODES = 2049
 _STEP = (math.log(_X_MAX) - _T_LO) / (_NODES - 1)
+# Smallest exponent whose map keeps every draw finite.  Below it the image
+# phi(53 log 2) of the largest draw exceeds DBL_MAX (1 - 1e-8), the largest
+# value that stays finite under the map's 1e-8 relative tolerance.  It solves
+# -log Q(1/alpha, (DBL_MAX (1 - 1e-8))^alpha) = 53 log 2, phi's closed-form
+# inverse, bisected to adjacent doubles.
+_ALPHA_MAP_MIN = 1.0 / 128.9803418798537
 
 
 @dataclass(frozen=True)
@@ -121,6 +128,12 @@ class RearrangementMap:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 2.0:
             raise DomainError(f"alpha must lie in (0, 2], got {self.alpha}")
+        if self.alpha < _ALPHA_MAP_MIN:
+            raise DomainError(
+                f"alpha must be at least {_ALPHA_MAP_MIN:.6g} for the transport map, below "
+                f"which phi(53 log 2), the image of the largest draw, is not finite; "
+                f"got {self.alpha}"
+            )
         t = _T_LO + _STEP * np.arange(_NODES)
         x = np.exp(t)
         w = _phi_pow(self.alpha, x)

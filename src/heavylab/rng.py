@@ -6,14 +6,15 @@ is fixed by specification, so draws are bit-identical across platforms and
 independent of thread scheduling.  That carries over to results computed
 from draws by exact or elementwise arithmetic, such as last-passage times,
 but not to spectra: BLAS eigensolvers can differ in the last digits with
-their thread count.  Parallel replicas use ``stream = replica index``.
+their thread count (the replica pool solves with one BLAS thread, see
+`pool`).  Parallel replicas use ``stream = replica index``.
 
-Bulk draws go through one fill: each call builds one local Philox and, for
-every stream it covers, resets it to counter 0 and key ``(seed, stream)``
-with an empty output buffer, then draws straight into that stream's row of
-the result.  A reset yields exactly the draws of a fresh ``philox(seed,
-stream)`` at a fraction of a generator build, and no generator state is
-shared between calls.
+Bulk draws go through one fill: each call builds one local Philox from a
+prebuilt seed sequence and, for every stream it covers, resets it to
+counter 0 and key ``(seed, stream)`` with an empty output buffer, then
+draws straight into that stream's row of the result.  A reset yields
+exactly the draws of a fresh ``philox(seed, stream)`` at a fraction of a
+generator build, and no generator state is shared between calls.
 
 Non-uniform draws are derived from uniforms through explicit inverse-CDF
 transforms so the mapping from counter stream to output is documented here
@@ -33,6 +34,12 @@ def philox(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+# Seeds the local Philox of each fill.  Its key and counter are replaced per
+# stream, so the seed is irrelevant; one prebuilt sequence saves the hash a
+# fresh seed would cost on every fill.  It is only read, never advanced.
+_SEED_SEQUENCE = np.random.SeedSequence(0)
+
+
 def _fill(seed: int, stream: int | range, shape: tuple) -> np.ndarray:
     """Uniforms on [0, 1): one C-ordered block of ``shape`` per stream.
 
@@ -43,7 +50,7 @@ def _fill(seed: int, stream: int | range, shape: tuple) -> np.ndarray:
     if len(streams) and min(streams[0], streams[-1]) < 0:
         raise ValueError("stream index must be non-negative")
     out = np.empty((len(streams), *shape))
-    gen = np.random.Generator(np.random.Philox(0))  # key replaced per stream
+    gen = np.random.Generator(np.random.Philox(_SEED_SEQUENCE))  # key replaced per stream
     state = {
         "bit_generator": "Philox",
         "state": {"counter": np.zeros(4, np.uint64), "key": np.zeros(2, np.uint64)},

@@ -210,12 +210,15 @@ def test_import_loads_no_scipy_subpackage_but_special():
         (("audit", "--functional", "largest_eig", "--alpha", "0.01", "--n", "10",
           "--replicas", "10"), "moment 2"),
         (("net", "--p", "0.005", "--m", "8"), "not finite"),
+        (("sample", "--alpha", "0.006"), "at least 0.00775312"),
+        (("lpp", "--alpha", "0.006", "--n", "4", "--replicas", "3"), "at least 0.00775312"),
     ],
-    ids=["sample", "audit", "net"],
+    ids=["sample", "audit", "net", "sample-map", "lpp-map"],
 )
 def test_small_exponent_exits_one(capsys, argv, message):
-    # these ended in an OverflowError traceback (sample, audit) or in a
-    # one-center net of NaN probes with exit 0 (net)
+    # these ended in an OverflowError traceback (sample, audit), in a
+    # one-center net of NaN probes with exit 0 (net), or in infinite draws
+    # and passage times with exit 0 (sample-map, lpp-map)
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from heavylab import experiments as ex
-from heavylab import lpp, measures
+from heavylab import lpp, measures, pool
 from heavylab.errors import DomainError
 
 
@@ -145,8 +145,8 @@ def test_wavefront_equals_site_oracle_on_signed_fields(box):
 @pytest.mark.parametrize("n, budget", [(1, 2**11), (10, 2**17), (40, None), (160, None)])
 def test_engine_equals_replaced_lpp_times(monkeypatch, n, budget):
     if budget is not None:
-        monkeypatch.setattr(lpp, "_CELL_BUDGET", budget)
-    per_chunk = lpp._chunk_replicas((n + 1) ** 2)
+        monkeypatch.setattr(pool, "_CELL_BUDGET", budget)
+    per_chunk = pool.plan(2 * (n + 1) ** 2)[1]
     for replicas in (per_chunk - 1, per_chunk + 1):
         times = lpp.passage_times(0.5, (n + 1, n + 1), replicas, seed=22) / n
         assert np.array_equal(times, lpp_times(0.5, n, replicas, seed=22))
@@ -169,7 +169,7 @@ def test_outputs_do_not_depend_on_chunking(monkeypatch, budget):
         )
 
     default = outputs()
-    monkeypatch.setattr(lpp, "_CELL_BUDGET", budget)
+    monkeypatch.setattr(pool, "_CELL_BUDGET", budget)
     assert outputs() == default
 
 
@@ -177,9 +177,9 @@ def test_outputs_do_not_depend_on_chunking(monkeypatch, budget):
 @pytest.mark.parametrize("box", [(5, 4), (3, 2, 4)], ids=str)
 def test_pool_equals_site_oracle(monkeypatch, workers, box):
     # 480 cells: 2 to 12 replicas per chunk, none of which divides 23
-    monkeypatch.setattr(lpp, "_WORKERS", workers)
-    monkeypatch.setattr(lpp, "_CELL_BUDGET", 480)
-    assert 1 < lpp._chunk_replicas(math.prod(box)) < 23
+    monkeypatch.setattr(pool, "_WORKERS", workers)
+    monkeypatch.setattr(pool, "_CELL_BUDGET", 480)
+    assert 1 < pool.plan(2 * math.prod(box))[1] < 23
     law = measures.mu(0.5)
     shift = np.random.default_rng(workers).normal(scale=2.0, size=box)
     interval = sys.getswitchinterval()
@@ -199,8 +199,8 @@ def test_pool_equals_site_oracle(monkeypatch, workers, box):
 
 
 def test_pool_cancels_chunks_after_a_failure(monkeypatch):
-    monkeypatch.setattr(lpp, "_WORKERS", 2)
-    monkeypatch.setattr(lpp, "_CELL_BUDGET", 2 * 2 * 25)  # one replica per chunk
+    monkeypatch.setattr(pool, "_WORKERS", 2)
+    monkeypatch.setattr(pool, "_CELL_BUDGET", 2 * 2 * 25)  # one replica per chunk
     sample = measures.sample
     starts = []
 
@@ -228,8 +228,8 @@ def test_pool_tabulates_a_fresh_map_once_outside_the_workers(monkeypatch):
 
     monkeypatch.setattr(measures, "RearrangementMap", RecordingMap)
     monkeypatch.setattr(measures, "_MAP_CACHE", {})
-    monkeypatch.setattr(lpp, "_WORKERS", 3)
-    monkeypatch.setattr(lpp, "_CELL_BUDGET", 600)  # 4 replicas per chunk, 5 chunks
+    monkeypatch.setattr(pool, "_WORKERS", 3)
+    monkeypatch.setattr(pool, "_CELL_BUDGET", 600)  # 4 replicas per chunk, 5 chunks
     lpp.passage_times(0.4321, (5, 5), 20, seed=28)
     assert list(measures._MAP_CACHE) == [0.4321]
     assert built == [threading.main_thread()]
@@ -253,7 +253,7 @@ def test_engine_memory_stays_within_the_cell_budget():
     finally:
         tracemalloc.stop()
     # a chunk's draws and their replicas-last copy are 2 x budget x 8 bytes
-    assert peak <= 4 * lpp._CELL_BUDGET * 8
+    assert peak <= 4 * pool._CELL_BUDGET * 8
 
 
 def test_passage_times_rejects_bad_boxes():

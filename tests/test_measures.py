@@ -1,8 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import gammaincc
 from scipy.stats import ks_2samp, kstest
 
 from heavylab import measures, rng
@@ -40,6 +42,27 @@ def test_normalizers_smallest_alpha_is_where_they_overflow():
     assert 2.0 * math.gamma(1.0 + 1.0 / below) == math.inf
     with pytest.raises(DomainError, match="at least"):
         measures.normalizers(below)
+
+
+def test_map_smallest_alpha_keeps_the_largest_draw_finite():
+    x_top = 53.0 * math.log(2.0)  # -log 2^-53, the largest exponential draw
+    log_top = math.log(sys.float_info.max) + math.log1p(-1e-8)
+
+    def excess(alpha):  # phi's closed-form inverse at DBL_MAX (1 - 1e-8), less x_top
+        return -math.log(gammaincc(1.0 / alpha, math.exp(alpha * log_top))) - x_top
+
+    lo, hi = 0.006, 0.009
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if excess(mid) < 0 else (lo, mid)
+    assert measures._ALPHA_MAP_MIN == hi
+    top = measures.rearrangement_map(hi)(x_top)
+    assert top <= sys.float_info.max
+    assert np.all(np.isfinite(measures.sample(measures.nu(hi), 1000, seed=3)))
+    below = math.nextafter(hi, 0.0)
+    with np.errstate(over="ignore"):
+        assert measures._phi(below, x_top) > sys.float_info.max * (1.0 - 1e-8)
+    with pytest.raises(DomainError, match="at least 0.00775312"):
+        measures.rearrangement_map(below)
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
