@@ -341,7 +341,8 @@ def sample_lp_ball(p: float, m: int, count: int, seed: int, stream: int = 0) -> 
 
     Coordinates drawn from the symmetric exponential-power law with
     exponent p, normalized by (sum |g|^p + E)^(1/p) with E exponential;
-    valid for every p > 0.
+    valid for every p >= `measures._ALPHA_MAP_MIN` (about 0.00775), below
+    which the sampler's transport map raises `DomainError`.
     """
     g = measures.sample(measures.nu(p), count * m, seed, stream).reshape(count, m)
     e = rng.exponentials(seed, stream + 2**33, count)

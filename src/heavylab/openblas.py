@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import ctypes
 import glob
-import itertools
 import os
 from contextlib import contextmanager
 from functools import cache
@@ -85,50 +84,28 @@ def single_threaded():
         lib.scipy_openblas_set_num_threads64_(old)
 
 
-# Per (n, dtype): the workspace lengths the solver's size query reports, and
-# the offsets in doubles of [each workspace, eigenvalues, end] in the one
-# buffer a call uses besides the matrix copy (complex work first, so it
-# stays 16-byte aligned)
-_LAYOUTS: dict[tuple[int, np.dtype], tuple[tuple[int, ...], list[int]]] = {}
+# Per (n, dtype): the workspace lengths the solver's size query reports
+_LENGTHS: dict[tuple[int, np.dtype], tuple[int, ...]] = {}
 
 
-def _layout(n: int, dtype: np.dtype, lengths) -> list[int]:
-    """Buffer offsets for these workspace lengths and n eigenvalues."""
-    counts = tuple(max(k, 1) for k in lengths) + (n,)
-    dtypes = _SOLVERS[dtype][1] + (np.dtype(float),)
-    cells = (k * dt.itemsize // 8 for k, dt in zip(counts, dtypes))
-    return list(itertools.accumulate(cells, initial=0))
+def _solve(lib, a: np.ndarray, lengths) -> tuple[int, np.ndarray, list[np.ndarray]]:
+    """One ``?syevd``/``?heevd`` call on a Fortran-order copy of ``a``.
 
-
-def _solve(lib, a: np.ndarray, lengths, starts) -> tuple[int, np.ndarray]:
-    """One ``?syevd``/``?heevd`` call on a Fortran-order copy of ``a``; returns (info, buffer).
-
-    Lengths of -1 query the workspace sizes into each workspace's first entry.
+    Returns (info, eigenvalues, workspaces).  Lengths of -1 query the
+    workspace sizes into each workspace's first entry.
     """
     fortran = np.array(a, order="F")  # the solver overwrites it
-    buf = np.empty(starts[-1])
-    base = buf.ctypes.data
-    work = []
-    for lo, k in zip(starts, lengths):
-        work += [base + 8 * lo, ctypes.byref(_INT(k))]
+    w = np.empty(a.shape[0])
+    work = [np.empty(max(k, 1), dt) for k, dt in zip(lengths, _SOLVERS[a.dtype][1])]
+    args = []
+    for buf, k in zip(work, lengths):
+        args += [buf.ctypes.data, ctypes.byref(_INT(k))]
     dim, info = _INT(a.shape[0]), _INT(0)
     getattr(lib, _SOLVERS[a.dtype][0])(
         b"N", b"L", ctypes.byref(dim), fortran.ctypes.data, ctypes.byref(dim),
-        base + 8 * starts[-2], *work, ctypes.byref(info), 1, 1,
+        w.ctypes.data, *args, ctypes.byref(info), 1, 1,
     )
-    return info.value, buf
-
-
-def _workspace_lengths(lib, a: np.ndarray) -> tuple[int, ...]:
-    """The workspace lengths the solver asks for at ``a``'s size and dtype."""
-    work_dtypes = _SOLVERS[a.dtype][1]
-    query = (-1,) * len(work_dtypes)
-    starts = _layout(a.shape[0], a.dtype, query)
-    _, buf = _solve(lib, a, query, starts)
-    return tuple(
-        int(buf[lo : lo + dt.itemsize // 8].view(dt)[0].real)
-        for lo, dt in zip(starts, work_dtypes)
-    )
+    return info.value, w, work
 
 
 def eigvalsh(a: np.ndarray) -> np.ndarray:
@@ -142,12 +119,11 @@ def eigvalsh(a: np.ndarray) -> np.ndarray:
     square = a.ndim == 2 and a.shape[0] == a.shape[1] > 0
     if lib is None or not square or a.dtype not in _SOLVERS:
         return np.linalg.eigvalsh(a)
-    n, dtype = a.shape[0], a.dtype
-    if (n, dtype) not in _LAYOUTS:
-        lengths = _workspace_lengths(lib, a)
-        _LAYOUTS[n, dtype] = lengths, _layout(n, dtype, lengths)
-    lengths, starts = _LAYOUTS[n, dtype]
-    info, buf = _solve(lib, a, lengths, starts)
+    key = a.shape[0], a.dtype
+    if key not in _LENGTHS:
+        _, _, work = _solve(lib, a, (-1,) * len(_SOLVERS[a.dtype][1]))
+        _LENGTHS[key] = tuple(int(buf[0].real) for buf in work)
+    info, w, _ = _solve(lib, a, _LENGTHS[key])
     if info != 0:
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    return buf[starts[-2] :].copy()
+    return w

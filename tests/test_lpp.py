@@ -146,8 +146,9 @@ def test_wavefront_equals_site_oracle_on_signed_fields(box):
 def test_engine_equals_replaced_lpp_times(monkeypatch, n, budget):
     if budget is not None:
         monkeypatch.setattr(pool, "_CELL_BUDGET", budget)
-    per_chunk = pool.plan(2 * (n + 1) ** 2)[1]
-    for replicas in (per_chunk - 1, per_chunk + 1):
+    # one full chunk per thread, then one more replica: a second round of chunks
+    workers, most = pool.plan(2 * (n + 1) ** 2)
+    for replicas in (workers * most, workers * most + 1):
         times = lpp.passage_times(0.5, (n + 1, n + 1), replicas, seed=22) / n
         assert np.array_equal(times, lpp_times(0.5, n, replicas, seed=22))
 

@@ -4,6 +4,7 @@ import glob
 import math
 import os
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -144,8 +145,8 @@ def test_pool_pins_the_blas_and_restores_it(monkeypatch):
         assert blas_threads() == 2
         # one thread: the chunks run on the caller's thread, the BLAS as it was
         monkeypatch.setattr(pool, "_WORKERS", 1)
-        pool.run(lambda streams: seen.append(blas_threads()), 10, footprint=1)
-        assert seen[-1] == 2
+        pool.run(lambda streams: seen.append((blas_threads(), threading.get_ident())), 10, 1)
+        assert seen[-1] == (2, threading.get_ident())
     finally:
         lib.scipy_openblas_set_num_threads64_(old)
 
