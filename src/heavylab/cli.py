@@ -44,6 +44,14 @@ def _resolved_config(args: argparse.Namespace) -> dict:
     return conf
 
 
+def _floats(text: str, flag: str) -> tuple[float, ...]:
+    """The numbers of a comma-separated flag value; empty items are skipped."""
+    try:
+        return tuple(float(tok) for tok in text.split(",") if tok)
+    except ValueError:
+        raise ConfigError(f"--{flag} needs comma-separated numbers, got {text!r}") from None
+
+
 def _write(out: str | None, text: str) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -202,7 +210,7 @@ def cmd_freeconv(args) -> int:
 
 
 def cmd_rate(args) -> int:
-    xs = [float(tok) for tok in args.x.split(",") if tok]
+    xs = _floats(args.x, "x")
     if args.kind == "J":
         params = rf.RateParams(alpha=args.alpha, constant_c=args.c)
         fn = lambda x: rf.rate_J(x, params)
@@ -249,7 +257,7 @@ def cmd_lpp(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    t_grid = tuple(float(tok) for tok in args.t_grid.split(",") if tok)
+    t_grid = _floats(args.t_grid, "t-grid")
     config = ex.ExperimentConfig(
         functional=args.functional,
         alpha=args.alpha,
@@ -268,7 +276,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_net(args) -> int:
-    eps_list = tuple(float(tok) for tok in args.eps.split(",") if tok)
+    eps_list = _floats(args.eps, "eps")
     profile = ex.greedy_net_profile(args.p, args.q, eps_list, args.m, args.trials, args.seed)
     _write(args.out, ex.csv_text(_resolved_config(args), ("eps", "size"), profile))
     return 0

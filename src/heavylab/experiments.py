@@ -14,7 +14,7 @@ to the functional.  Its chunks of streams run on the replica pool that
 than one thread, eigensolves run on one BLAS thread each and release the
 interpreter lock (`openblas`).  Matrices too large for two in the pool's
 memory budget (n >= 916 for beta = 1, n >= 648 for beta = 2) run serially on
-the default BLAS, as before.
+the default BLAS.
 
 Every output goes through one of two emitters, and both open with a header
 carrying the package version, the resolved config and its hash.
@@ -143,15 +143,15 @@ def _wigner_replicas(config: ExperimentConfig, n: int, fn, corner: float = 0.0) 
     return np.array(values)
 
 
-def concentration_audit(config: ExperimentConfig, n: int | None = None):
-    """Exceedance table for P(|f - median| > t) against the bound shape.
+def concentration_audit(config: ExperimentConfig):
+    """Exceedance table for P(|f - median| > t) at the config's largest n.
 
     Returns (rows, c_hat): rows of (t, exceedance, exp(-c_hat k(t))) and the
     fitted constant c_hat = min over observed t of -log(exceedance)/k(t).
     The paper-side constants are existential, so only the fitted shape is
     reported.
     """
-    n = config.n_list[-1] if n is None else n
+    n = config.n_list[-1]
     if config.functional == "largest_eig":
         vals = _wigner_replicas(config, n, ml.HermitianMatrix.largest_eig)
         center = float(np.median(vals))
@@ -173,19 +173,13 @@ def concentration_audit(config: ExperimentConfig, n: int | None = None):
     return rows, c_hat
 
 
-def equivalent_error_curve(
-    kind: str,
-    config: ExperimentConfig,
-    spike: float = 2.0,
-    poly: NCPolynomial | None = None,
-    g_eval=None,
-):
+def equivalent_error_curve(kind: str, config: ExperimentConfig, spike: float = 2.0, g_eval=None):
     """Mean deterministic-equivalent error per n with standard errors.
 
     kind selects the functional: "esm" compares the deformed spectral
     measure with the semicircle free convolution, "eig" the top eigenvalue
-    with rho(lambda), "poly" the normalized trace with its limit, "lpp" the
-    normalized passage time with the shape DP.  Deformations are rank-one
+    with rho(lambda), "poly" the normalized trace of x^3 with its limit,
+    "lpp" the normalized passage time with the shape DP.  Deformations are rank-one
     (or corner) spikes of height ``spike``.
     """
     out = []
@@ -195,7 +189,7 @@ def equivalent_error_curve(
         elif kind == "eig":
             errs = _eig_errors(config, n, spike)
         elif kind == "poly":
-            errs = _poly_errors(config, n, spike, poly)
+            errs = _poly_errors(config, n, spike)
         elif kind == "lpp":
             errs = _lpp_errors(config, n, spike, g_eval)
         else:
@@ -222,8 +216,8 @@ def _eig_errors(config, n, spike):
     return _wigner_replicas(config, n, lambda x: abs(x.largest_eig() - target), spike)
 
 
-def _poly_errors(config, n, spike, poly):
-    poly = poly or NCPolynomial.word_power(1, 3)
+def _poly_errors(config, n, spike):
+    poly = NCPolynomial.word_power(1, 3)
     d = poly.total_degree
     h = ml.spike_matrix(n, spike)
     limit = tau_semicircular(poly) + eval_trace(homogeneous_part(poly, d), (h,))
@@ -326,7 +320,8 @@ def tail_rate(config: ExperimentConfig, x: float):
     return rows
 
 
-def _wilson(p: float, n: int, z: float = 1.96):
+def _wilson(p: float, n: int):
+    z = 1.96  # two-sided 95 %
     denom = 1.0 + z**2 / n
     center = (p + z**2 / (2 * n)) / denom
     half = z * math.sqrt(p * (1 - p) / n + z**2 / (4 * n**2)) / denom
@@ -346,8 +341,21 @@ def sample_lp_ball(p: float, m: int, count: int, seed: int, stream: int = 0) -> 
     """
     g = measures.sample(measures.nu(p), count * m, seed, stream).reshape(count, m)
     e = rng.exponentials(seed, stream + 2**33, count)
-    radius = (np.sum(np.abs(g) ** p, axis=1) + e) ** (1.0 / p)
-    return g / radius[:, None]
+    return g / _lp_radius(g, e, p)[:, None]
+
+
+def _lp_radius(v: np.ndarray, e, p: float):
+    """(sum_i |v_i|^p + e)^(1/p) over the last axis; DomainError where it is not finite.
+
+    For small p the power overflows (at p = 0.01 for sums above about 1200,
+    which 16 coordinates reach); dividing by it would collapse the points to
+    the origin.
+    """
+    with np.errstate(over="ignore"):
+        radius = (np.sum(np.abs(v) ** p, axis=-1) + e) ** (1.0 / p)
+    if not np.isfinite(radius).all():
+        raise DomainError(f"the l^p radius at p={p} is not finite")
+    return radius
 
 
 def _net_probe(p: float, m: int, gen) -> np.ndarray:
@@ -362,9 +370,7 @@ def _net_probe(p: float, m: int, gen) -> np.ndarray:
         mags = np.asarray(tmap(-np.log1p(-gen.random(m))))
         signs = np.where(gen.random(m) < 0.5, -1.0, 1.0)
         vec = signs * mags
-        extra = -math.log1p(-gen.random())
-        radius = (np.sum(np.abs(vec) ** p) + extra) ** (1.0 / p)
-        return vec / radius
+        return vec / _lp_radius(vec, -math.log1p(-gen.random()), p)
     k = int(gen.integers(1, m + 1))
     support = gen.choice(m, size=k, replace=False)
     split = gen.dirichlet(np.ones(k))
@@ -374,11 +380,6 @@ def _net_probe(p: float, m: int, gen) -> np.ndarray:
     out = np.zeros(m)
     out[support] = np.where(gen.random(k) < 0.5, -1.0, 1.0) * split ** (1.0 / p) * r
     return out
-
-
-def greedy_net(p: float, q: float, eps: float, m: int, trials: int, seed: int) -> int:
-    """Greedy epsilon-net size of the l^p ball under the l^q metric."""
-    return len(greedy_net_centers(p, q, eps, m, trials, seed))
 
 
 def greedy_net_centers(p: float, q: float, eps: float, m: int, trials: int, seed: int, centers=None):
@@ -430,15 +431,13 @@ def greedy_net_profile(p: float, q: float, eps_list, m: int, trials: int, seed: 
 # ------------------------------------------------------------------ emission
 
 
-def jsonl_header(conf: dict) -> str:
-    """Header line: package version, the resolved config and its hash."""
-    head = {"header": True, "version": VERSION, "config": conf, "config_hash": config_hash(conf)}
-    return _json_line(head)
-
-
 def jsonl_text(conf: dict, records) -> str:
-    """JSON-lines text: the header line for conf, then one record per line."""
-    return "\n".join([jsonl_header(conf), *map(_json_line, records)]) + "\n"
+    """JSON-lines text: a header line, then one record per line.
+
+    The header carries the package version, conf and its hash.
+    """
+    head = {"header": True, "version": VERSION, "config": conf, "config_hash": config_hash(conf)}
+    return "\n".join([_json_line(head), *map(_json_line, records)]) + "\n"
 
 
 def emit_jsonl(config: ExperimentConfig, records) -> str:

@@ -235,16 +235,15 @@ def eval_trace(poly: NCPolynomial, mats, normalize: bool = False):
     return total
 
 
-def deterministic_equivalent_poly(poly: NCPolynomial, h_mats, n: int, d: int | None = None):
+def deterministic_equivalent_poly(poly: NCPolynomial, h_mats, n: int):
     """Limit object tau[P(s)] + tr P_d(H) for the deformed trace.
 
-    d defaults to the total degree of the polynomial; H is the tuple of
-    deformation matrices (dimension n).
+    d is the total degree of the polynomial; H is the tuple of deformation
+    matrices (dimension n).
     """
-    d = poly.total_degree if d is None else d
     h_mats = tuple(h_mats)
     if h_mats and any(m.n != n for m in h_mats):
         raise DomainError("deformation matrices must have dimension n")
-    head = homogeneous_part(poly, d)
+    head = homogeneous_part(poly, poly.total_degree)
     correction = eval_trace(head, h_mats, normalize=False) if h_mats else 0.0
     return tau_semicircular(poly) + correction

@@ -255,12 +255,12 @@ class CachedShape:
         return float(total)
 
 
-def deterministic_equivalent_T(h: WeightField, g_eval, n: int | None = None) -> float:
+def deterministic_equivalent_T(h: WeightField, g_eval) -> float:
     """Deterministic equivalent: best chain value of H^+ plus shape terms.
 
     M(v) = H_v^+ + max over coordinatewise-smaller u of (M(u) + g((v-u)/n)),
     chains implicitly starting at 0 and ending at (n,...,n), both collecting
-    their H^+.  Always at least g(1,...,1).
+    their H^+, with n = h.n.  Always at least g(1,...,1).
 
     One window recursion serves d = 2 and 3.  g is tabulated once per
     lattice gap, gtab[k] = g(k/n); then, in row-major order, which reaches
@@ -269,7 +269,7 @@ def deterministic_equivalent_T(h: WeightField, g_eval, n: int | None = None) -> 
     with u = v masked out.  Each candidate is one addition and the max is
     exact, so M does not depend on the order in which candidates are met.
     """
-    n = h.n if n is None else n
+    n = h.n
     hp = np.maximum(h.values, 0.0)
     cells = list(np.ndindex(hp.shape))[1:]  # row-major, the origin left out
     gtab = np.zeros(hp.shape)
@@ -284,14 +284,13 @@ def deterministic_equivalent_T(h: WeightField, g_eval, n: int | None = None) -> 
     return float(m.flat[-1])
 
 
-def rate_L_consistency(h: WeightField, g_eval, alpha: float, n: int | None = None) -> float:
+def rate_L_consistency(h: WeightField, g_eval, alpha: float) -> float:
     """Slack ||H^+||_alpha^alpha - (T_det(H) - g(1,...,1))^alpha.
 
     Non-negative under any superadditive shape; zero exactly for the
     single corner spike.
     """
-    n = h.n if n is None else n
-    t_det = deterministic_equivalent_T(h, g_eval, n)
+    t_det = deterministic_equivalent_T(h, g_eval)
     g11 = g_eval((1.0,) * h.d)
     hp = np.maximum(h.values, 0.0)
     norm = float(np.sum(hp**alpha))

@@ -19,13 +19,7 @@ from . import rng
 from .errors import DomainError
 from .freeprob import NCPolynomial, eval_trace
 from .matrixlab import HermitianMatrix, WignerEnsemble, w_alpha_energy
-from .specmeasures import (
-    Measure1D,
-    default_contour,
-    freeconv_transform,
-    g_semicircle,
-    stieltjes,
-)
+from .specmeasures import Measure1D, default_contour, freeconv_transform, g_semicircle
 
 INF = float("inf")
 
@@ -229,14 +223,6 @@ def optimize_constant_csigma(
     return best
 
 
-def _target_transform(target, nodes) -> np.ndarray:
-    if isinstance(target, Measure1D):
-        return np.asarray(stieltjes(target, nodes))
-    if callable(target):
-        return np.asarray(target(nodes), dtype=complex)
-    return np.asarray(target, dtype=complex)
-
-
 def rate_I_variational(
     target,
     alpha: float,
@@ -254,16 +240,18 @@ def rate_I_variational(
     n^(1/alpha) h_i with uniform weights), minimizing W_alpha(diag h)
     subject to the transform distance between the semicircle free
     convolution and the target staying below delta on the default contour.
-    ``target`` may be a Measure1D, a vector of contour transform values, or
-    a callable on contour nodes.  Returns +inf when no feasible point is
-    found within the budget.
+    ``target`` holds the target's transform values at the default contour's
+    nodes, one per node.  Returns +inf when no feasible point is found
+    within the budget.
     """
     if n > 64:
         raise DomainError("n is capped at 64 (desk-scale search)")
     if delta <= 0:
         raise DomainError("delta must be positive")
     nodes = default_contour().nodes
-    tvals = _target_transform(target, nodes)
+    tvals = np.asarray(target, dtype=complex)
+    if tvals.shape != nodes.shape:
+        raise DomainError(f"target needs one value per contour node, shape {nodes.shape}")
     scale = n ** (1.0 / alpha)
 
     def feasible(h) -> bool:

@@ -23,6 +23,10 @@ from .errors import AccuracyError, ConvergenceError, DomainError
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 # Newton iterations per free-convolution solve before ConvergenceError
 _NEWTON_ITERS = 1000
+# a free-convolution node stops once its fixed-point residual is below this
+_NEWTON_TOL = 1e-12
+# distance_dp stops doubling its sampling once two sweeps agree to this
+_DP_TOL = 1e-9
 # points per d_p difference evaluation; bounds the (points x atoms) temporaries
 _DP_CHUNK = 1024
 
@@ -103,16 +107,22 @@ class Measure1D:
         return buf.getvalue()
 
     @staticmethod
-    def from_csv(text: str, probability: bool = True) -> "Measure1D":
+    def from_csv(text: str) -> "Measure1D":
+        """Probability measure from `to_csv` text; DomainError on a malformed line."""
         atoms, weights = [], []
         for line in text.strip().splitlines():
             line = line.strip()
             if not line or line.startswith(("atom", "#")):
                 continue
-            a, w = line.split(",")
-            atoms.append(float(a))
-            weights.append(float(w))
-        return Measure1D.from_atoms(np.array(atoms), np.array(weights), probability)
+            try:
+                a, w = map(float, line.split(","))
+            except ValueError:
+                a = w = math.nan
+            if not (math.isfinite(a) and math.isfinite(w)):
+                raise DomainError(f"measure line {line!r} is not two finite numbers atom,weight")
+            atoms.append(a)
+            weights.append(w)
+        return Measure1D.from_atoms(np.array(atoms), np.array(weights))
 
 
 @dataclass(frozen=True)
@@ -134,9 +144,9 @@ class StieltjesContour:
         object.__setattr__(self, "nodes", nodes)
 
 
-def default_contour(count: int = 64) -> StieltjesContour:
-    """Equispaced nodes on the segment {x + 2i : x in [0, 1]}."""
-    return StieltjesContour(np.linspace(0.0, 1.0, count) + 2.0j)
+def default_contour() -> StieltjesContour:
+    """64 equispaced nodes on the segment {x + 2i : x in [0, 1]}."""
+    return StieltjesContour(np.linspace(0.0, 1.0, 64) + 2.0j)
 
 
 def stieltjes(mu: Measure1D, z, derivative: bool = False):
@@ -172,9 +182,9 @@ def g_semicircle(z) -> np.ndarray:
     return 2.0 / (z + s)
 
 
-def distance_d(mu: Measure1D, nu: Measure1D, contour: StieltjesContour | None = None) -> float:
-    """sup over contour nodes of |g_mu - g_nu|."""
-    nodes = (contour or default_contour()).nodes
+def distance_d(mu: Measure1D, nu: Measure1D) -> float:
+    """sup over the default contour's nodes of |g_mu - g_nu|."""
+    nodes = default_contour().nodes
     return transform_distance(stieltjes(mu, nodes), stieltjes(nu, nodes))
 
 
@@ -269,13 +279,14 @@ def _golden_max(fun, lo, hi, iters: int = 80) -> np.ndarray:
     return best
 
 
-def distance_dp(mu: Measure1D, nu: Measure1D, p: float, tol: float = 1e-9) -> float:
+def distance_dp(mu: Measure1D, nu: Measure1D, p: float) -> float:
     """sup_t | int (t-x)_+^p dmu - int (t-x)_+^p dnu | for p in (0, 1).
 
     The difference is continuous, vanishes at -inf and +inf, and is smooth
     except for kinks at atoms, so the sup is searched per inter-atom
     interval (plus a tail window) by sampling and golden-section
-    refinement, doubling the sampling density until stable to ``tol``.
+    refinement, doubling the sampling density until two sweeps agree to
+    ``_DP_TOL`` = 1e-9.
     All segments are sampled in one evaluation and refined by one lockstep
     golden section; the difference is evaluated in chunks of points, which
     bounds memory without changing any value.
@@ -301,7 +312,7 @@ def distance_dp(mu: Measure1D, nu: Measure1D, p: float, tol: float = 1e-9) -> fl
     result = sweep(17)
     for per_segment in (33, 65, 129):
         refined = sweep(per_segment)
-        if abs(refined - result) <= tol:
+        if abs(refined - result) <= _DP_TOL:
             return max(refined, result)
         result = refined
     return result
@@ -333,8 +344,8 @@ def frac_integral(sigma: Measure1D, alpha: float, t: float, side: str) -> float:
     return float(np.sum(sigma.weights[mask] * gaps**alpha) / math.gamma(alpha + 1.0))
 
 
-def semicircle_measure(n_atoms: int = 2000, radius: float = 2.0) -> Measure1D:
-    """Equal-mass quantile discretization of the semicircle law."""
+def semicircle_measure(n_atoms: int = 2000) -> Measure1D:
+    """Equal-mass quantile discretization of the semicircle law on [-2, 2]."""
     # imported here, not at the top: scipy.optimize nearly doubles the
     # package's import time, and only this table needs it
     from scipy.optimize import brentq
@@ -343,15 +354,15 @@ def semicircle_measure(n_atoms: int = 2000, radius: float = 2.0) -> Measure1D:
         raise DomainError("need at least one atom")
 
     def cdf(x):
-        x = min(max(x / (radius / 2.0), -2.0), 2.0)
+        x = min(max(x, -2.0), 2.0)
         return 0.5 + x * math.sqrt(4.0 - x * x) / (4.0 * math.pi) + math.asin(x / 2.0) / math.pi
 
     qs = (np.arange(n_atoms) + 0.5) / n_atoms
-    atoms = np.array([brentq(lambda x: cdf(x) - q, -radius, radius, xtol=1e-14) for q in qs])
+    atoms = np.array([brentq(lambda x: cdf(x) - q, -2.0, 2.0, xtol=1e-14) for q in qs])
     return Measure1D.from_atoms(atoms)
 
 
-def freeconv_transform(nu: Measure1D, z_nodes, tol: float = 1e-12):
+def freeconv_transform(nu: Measure1D, z_nodes):
     """Subordination fixed point G(z) = g_nu(z - G(z)) at arbitrary Im z > 0.
 
     Newton's method on F(G) = G - g_nu(z - G), whose exact derivative is
@@ -362,8 +373,9 @@ def freeconv_transform(nu: Measure1D, z_nodes, tol: float = 1e-12):
     Newton step is not finite or leaves the lower half plane, and in place
     of a Newton step that did not shrink |F(G)|^2 / (Im G Im g_nu(z - G)),
     a monotone function of the hyperbolic distance from G to g_nu(z - G).
-    A node stops once |F(G)| < tol and still takes that iteration's step, so
-    the returned residual lies well below tol.  Returns G with Im G < 0.
+    A node stops once |F(G)| < ``_NEWTON_TOL`` = 1e-12 and still takes that
+    iteration's step, so the returned residual lies well below 1e-12.
+    Returns G with Im G < 0.
     """
     z = np.asarray(z_nodes, dtype=complex).reshape(-1)
     if np.any(z.imag <= 0):
@@ -378,7 +390,7 @@ def freeconv_transform(nu: Measure1D, z_nodes, tol: float = 1e-12):
         cur = g[active]
         target, slope = stieltjes(nu, z[active] - cur, derivative=True)
         resid = cur - target
-        done = np.abs(resid) < tol
+        done = np.abs(resid) < _NEWTON_TOL
         damped = 0.5 * (cur + target)
         with np.errstate(divide="ignore", invalid="ignore"):
             merit = np.abs(resid) ** 2 / (cur.imag * target.imag)

@@ -78,15 +78,6 @@ class WeightFunction:
         lin = (1.0 - self.kappa * self.eps ** min(self.alpha / 2.0, 1.0)) * t**self.alpha
         return np.where(t <= cut, quad, lin)
 
-    @property
-    def linear_slack(self) -> float:
-        """Coefficient multiplying the linear/alpha branch."""
-        if self.kind == "corexp":
-            return 1.0 - 2.0 * self.delta
-        if self.kind == "truncated":
-            return 1.0 - self.kappa * self.eps ** min(self.alpha / 2.0, 1.0)
-        return 1.0 - self.lam
-
 
 def talagrand(lam: float) -> WeightFunction:
     return WeightFunction("talagrand", lam=lam)
@@ -98,17 +89,6 @@ def corexp(delta: float) -> WeightFunction:
 
 def truncated(alpha: float, eps: float, m: float = 1.0, kappa: float = KAPPA_DEFAULT) -> WeightFunction:
     return WeightFunction("truncated", alpha=alpha, eps=eps, m=m, kappa=kappa)
-
-
-def eval_weight(w: WeightFunction, t: float) -> float:
-    """Pointwise weight evaluation."""
-    return float(w(t))
-
-
-def sum_weight(w, h) -> float:
-    """Coordinate-wise sum W(h) = sum_i w(h_i)."""
-    h = np.asarray(h, dtype=float)
-    return float(np.sum(w(h)))
 
 
 # weight tables W[i,j] = w(x_i - x_j) are reused across tau-product corpora
@@ -209,13 +189,14 @@ def tau_product(law: AlphaLaw, w, f, grid, dim: int = 1) -> float:
     return left * right
 
 
-def split_enlargement(y, alpha: float, eps: float, m: float, kappa: float = KAPPA_DEFAULT):
+def split_enlargement(y, eps: float, m: float):
     """Split y into small and large coordinates at the threshold m/eps.
 
     Returns (y1, y2) with y = y1 + y2, disjoint supports, |y1| <= m/eps
-    coordinate-wise and |y2| > m/eps on its support.  When the truncated
-    weight sum of y is below r (1 - kappa eps^{(alpha/2) and 1}), the parts
-    satisfy ||y1||_2 <= k_m(eps) sqrt(r) and ||y2||_alpha^alpha <= r with
+    coordinate-wise and |y2| > m/eps on its support.  When the sum of the
+    truncated weight (alpha, eps, m, kappa) over y is below
+    r (1 - kappa eps^{(alpha/2) and 1}), the parts satisfy
+    ||y1||_2 <= k_m(eps) sqrt(r) and ||y2||_alpha^alpha <= r with
     k_m(eps) = sqrt(kappa) exp((m/eps)^{alpha/2} / 2).
     """
     y = np.asarray(y, dtype=float)

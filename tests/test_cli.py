@@ -212,17 +212,45 @@ def test_import_loads_no_scipy_subpackage_but_special():
         (("net", "--p", "0.005", "--m", "8"), "not finite"),
         (("sample", "--alpha", "0.006"), "at least 0.00775312"),
         (("lpp", "--alpha", "0.006", "--n", "4", "--replicas", "3"), "at least 0.00775312"),
+        (("net", "--p", "0.01", "--m", "16"), "l^p radius at p=0.01 is not finite"),
     ],
-    ids=["sample", "audit", "net", "sample-map", "lpp-map"],
+    ids=["sample", "audit", "net", "sample-map", "lpp-map", "net-radius"],
 )
 def test_small_exponent_exits_one(capsys, argv, message):
     # these ended in an OverflowError traceback (sample, audit), in a
-    # one-center net of NaN probes with exit 0 (net), or in infinite draws
-    # and passage times with exit 0 (sample-map, lpp-map)
+    # one-center net of NaN probes with exit 0 (net), in infinite draws
+    # and passage times with exit 0 (sample-map, lpp-map), or in probes
+    # divided by an overflowed radius, collapsed to the origin, with a
+    # RuntimeWarning and exit 0 (net-radius)
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv, measure",
+    [
+        (("rate", "--kind", "J", "--c", "1", "--x", "abc"), None),
+        (("audit", "--n", "10", "--replicas", "10", "--t-grid", "0.1,x"), None),
+        (("net", "--m", "4", "--eps", "0.5,zz"), None),
+        (("freeconv",), "atom,weight\n-1.0,0.5\n1.0;0.5\n"),
+        (("freeconv",), "abc,0.5\n1.0,0.5\n"),
+        (("freeconv",), "0.0,nan\n1.0,0.5\n"),
+    ],
+    ids=["rate-x", "audit-t-grid", "net-eps", "measure-semicolon", "measure-text", "measure-nan"],
+)
+def test_malformed_input_exits_one(capsys, tmp_path, argv, measure):
+    # each of these once ended in a ValueError traceback, or (measure-nan)
+    # in a RuntimeWarning and a fixed point that never converged, exit 2
+    if measure is not None:
+        path = tmp_path / "measure.csv"
+        path.write_text(measure)
+        argv = argv + ("--measure", str(path))
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "heavylab:" in err
 
 
 @pytest.mark.parametrize(

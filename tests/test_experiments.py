@@ -158,7 +158,7 @@ def test_lp_ball_sampler_inside_ball():
 
 
 def test_greedy_net_trivial_and_nesting():
-    assert ex.greedy_net(0.5, 2.0, eps=10.0, m=16, trials=50, seed=11) == 1
+    assert len(ex.greedy_net_centers(0.5, 2.0, eps=10.0, m=16, trials=50, seed=11)) == 1
     profile = ex.greedy_net_profile(0.5, 2.0, (1.0, 0.5, 0.25), m=16, trials=40, seed=11)
     sizes = {eps: s for eps, s in profile}
     assert sizes[1.0] <= sizes[0.5] <= sizes[0.25]

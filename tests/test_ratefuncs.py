@@ -120,6 +120,15 @@ def test_variational_semicircle_target_is_zero():
     assert val == 0.0
 
 
+@pytest.mark.parametrize("shape", [(32,), (8, 8), ()])
+def test_variational_rejects_a_target_off_the_contour(shape):
+    # the target is the vector of transform values, one per default-contour node
+    ens = ml.WignerEnsemble(1.0, b=1.0, a1=2.0)
+    target = np.zeros(shape, dtype=complex)
+    with pytest.raises(DomainError, match="one value per contour node"):
+        rf.rate_I_variational(target, 1.0, ens, n=8, delta=0.05, restarts=1, iters=1)
+
+
 def test_variational_large_delta_everything_feasible():
     ens = ml.WignerEnsemble(1.0, b=1.0, a1=2.0)
     nu = sm.Measure1D(np.array([-2.0, 2.0]), np.array([0.5, 0.5]))
