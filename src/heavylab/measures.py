@@ -9,18 +9,59 @@ Two families are supported: the symmetric law with density
 transport map.  phi has a closed form through the inverse regularized
 incomplete Gamma function; draws go through a cubic Hermite table of it.
 A direct inverse-CDF sampler exists only as a test oracle.
+
+The incomplete-Gamma ufuncs are scipy's own, loaded from the compiled
+``scipy.special._special_ufuncs`` extension by file: running
+``scipy/special/__init__.py`` would cost every process about a quarter
+second of imports (numpy.f2py and numpy.testing among them) for four
+ufuncs that load in about 2 ms.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, gammainccinv, gammaincinv
 
 from . import rng
 from .errors import DomainError
+
+_GAMMA_UFUNCS = ("gammainc", "gammaincc", "gammaincinv", "gammainccinv")
+
+
+def _incomplete_gamma_ufuncs() -> list:
+    """scipy's incomplete-Gamma ufuncs, without importing ``scipy.special``.
+
+    The extension is registered in ``sys.modules`` under its own name, so a
+    later ``import scipy.special`` reuses it and exports these very objects
+    (and an earlier one is reused here).  Releases that lack the extension,
+    or whose extension lacks the four ufuncs, import them from
+    ``scipy.special``.
+    """
+    name = "scipy.special._special_ufuncs"
+    module = sys.modules.get(name)
+    if module is None:
+        stem = os.path.join(
+            os.path.dirname(importlib.util.find_spec("scipy").origin), "special", "_special_ufuncs"
+        )
+        suffixes = importlib.machinery.EXTENSION_SUFFIXES
+        paths = [stem + s for s in suffixes if os.path.isfile(stem + s)]
+        if paths:
+            loader = importlib.machinery.ExtensionFileLoader(name, paths[0])
+            module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+            sys.modules[name] = module
+            loader.exec_module(module)
+    if module is None or not all(hasattr(module, f) for f in _GAMMA_UFUNCS):
+        import scipy.special as module
+    return [getattr(module, f) for f in _GAMMA_UFUNCS]
+
+
+gammainc, gammaincc, gammaincinv, gammainccinv = _incomplete_gamma_ufuncs()
 
 # Upper end of the map's domain; exp(-709) is still a nonzero double.
 _X_MAX = 709.0

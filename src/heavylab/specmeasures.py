@@ -33,7 +33,7 @@ _DP_CHUNK = 1024
 
 @dataclass(frozen=True)
 class Measure1D:
-    """Discrete measure: strictly sorted atoms with matching weights.
+    """Discrete measure: strictly sorted finite atoms with matching finite weights.
 
     Probability measures carry non-negative weights summing to 1 (checked
     to 1e-12); signed measures (``probability=False``) reuse the same
@@ -51,6 +51,8 @@ class Measure1D:
             raise DomainError("atoms and weights must be matching 1-d arrays")
         if atoms.size == 0:
             raise DomainError("a measure needs at least one atom")
+        if not (np.isfinite(atoms).all() and np.isfinite(weights).all()):
+            raise DomainError("atoms and weights must be finite")
         if np.any(np.diff(atoms) <= 0):
             raise DomainError("atoms must be strictly sorted")
         if self.probability:

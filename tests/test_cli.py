@@ -188,19 +188,20 @@ def test_module_run_does_not_preload_cli():
     assert proc.stdout.strip() == "False"
 
 
-def test_import_loads_no_scipy_subpackage_but_special():
+def test_import_loads_no_scipy_subpackage():
     # every CLI process pays for the package's imports; scipy.optimize alone
-    # once took two thirds of them
+    # once took two thirds of them, and scipy.special most of the rest
     probe = (
         "import sys, heavylab, heavylab.cli; print(sorted(name for name, mod in sys.modules.items()"
         " if name.startswith('scipy.') and name.count('.') == 1 and hasattr(mod, '__path__')"
-        " and not name.startswith('scipy._')))"
+        " and not name.startswith('scipy._')), 'numpy.f2py' in sys.modules,"
+        " 'numpy.testing' in sys.modules)"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=_src_env(), timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "['scipy.special']"
+    assert proc.stdout.strip() == "[] False False"
 
 
 @pytest.mark.parametrize(

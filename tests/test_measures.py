@@ -1,4 +1,7 @@
 import math
+import os
+import pathlib
+import subprocess
 import sys
 
 import numpy as np
@@ -223,3 +226,44 @@ def test_law_validation():
         measures.AlphaLaw(2.5, "two")
     with pytest.raises(DomainError):
         measures.AlphaLaw(1.0, "both")
+
+
+def _probe(code: str) -> str:
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+@pytest.mark.parametrize(
+    "first, second", [("heavylab.measures", "scipy.special"), ("scipy.special", "heavylab.measures")]
+)
+def test_gamma_ufuncs_are_scipy_specials_own(first, second):
+    # the extension module loaded first is the one both imports end up with
+    assert _probe(
+        f"import sys; import {first}; ext = sys.modules.get('scipy.special._special_ufuncs'); "
+        f"import {second}; from heavylab import measures; import scipy.special as special; "
+        "print(sys.modules['scipy.special._special_ufuncs'] is ext, "
+        "[getattr(measures, f) is getattr(special, f) for f in measures._GAMMA_UFUNCS])"
+    ) == "True [True, True, True, True]"
+
+
+def test_gamma_ufuncs_fallback_builds_identical_maps():
+    coef = (
+        "import hashlib, sys; from heavylab import measures; "
+        "print('scipy.special' in sys.modules, [hashlib.sha256(measures.RearrangementMap(a)"
+        "._coef.tobytes()).hexdigest() for a in (0.3, 0.5, 1.0, 2.0)])"
+    )
+    # hides the compiled extension from the file lookup, so scipy.special is imported
+    hide = (
+        "import os; isfile = os.path.isfile; "
+        "os.path.isfile = lambda p: '_special_ufuncs' not in p and isfile(p); "
+    )
+    direct = _probe(coef).split(" ", 1)
+    fallback = _probe(hide + coef).split(" ", 1)
+    assert direct[0] == "False" and fallback[0] == "True"
+    assert fallback[1] == direct[1]

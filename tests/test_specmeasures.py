@@ -45,10 +45,21 @@ def lp_wasserstein_cost(mu, nu, p):
 
 
 def test_measure_validation_and_merge():
-    with pytest.raises(DomainError):
-        sm.Measure1D(np.array([0.0, 0.0]), np.array([0.5, 0.5]))
-    with pytest.raises(DomainError):
-        sm.Measure1D(np.array([0.0, 1.0]), np.array([0.6, 0.6]))
+    nan, inf = math.nan, math.inf
+    for atoms, weights, probability in [
+        ([0.0, 0.0], [0.5, 0.5], True),
+        ([0.0, 1.0], [0.6, 0.6], True),
+        ([nan], [1.0], True),
+        ([0.0, nan], [0.5, 0.5], True),
+        ([0.0, 1.0], [nan, 0.5], True),
+        ([0.0, inf], [0.5, 0.5], True),
+        ([nan], [1.0], False),
+        ([-inf, 0.0], [0.5, -0.5], False),
+        ([0.0, 1.0], [nan, 0.5], False),
+        ([0.0, 1.0], [inf, -inf], False),
+    ]:
+        with pytest.raises(DomainError):
+            sm.Measure1D(np.array(atoms), np.array(weights), probability=probability)
     m = sm.Measure1D.from_atoms(np.array([1.0, 0.0, 1.0]), np.array([0.25, 0.5, 0.25]))
     assert m.atoms.tolist() == [0.0, 1.0]
     assert m.weights.tolist() == [0.5, 0.5]
