@@ -31,7 +31,14 @@ SUBCOMMANDS = ("sample", "spectrum", "freeconv", "rate", "lpp", "audit", "net")
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems through exit code 1."""
+    """argparse that reports usage problems through exit code 1.
+
+    Flags must be spelled out: an abbreviation would let ``audit --b``
+    pass as ``--beta``.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -98,9 +105,6 @@ def build_parser() -> _Parser:
     def common(p):
         p.add_argument("--alpha", type=float, default=1.0)
         p.add_argument("--beta", type=int, default=1)
-        p.add_argument("--b", type=float, default=None)
-        p.add_argument("--a1", type=float, default=None)
-        p.add_argument("--a2", type=float, default=None)
         p.add_argument("--n", type=int, default=100)
         p.add_argument("--replicas", type=int, default=100)
         p.add_argument("--seed", type=int, default=0)
@@ -114,6 +118,9 @@ def build_parser() -> _Parser:
 
     p_spec = sub.add_parser("spectrum", help="sample a matrix and print its spectrum")
     common(p_spec)
+    p_spec.add_argument("--b", type=float, default=None)
+    p_spec.add_argument("--a1", type=float, default=None)
+    p_spec.add_argument("--a2", type=float, default=None)
     p_spec.add_argument("--scale", choices=("none", "sqrtn"), default="sqrtn")
     p_spec.set_defaults(func=cmd_spectrum)
 

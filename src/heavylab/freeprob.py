@@ -48,9 +48,9 @@ class NCPolynomial:
         return NCPolynomial(((1.0, (i,)),), p or i)
 
     @staticmethod
-    def word_power(i: int, k: int, p: int | None = None) -> "NCPolynomial":
+    def word_power(i: int, k: int) -> "NCPolynomial":
         """The monomial x_i^k."""
-        return NCPolynomial(((1.0, (i,) * k),), p or i)
+        return NCPolynomial(((1.0, (i,) * k),), i)
 
     def __add__(self, other: "NCPolynomial") -> "NCPolynomial":
         p = max(self.p, other.p)

@@ -8,9 +8,9 @@ imaginary off-diagonal parts in the matrix energy
                  + sum_{i<j} (a1 |Re A_ij|^alpha + a2 |Im A_ij|^alpha).
 
 Entries of a sampled matrix scale the base symmetric law by coef^(-1/alpha),
-so each draw flows through the transport-map sampler of `measures`.  With
-``unit_variance`` the off-diagonal coefficients are derived from closed-form
-moments so that E|X_12|^2 = 1.
+so each draw flows through the transport-map sampler of `measures`.
+`unit_variance_ensemble` derives one coefficient b = a1 = a2 from
+closed-form moments so that E|X_12|^2 = 1.
 
 Spectra come from `openblas.eigvalsh`, the LAPACK call `np.linalg.eigvalsh`
 makes, with identical output; it releases the interpreter lock, so the
@@ -44,26 +44,12 @@ class WignerEnsemble:
     a1: float = 1.0
     a2: float = 1.0
     beta: int = BETA_SYMMETRIC
-    unit_variance: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 2.0:
             raise DomainError(f"alpha must lie in (0, 2], got {self.alpha}")
         if self.beta not in (BETA_SYMMETRIC, BETA_HERMITIAN):
             raise DomainError(f"beta must be 1 or 2, got {self.beta}")
-        if self.unit_variance:
-            m2 = measures.moment(measures.nu(self.alpha), 2)
-            if self.beta == BETA_SYMMETRIC:
-                # off-diagonal scale c with c^2 m2 = 1, i.e. a1 = c^-alpha
-                a1 = m2 ** (self.alpha / 2.0)
-                a2 = a1
-            else:
-                # real and imaginary parts carry variance 1/2 each
-                a1 = (2.0 * m2) ** (self.alpha / 2.0)
-                a2 = a1
-            object.__setattr__(self, "a1", a1)
-            object.__setattr__(self, "a2", a2)
-            object.__setattr__(self, "b", a1)
         if self.b <= 0 or self.a1 <= 0:
             raise DomainError("b and a1 must be positive")
         if self.beta == BETA_HERMITIAN and self.a2 <= 0:
@@ -83,7 +69,14 @@ class WignerEnsemble:
 
 
 def unit_variance_ensemble(alpha: float, beta: int = BETA_SYMMETRIC) -> WignerEnsemble:
-    return WignerEnsemble(alpha, beta=beta, unit_variance=True)
+    """The ensemble with E|X_12|^2 = 1 and one coefficient b = a1 = a2.
+
+    For beta = 1 the off-diagonal scale c has c^2 m2 = 1, i.e. a1 = c^-alpha;
+    for beta = 2 the real and imaginary parts carry variance 1/2 each.
+    """
+    m2 = measures.moment(measures.nu(alpha), 2)
+    coef = (m2 if beta == BETA_SYMMETRIC else 2.0 * m2) ** (alpha / 2.0)
+    return WignerEnsemble(alpha, b=coef, a1=coef, a2=coef, beta=beta)
 
 
 class HermitianMatrix:

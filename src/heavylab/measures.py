@@ -306,12 +306,6 @@ def moment(law: AlphaLaw, k: int, signed: bool = False) -> float:
         raise DomainError(f"moment {k} of the law with alpha={a} overflows a double") from None
 
 
-def variance(law: AlphaLaw) -> float:
-    """Variance; for the symmetric law this is the second absolute moment."""
-    m1 = moment(law, 1, signed=True)
-    return moment(law, 2) - m1 * m1
-
-
 # Draws pass through the map in blocks of this many: a block and the map's
 # temporaries stay in cache, where one pass over a whole chunk would not.
 _MAP_BLOCK = 2**16

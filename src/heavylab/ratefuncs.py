@@ -29,14 +29,13 @@ class RateParams:
     """Constants shared by the rate-function evaluators.
 
     Only the fields an evaluator needs must be set; the rest may stay None.
-    ``a`` is the off-diagonal coefficient entering min(b, a/2); it defaults
-    to a1 (the real-part coefficient).
+    ``b`` and ``a1`` are the diagonal and real off-diagonal coefficients
+    entering min(b, a1/2).
     """
 
     alpha: float
     b: float = 1.0
     a1: float = 1.0
-    a2: float = 1.0
     constant_c: float | None = None
     c1: float | None = None
     c_minus1: float | None = None
@@ -87,17 +86,15 @@ def rate_L(x: float, params: RateParams) -> float:
     return (x - params.g11) ** params.alpha
 
 
-def rate_I_symmetric(nu: Measure1D, params: RateParams, a: float | None = None) -> float:
-    """Closed form min(b, a/2) int |x|^alpha dnu for symmetric targets.
+def rate_I_symmetric(nu: Measure1D, params: RateParams) -> float:
+    """Closed form min(b, a1/2) int |x|^alpha dnu for symmetric targets.
 
     The deformation measure must be mirror-symmetric (checked to 1e-12).
-    ``a`` defaults to the real-part off-diagonal coefficient a1.
     """
     atoms, wts = nu.atoms, nu.weights
     if np.max(np.abs(atoms + atoms[::-1])) > 1e-12 or np.max(np.abs(wts - wts[::-1])) > 1e-12:
         raise DomainError("rate_I_symmetric needs a mirror-symmetric measure")
-    a = params.a1 if a is None else a
-    return min(params.b, a / 2.0) * nu.moment(params.alpha)
+    return min(params.b, params.a1 / 2.0) * nu.moment(params.alpha)
 
 
 def _perturbed(mat: np.ndarray, gen, step: float, beta: int) -> np.ndarray:
@@ -110,7 +107,6 @@ def _perturbed(mat: np.ndarray, gen, step: float, beta: int) -> np.ndarray:
 
 
 def optimize_constant_c(
-    alpha: float,
     ens: WignerEnsemble,
     n_max: int = 4,
     restarts: int = 50,
@@ -164,7 +160,6 @@ def optimize_constant_c(
 
 
 def optimize_constant_csigma(
-    alpha: float,
     ens: WignerEnsemble,
     poly_d: NCPolynomial,
     sigma: int,
@@ -173,7 +168,7 @@ def optimize_constant_csigma(
     iters: int = 150,
     seed: int = 0,
 ) -> float:
-    """Upper bound estimate of inf{W_alpha(H): tr P_d(H) = sigma}.
+    """Upper bound estimate of inf{W_alpha(H): tr P_d(H) = sigma}, alpha = ens.alpha.
 
     Exploits tr P_d(tH) = t^d tr P_d(H): any candidate whose trace sign
     matches sigma is rescaled onto the constraint, so the objective is
@@ -198,7 +193,7 @@ def optimize_constant_csigma(
         if s == 0.0 or math.copysign(1.0, s) != float(sigma):
             return INF
         w = sum(w_alpha_energy(m, ens) for m in mats)
-        return w * (abs(1.0 / s)) ** (alpha / d)
+        return w * (abs(1.0 / s)) ** (ens.alpha / d)
 
     for n in range(1, n_max + 1):
         for restart in range(restarts):

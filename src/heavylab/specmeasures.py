@@ -66,8 +66,8 @@ class Measure1D:
         object.__setattr__(self, "weights", weights)
 
     @staticmethod
-    def from_atoms(atoms, weights=None, probability: bool = True) -> "Measure1D":
-        """Build from unsorted atoms, merging exact duplicates."""
+    def from_atoms(atoms, weights=None) -> "Measure1D":
+        """Probability measure from unsorted atoms, merging exact duplicates."""
         atoms = np.asarray(atoms, dtype=float)
         if weights is None:
             weights = np.full(atoms.size, 1.0 / atoms.size)
@@ -77,7 +77,7 @@ class Measure1D:
         uniq, inverse = np.unique(atoms, return_inverse=True)
         merged = np.zeros(uniq.size)
         np.add.at(merged, inverse, weights)
-        return Measure1D(uniq, merged, probability=probability)
+        return Measure1D(uniq, merged)
 
     @staticmethod
     def dirac(x: float) -> "Measure1D":

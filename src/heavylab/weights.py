@@ -22,10 +22,8 @@ import numpy as np
 from .errors import AccuracyError, DomainError
 from .measures import AlphaLaw
 
-# defaults for the truncated family; the admissible constants are not pinned
-# down numerically, so both stay caller-overridable everywhere
-KAPPA_DEFAULT = 1.0
-EPS0_DEFAULT = 0.25
+# the truncated family's fixed bound eps0: its eps lies in (0, eps0)
+EPS0 = 0.25
 
 
 @dataclass(frozen=True)
@@ -33,7 +31,7 @@ class WeightFunction:
     """An even, non-negative weight with w(0) = 0.
 
     kind is one of "talagrand" (parameter lam), "corexp" (parameter delta)
-    or "truncated" (parameters alpha, eps, m, kappa).
+    or "truncated" (parameters alpha, eps, m).
     """
 
     kind: str
@@ -42,7 +40,6 @@ class WeightFunction:
     alpha: float = 0.0
     eps: float = 0.0
     m: float = 1.0
-    kappa: float = KAPPA_DEFAULT
 
     def __post_init__(self):
         if self.kind == "talagrand":
@@ -52,12 +49,10 @@ class WeightFunction:
             if not 0.0 < self.delta < 0.5:
                 raise DomainError(f"corexp weight needs delta in (0,1/2), got {self.delta}")
         elif self.kind == "truncated":
-            if not 0.0 < self.eps < EPS0_DEFAULT:
-                raise DomainError(f"truncated weight needs eps in (0,{EPS0_DEFAULT})")
+            if not 0.0 < self.eps < EPS0:
+                raise DomainError(f"truncated weight needs eps in (0,{EPS0})")
             if self.m < 1.0:
                 raise DomainError(f"truncated weight needs m >= 1, got {self.m}")
-            if self.kappa <= 0.0:
-                raise DomainError(f"truncated weight needs kappa > 0, got {self.kappa}")
             if self.alpha <= 0.0:
                 raise DomainError(f"truncated weight needs alpha > 0, got {self.alpha}")
         else:
@@ -74,8 +69,8 @@ class WeightFunction:
             lin = (1.0 - 2.0 * d) * t
             return np.where(t <= 2.0 / d**2, quad, lin)
         cut = self.m / self.eps
-        quad = t**2 * math.exp(-((cut) ** (self.alpha / 2.0))) / self.kappa
-        lin = (1.0 - self.kappa * self.eps ** min(self.alpha / 2.0, 1.0)) * t**self.alpha
+        quad = t**2 * math.exp(-((cut) ** (self.alpha / 2.0)))
+        lin = (1.0 - self.eps ** min(self.alpha / 2.0, 1.0)) * t**self.alpha
         return np.where(t <= cut, quad, lin)
 
 
@@ -87,8 +82,8 @@ def corexp(delta: float) -> WeightFunction:
     return WeightFunction("corexp", delta=delta)
 
 
-def truncated(alpha: float, eps: float, m: float = 1.0, kappa: float = KAPPA_DEFAULT) -> WeightFunction:
-    return WeightFunction("truncated", alpha=alpha, eps=eps, m=m, kappa=kappa)
+def truncated(alpha: float, eps: float, m: float = 1.0) -> WeightFunction:
+    return WeightFunction("truncated", alpha=alpha, eps=eps, m=m)
 
 
 # weight tables W[i,j] = w(x_i - x_j) are reused across tau-product corpora
@@ -148,9 +143,9 @@ def _simpson_weights(n: int, h: float) -> np.ndarray:
 def tau_product(law: AlphaLaw, w, f, grid, dim: int = 1) -> float:
     """Product (int e^{f[]w} dnu) (int e^{-f} dnu) via fixed quadrature.
 
-    For dim == 1, ``grid`` carries the Simpson nodes and ``f`` the tabulated
-    non-negative function.  For dim in {2, 3} the law is tensorized on the
-    same per-axis grid, ``f`` has shape (len(grid),)*dim, and the weight sum
+    ``grid`` carries the Simpson nodes and ``f`` the tabulated non-negative
+    function.  For dim in {2, 3} the law is tensorized on the same per-axis
+    grid, ``f`` has shape (len(grid),)*dim, and the weight sum
     W(x) = sum_i w(x_i) is inf-convolved axis by axis (valid because W is
     separable).  Raises when the grid covers less than 1 - 1e-6 of the mass.
     """
@@ -169,15 +164,9 @@ def tau_product(law: AlphaLaw, w, f, grid, dim: int = 1) -> float:
     if mass < 1.0 - 1e-6:
         raise AccuracyError(f"quadrature grid carries only {mass} of the law's mass")
 
-    if dim == 1:
-        fw = inf_convolution(f, w, grid)
-        left = float(np.sum(wts * dens * np.exp(np.minimum(fw, 700.0))))
-        right = float(np.sum(wts * dens * np.exp(-f)))
-        return left * right
-
     if f.shape != (grid.size,) * dim:
-        raise DomainError("tensor f must have shape (len(grid),)*dim")
-    fw = f.copy()
+        raise DomainError("f must have shape (len(grid),)*dim")
+    fw = f
     for axis in range(dim):
         fw = np.apply_along_axis(lambda row: inf_convolution(row, w, grid), axis, fw)
     wd = wts * dens
@@ -194,10 +183,10 @@ def split_enlargement(y, eps: float, m: float):
 
     Returns (y1, y2) with y = y1 + y2, disjoint supports, |y1| <= m/eps
     coordinate-wise and |y2| > m/eps on its support.  When the sum of the
-    truncated weight (alpha, eps, m, kappa) over y is below
-    r (1 - kappa eps^{(alpha/2) and 1}), the parts satisfy
+    truncated weight (alpha, eps, m) over y is below
+    r (1 - eps^{(alpha/2) and 1}), the parts satisfy
     ||y1||_2 <= k_m(eps) sqrt(r) and ||y2||_alpha^alpha <= r with
-    k_m(eps) = sqrt(kappa) exp((m/eps)^{alpha/2} / 2).
+    k_m(eps) = exp((m/eps)^{alpha/2} / 2).
     """
     y = np.asarray(y, dtype=float)
     cut = m / eps
@@ -207,6 +196,6 @@ def split_enlargement(y, eps: float, m: float):
     return y1, y2
 
 
-def split_constant(alpha: float, eps: float, m: float, kappa: float = KAPPA_DEFAULT) -> float:
+def split_constant(alpha: float, eps: float, m: float) -> float:
     """The Euclidean-part constant k_m(eps) of the enlargement split."""
-    return math.sqrt(kappa) * math.exp(0.5 * (m / eps) ** (alpha / 2.0))
+    return math.exp(0.5 * (m / eps) ** (alpha / 2.0))

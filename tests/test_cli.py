@@ -45,10 +45,24 @@ def test_rate_multiple_points_csv(capsys, tmp_path):
     assert lines[4].split(",")[1] == "2.0"  # c * g(2.5)^-1 = 2
 
 
-def test_unknown_flag_exits_one(capsys):
+def test_unknown_flag_exits_one(capsys, tmp_path):
     code, out, err = run(capsys, "rate", "--kind", "J", "--x", "2", "--mystery", "1")
     assert code == 1
     assert "usage" in err or "config error" in err
+    # the ensemble coefficients belong to spectrum alone, on the command
+    # line and in a config file; --b is no abbreviation of --beta either
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text("b=2\n")
+    for argv in (
+        ("audit", "--b", "2"),
+        ("sample", "--a1", "3"),
+        ("lpp", "--a2", "1"),
+        ("audit", "--config", str(cfg)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "usage" in err and "unrecognized arguments" in err
 
 
 def test_unknown_subcommand_exits_one(capsys):
@@ -87,6 +101,18 @@ def test_spectrum_command(capsys, tmp_path):
     vals = [float(v) for v in out.read_text().splitlines()[2:]]
     assert len(vals) == 30
     assert vals == sorted(vals)
+    # explicit coefficients replace the unit-variance ensemble
+    coef_out = tmp_path / "spec_coef.csv"
+    code, _, _ = run(
+        capsys, "spectrum", "--alpha", "1", "--n", "30", "--seed", "4",
+        "--b", "2", "--a1", "3", "--out", str(coef_out),
+    )
+    assert code == 0
+    lines = coef_out.read_text().splitlines()
+    assert {"a1=3.0", "b=2.0"} <= set(lines[0].split())
+    coef_vals = [float(v) for v in lines[2:]]
+    assert len(coef_vals) == 30
+    assert coef_vals != vals
 
 
 def test_freeconv_command(capsys, tmp_path):

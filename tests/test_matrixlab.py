@@ -86,6 +86,23 @@ def test_unit_variance_offdiagonal_moment():
         assert abs(vals.mean() - 1.0) < 3 * se
 
 
+def test_unit_variance_coefficients_pinned():
+    # one coefficient b = a1 = a2, (m2)^(alpha/2) for beta = 1 and
+    # (2 m2)^(alpha/2) for beta = 2, with the bits of the closed form
+    pinned = {
+        (0.3, 1): "0x1.769c7e51e2f7ep+2",
+        (0.3, 2): "0x1.9fa8428719022p+2",
+        (1.0, 1): "0x1.6a09e667f3bccp+0",
+        (1.0, 2): "0x1.ffffffffffffep+0",
+        (2.0, 1): "0x1.ffffffffffffbp-2",
+        (2.0, 2): "0x1.ffffffffffffbp-1",
+    }
+    for (alpha, beta), coef in pinned.items():
+        ens = ml.unit_variance_ensemble(alpha, beta=beta)
+        assert (ens.b.hex(), ens.a1.hex(), ens.a2.hex()) == (coef, coef, coef)
+        assert (ens.alpha, ens.beta) == (alpha, beta)
+
+
 def test_scalar_matrix_law_matches_scaled_base_law():
     # n=1 draws follow the diagonal law: b^(-1/alpha) times the base law
     ens = ml.WignerEnsemble(0.5, b=2.0, a1=1.0)

@@ -69,7 +69,8 @@ def test_rate_I_symmetric_values_and_scaling():
     v1 = rf.rate_I_symmetric(pair, p2)
     v3 = rf.rate_I_symmetric(pair.dilate(3.0), p2)
     assert v3 == pytest.approx(3.0**0.7 * v1)
-    assert rf.rate_I_symmetric(pair, p2, a=5.0) == pytest.approx(2.0 * pair.moment(0.7))
+    p5 = rf.RateParams(alpha=0.7, b=2.0, a1=5.0)
+    assert rf.rate_I_symmetric(pair, p5) == pytest.approx(2.0 * pair.moment(0.7))
 
 
 def test_rate_I_symmetric_rejects_asymmetric():
@@ -80,10 +81,10 @@ def test_rate_I_symmetric_rejects_asymmetric():
 
 def test_optimize_constant_c_upper_bound_and_n1():
     ens = ml.WignerEnsemble(1.0, b=0.8, a1=1.0)
-    val1, mat1 = rf.optimize_constant_c(1.0, ens, n_max=1, restarts=5, iters=50)
+    val1, mat1 = rf.optimize_constant_c(ens, n_max=1, restarts=5, iters=50)
     assert val1 == pytest.approx(0.8, abs=1e-9)
     assert mat1.n == 1
-    val3, _ = rf.optimize_constant_c(1.0, ens, n_max=3, restarts=10, iters=80)
+    val3, _ = rf.optimize_constant_c(ens, n_max=3, restarts=10, iters=80)
     assert val3 <= 0.8 + 1e-9
     assert val3 <= val1 + 1e-9  # monotone in n_max
 
@@ -91,7 +92,7 @@ def test_optimize_constant_c_upper_bound_and_n1():
 def test_optimize_constant_c_witness_bound():
     for alpha in (0.5, 1.5):
         ens = ml.WignerEnsemble(alpha, b=1.2, a1=2.0)
-        val, mat = rf.optimize_constant_c(alpha, ens, n_max=2, restarts=8, iters=60)
+        val, mat = rf.optimize_constant_c(ens, n_max=2, restarts=8, iters=60)
         assert val <= 1.2 + 1e-9
         assert mat.largest_eig() == pytest.approx(1.0, abs=1e-9)
 
@@ -100,17 +101,24 @@ def test_optimize_csigma_scalar_and_infeasible():
     ens = ml.WignerEnsemble(1.0, b=1.0, a1=1.0)
     for d in (3, 4):
         pd = NCPolynomial.word_power(1, d)
-        val = rf.optimize_constant_csigma(1.0, ens, pd, sigma=1, n_max=1, restarts=6, iters=60)
+        val = rf.optimize_constant_csigma(ens, pd, sigma=1, n_max=1, restarts=6, iters=60)
         assert val == pytest.approx(1.0, rel=1e-4)  # scalar h with h^d = 1 costs b
+    # at any alpha, so the cost's exponent alpha/d must be the ensemble's
+    for alpha in (0.5, 1.5):
+        ens_alpha = ml.WignerEnsemble(alpha, b=1.3, a1=1.0)
+        for d in (3, 4):
+            pd = NCPolynomial.word_power(1, d)
+            val = rf.optimize_constant_csigma(ens_alpha, pd, sigma=1, n_max=1, restarts=6, iters=60)
+            assert val == pytest.approx(1.3, rel=1e-4)
     square = NCPolynomial.word_power(1, 2)
-    assert rf.optimize_constant_csigma(1.0, ens, square, sigma=-1, n_max=2, restarts=4, iters=40) == math.inf
+    assert rf.optimize_constant_csigma(ens, square, sigma=-1, n_max=2, restarts=4, iters=40) == math.inf
 
 
 def test_optimize_csigma_requires_homogeneous():
     ens = ml.WignerEnsemble(1.0)
     mixed = NCPolynomial(((1.0, (1,)), (1.0, (1, 1))), 1)
     with pytest.raises(DomainError):
-        rf.optimize_constant_csigma(1.0, ens, mixed, sigma=1)
+        rf.optimize_constant_csigma(ens, mixed, sigma=1)
 
 
 def test_variational_semicircle_target_is_zero():

@@ -70,7 +70,7 @@ def test_corexp_branches():
 
 def test_truncated_branches():
     alpha, eps, m, kappa = 1.5, 0.1, 2.0, 1.0
-    w = weights.truncated(alpha, eps, m=m, kappa=kappa)
+    w = weights.truncated(alpha, eps, m=m)
     cut = m / eps
     t = cut + 1.0
     expected = (1 - kappa * eps ** min(alpha / 2, 1.0)) * t**alpha
@@ -107,7 +107,7 @@ def test_sum_weight_basics():
 
 def test_sum_weight_truncated_branch_arithmetic():
     alpha, eps, m, kappa = 0.5, 0.05, 1.0, 1.0
-    w = weights.truncated(alpha, eps, m=m, kappa=kappa)
+    w = weights.truncated(alpha, eps, m=m)
     t = m / eps + 1.0
     for k in (1, 3, 6):
         h = np.full(k, t)
@@ -255,8 +255,8 @@ def test_corexp_dominated_by_talagrand_comparison():
 def test_split_enlargement_postconditions(alpha, m, eps):
     kappa = 1.0
     rng = np.random.default_rng(int(alpha * 10 + m * 100 + eps * 1000))
-    w = weights.truncated(alpha, eps, m=m, kappa=kappa)
-    km = weights.split_constant(alpha, eps, m, kappa)
+    w = weights.truncated(alpha, eps, m=m)
+    km = weights.split_constant(alpha, eps, m)
     for _ in range(125):  # 8 parameter combinations x 125 = 1000 inputs
         y = rng.standard_cauchy(100) * rng.uniform(0.1, 30)
         y1, y2 = weights.split_enlargement(y, eps, m)
