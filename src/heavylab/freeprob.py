@@ -44,10 +44,6 @@ class NCPolynomial:
         return max((len(w) for _, w in self.monomials), default=0)
 
     @staticmethod
-    def letter(i: int, p: int | None = None) -> "NCPolynomial":
-        return NCPolynomial(((1.0, (i,)),), p or i)
-
-    @staticmethod
     def word_power(i: int, k: int) -> "NCPolynomial":
         """The monomial x_i^k."""
         return NCPolynomial(((1.0, (i,) * k),), i)

@@ -21,7 +21,6 @@ positive orthant where g lives.
 
 from __future__ import annotations
 
-import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -52,26 +51,6 @@ class WeightField:
             raise DomainError(f"values must have shape {(self.n + 1,) * self.d}")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(f"d={self.d},n={self.n}\n")
-        for idx in itertools.product(range(self.n + 1), repeat=self.d):
-            coords = ",".join(str(i) for i in idx)
-            buf.write(f"{coords},{float(self.values[idx])!r}\n")
-        return buf.getvalue()
-
-    @staticmethod
-    def from_csv(text: str) -> "WeightField":
-        lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-        header = dict(kv.split("=") for kv in lines[0].split(","))
-        d, n = int(header["d"]), int(header["n"])
-        vals = np.zeros((n + 1,) * d)
-        for line in lines[1:]:
-            toks = line.split(",")
-            idx = tuple(int(t) for t in toks[:d])
-            vals[idx] = float(toks[d])
-        return WeightField(d, n, vals)
 
 
 def sample_field(alpha: float, d: int, n: int, seed: int, stream: int = 0) -> WeightField:

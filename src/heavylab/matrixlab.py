@@ -21,7 +21,6 @@ many replicas the pool runs at once.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -82,7 +81,7 @@ def unit_variance_ensemble(alpha: float, beta: int = BETA_SYMMETRIC) -> WignerEn
 class HermitianMatrix:
     """Dense self-adjoint matrix, read-only; spectra are cached on first request.
 
-    ``HermitianMatrix(upper)`` takes a square array from outside (a CSV, a
+    ``HermitianMatrix(upper)`` takes a square array from outside (a
     rate-function search, a test) and builds the stored matrix from its
     upper triangle: the strict lower triangle is replaced by the mirrored
     (conjugated) upper one and the diagonal by its real part.  Matrices
@@ -151,33 +150,6 @@ class HermitianMatrix:
         if q <= 0:
             raise DomainError("schatten needs q > 0")
         return float(np.sum(np.abs(self.spectrum()) ** q) ** (1.0 / q))
-
-    def to_csv(self, ens: WignerEnsemble | None = None) -> str:
-        """Row-major upper-triangle CSV with a one-line header (n, beta, alpha)."""
-        alpha = ens.alpha if ens is not None else float("nan")
-        buf = io.StringIO()
-        buf.write(f"n={self.n},beta={self.beta},alpha={alpha!r}\n")
-        for i in range(self.n):
-            row = self.mat[i, i:]
-            if self.beta == BETA_HERMITIAN:
-                buf.write(",".join(repr(complex(v)) for v in row))
-            else:
-                buf.write(",".join(repr(float(v)) for v in row))
-            buf.write("\n")
-        return buf.getvalue()
-
-    @staticmethod
-    def from_csv(text: str) -> "HermitianMatrix":
-        lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-        header = dict(kv.split("=") for kv in lines[0].split(","))
-        n = int(header["n"])
-        beta = int(header["beta"])
-        dtype = complex if beta == BETA_HERMITIAN else float
-        upper = np.zeros((n, n), dtype=dtype)
-        for i, line in enumerate(lines[1 : n + 1]):
-            vals = [dtype(tok) for tok in line.split(",")]
-            upper[i, i:] = vals
-        return HermitianMatrix(upper)
 
 
 @lru_cache(maxsize=8)

@@ -288,17 +288,12 @@ def mu(alpha: float) -> AlphaLaw:
     return AlphaLaw(alpha, "one")
 
 
-def moment(law: AlphaLaw, k: int, signed: bool = False) -> float:
-    """k-th moment: E|X|^k = Gamma((k+1)/alpha) / Gamma(1/alpha).
-
-    With ``signed=True`` odd moments of the symmetric law vanish.
-    """
+def moment(law: AlphaLaw, k: int) -> float:
+    """k-th absolute moment: E|X|^k = Gamma((k+1)/alpha) / Gamma(1/alpha)."""
     if k < 0:
         raise DomainError(f"moment order must be non-negative, got {k}")
     if k == 0:
         return 1.0
-    if signed and law.sided == "two" and k % 2 == 1:
-        return 0.0
     a = law.alpha
     try:
         return math.exp(math.lgamma((k + 1.0) / a) - math.lgamma(1.0 / a))

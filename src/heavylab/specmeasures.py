@@ -346,22 +346,44 @@ def frac_integral(sigma: Measure1D, alpha: float, t: float, side: str) -> float:
     return float(np.sum(sigma.weights[mask] * gaps**alpha) / math.gamma(alpha + 1.0))
 
 
-def semicircle_measure(n_atoms: int = 2000) -> Measure1D:
-    """Equal-mass quantile discretization of the semicircle law on [-2, 2]."""
-    # imported here, not at the top: scipy.optimize nearly doubles the
-    # package's import time, and only this table needs it
-    from scipy.optimize import brentq
+def _semicircle_cdf(x: np.ndarray) -> np.ndarray:
+    """Distribution function of the semicircle law, for x in [-2, 2]."""
+    return 0.5 + x * np.sqrt(4.0 - x * x) / (4.0 * math.pi) + np.arcsin(x / 2.0) / math.pi
 
+
+def semicircle_measure(n_atoms: int = 2000) -> Measure1D:
+    """Equal-mass quantile discretization of the semicircle law on [-2, 2].
+
+    Atom k is a double whose CDF is no farther from q_k = (k + 1/2) / n_atoms
+    than at either neighbouring double.  One vectorised bisection of the
+    closed-form CDF runs on the atoms still live: an atom leaves at an exact
+    hit (the q = 1/2 atom of odd n_atoms is 0 at the first step) or once its
+    bracket is two adjacent doubles.  The rounded CDF is not monotone from
+    one double to the next near the edges, so each atom then walks from its
+    bracket's lower end to a neighbour while that is strictly nearer q_k,
+    the lower neighbour on a tie.
+    """
     if n_atoms < 1:
         raise DomainError("need at least one atom")
-
-    def cdf(x):
-        x = min(max(x, -2.0), 2.0)
-        return 0.5 + x * math.sqrt(4.0 - x * x) / (4.0 * math.pi) + math.asin(x / 2.0) / math.pi
-
     qs = (np.arange(n_atoms) + 0.5) / n_atoms
-    atoms = np.array([brentq(lambda x: cdf(x) - q, -2.0, 2.0, xtol=1e-14) for q in qs])
-    return Measure1D.from_atoms(atoms)
+    lo, hi = np.full(n_atoms, -2.0), np.full(n_atoms, 2.0)
+    live = np.arange(n_atoms)
+    while live.size:
+        mid = 0.5 * (lo[live] + hi[live])
+        inner = (lo[live] < mid) & (mid < hi[live])
+        live, mid = live[inner], mid[inner]
+        cdf = _semicircle_cdf(mid)
+        lo[live] = np.where(cdf <= qs[live], mid, lo[live])
+        hi[live] = np.where(cdf >= qs[live], mid, hi[live])
+    dist = lambda x: np.abs(_semicircle_cdf(x) - qs)
+    atoms = lo
+    while True:
+        down, up = np.nextafter(atoms, -np.inf), np.nextafter(atoms, np.inf)
+        step = np.where(dist(up) < dist(down), up, down)
+        nearer = dist(step) < dist(atoms)
+        if not nearer.any():
+            return Measure1D.from_atoms(atoms)
+        atoms = np.where(nearer, step, atoms)
 
 
 def freeconv_transform(nu: Measure1D, z_nodes):

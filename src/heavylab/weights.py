@@ -97,7 +97,15 @@ def _weight_table(w, grid: np.ndarray) -> np.ndarray:
         hit = _TABLE_CACHE.get(key)
         if hit is not None:
             return hit
-    table = w(grid[:, None] - grid[None, :])
+    # built 64 rows at a time, the blocks `inf_convolution` evaluates above
+    # 1600 nodes, so no n x n temporary of w's expression is ever live; each
+    # block holds its differences until w has read them
+    n = grid.size
+    table = np.empty((n, n))
+    for start in range(0, n, 64):
+        rows = table[start : start + 64]
+        np.subtract(grid[start : start + 64, None], grid[None, :], out=rows)
+        rows[...] = w(rows)
     if key is not None:
         if len(_TABLE_CACHE) > 8:
             _TABLE_CACHE.clear()

@@ -216,9 +216,12 @@ def test_module_run_does_not_preload_cli():
 
 def test_import_loads_no_scipy_subpackage():
     # every CLI process pays for the package's imports; scipy.optimize alone
-    # once took two thirds of them, and scipy.special most of the rest
+    # once took two thirds of them, and scipy.special most of the rest; the
+    # semicircle quantile table once loaded scipy.optimize for its root finds
     probe = (
-        "import sys, heavylab, heavylab.cli; print(sorted(name for name, mod in sys.modules.items()"
+        "import sys, heavylab, heavylab.cli, heavylab.specmeasures;"
+        " heavylab.specmeasures.semicircle_measure(200);"
+        " print(sorted(name for name, mod in sys.modules.items()"
         " if name.startswith('scipy.') and name.count('.') == 1 and hasattr(mod, '__path__')"
         " and not name.startswith('scipy._')), 'numpy.f2py' in sys.modules,"
         " 'numpy.testing' in sys.modules)"

@@ -70,14 +70,14 @@ def test_parse_polynomial_formats():
 
 def test_eval_trace_identity_and_swap():
     eye = ml.HermitianMatrix(np.eye(4))
-    assert fp.eval_trace(fp.NCPolynomial.letter(1), (eye,), normalize=True) == pytest.approx(1.0)
+    assert fp.eval_trace(fp.NCPolynomial(((1.0, (1,)),), 1), (eye,), normalize=True) == pytest.approx(1.0)
     swap = ml.HermitianMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
     sq = fp.NCPolynomial.word_power(1, 2)
     assert fp.eval_trace(sq, (swap,), normalize=True) == pytest.approx(1.0)
     with pytest.raises(DomainError):
         fp.eval_trace(sq, (eye, ml.HermitianMatrix(np.eye(3))))
     with pytest.raises(DomainError):
-        fp.eval_trace(fp.NCPolynomial.letter(2, p=2), (eye,))
+        fp.eval_trace(fp.NCPolynomial(((1.0, (2,)),), 2), (eye,))
 
 
 def test_eval_trace_unitary_conjugation_invariance():

@@ -58,14 +58,11 @@ def site_passage(values):
     return lpp.last_passage(field, (0,) * values.ndim, tuple(s - 1 for s in values.shape))
 
 
-def test_field_validation_and_csv():
+def test_field_validation():
     with pytest.raises(DomainError):
         lpp.WeightField(4, 2, np.zeros((3, 3, 3, 3)))
     with pytest.raises(DomainError):
         lpp.WeightField(2, 2, np.zeros((2, 2)))
-    f = lpp.sample_field(0.5, 2, 3, seed=1)
-    again = lpp.WeightField.from_csv(f.to_csv())
-    assert np.array_equal(f.values, again.values)
 
 
 def test_last_passage_trivial_cases():

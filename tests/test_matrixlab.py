@@ -251,20 +251,6 @@ def test_weyl_stability():
         assert abs((a + e).largest_eig() - a.largest_eig()) <= e.lp_norm(2.0) + 1e-12
 
 
-# ------------------------------------------------------------- serialization
-
-
-def test_matrix_csv_roundtrip_real_and_complex():
-    rng = np.random.default_rng(31)
-    ens = ml.WignerEnsemble(1.3, beta=2)
-    a = ml.sample_wigner(ens, 6, seed=3)
-    again = ml.HermitianMatrix.from_csv(a.to_csv(ens))
-    assert np.array_equal(a.mat, again.mat)
-    b = ml.HermitianMatrix(rng.normal(size=(5, 5)))
-    again_b = ml.HermitianMatrix.from_csv(b.to_csv())
-    assert np.array_equal(b.mat, again_b.mat)
-
-
 # -------------------------------------------------- free convolution MC audit
 
 

@@ -122,6 +122,25 @@ def test_g_semicircle_self_consistency():
         sm.g_semicircle(0.5)
 
 
+def test_semicircle_measure_atoms_are_nearest_quantiles():
+    density = lambda x: math.sqrt(4.0 - x * x) / (2.0 * math.pi)
+    for x in (-2.0, -1.3, 0.0, 0.4, 1.9, 2.0):
+        want = integrate.quad(density, -2.0, x, epsabs=1e-14)[0]
+        assert sm._semicircle_cdf(np.array(x)) == pytest.approx(want, abs=1e-12)
+    for n in (1, 2, 199, 200, 2000):
+        m = sm.semicircle_measure(n)
+        q = (np.arange(n) + 0.5) / n
+        assert m.atoms.size == n and np.all(np.diff(m.atoms) > 0.0)
+        assert np.all(m.weights == 1.0 / n)
+        err = np.abs(sm._semicircle_cdf(m.atoms) - q)
+        for side in (-np.inf, np.inf):
+            neighbour = np.nextafter(m.atoms, side)
+            assert np.all(err <= np.abs(sm._semicircle_cdf(neighbour) - q))
+    assert sm.semicircle_measure(1).atoms.tolist() == [0.0]
+    with pytest.raises(DomainError):
+        sm.semicircle_measure(0)
+
+
 def test_contour_invariants():
     c = sm.default_contour()
     assert c.nodes.size == 64
@@ -315,7 +334,7 @@ def test_golden_max_matches_scalar_search(iters):
 def test_distance_dp_benchmark_pair_pinned():
     small = sm.semicircle_measure(200)
     dilated = small.dilate(1.05)
-    pinned = {0.25: 0.014452800899268828, 0.5: 0.014726446038897473, 0.75: 0.01686586660759687}
+    pinned = {0.25: 0.014452800899268814, 0.5: 0.014726446038897445, 0.75: 0.01686586660759687}
     for p, value in pinned.items():
         assert sm.distance_dp(small, dilated, p) == value
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,6 +177,39 @@ def test_inf_convolution_large_grid_with_inf_entries():
     rows = np.unique(np.r_[0 : grid.size : 16, 63, 64, 1535, 1536, 1599, 1600])
     fw = weights.inf_convolution(f, w, grid)
     assert np.array_equal(fw[rows], brute_inf_conv(f, w, grid, at=grid[rows]))
+
+
+TABLE_WEIGHTS = [weights.talagrand(0.4), weights.corexp(0.45), weights.truncated(0.7, 0.2)]
+
+
+def test_weight_table_blocks_equal_whole_table():
+    # block ends at 64 rows; corexp switches branch at |t| = 9.9, truncated at 5
+    rng = np.random.default_rng(29)
+    for n in (1, 63, 64, 65, 1201):
+        uniform = np.linspace(-30, 30, n)
+        random = np.sort(rng.uniform(-30, 30, n)) + 1e-9 * np.arange(n)
+        for grid in (uniform, random):
+            for w in TABLE_WEIGHTS:
+                weights._TABLE_CACHE.clear()
+                table = weights._weight_table(w, grid)
+                assert table.shape == (n, n)
+                assert np.array_equal(table, w(grid[:, None] - grid[None, :]))
+    weights._TABLE_CACHE.clear()
+
+
+def test_weight_table_build_memory():
+    # the whole-table expression peaked at 4-5 tables (56 MB for 11.5 MB)
+    grid = np.linspace(-30, 30, 1201)
+    for w in TABLE_WEIGHTS:
+        weights._TABLE_CACHE.clear()
+        tracemalloc.start()
+        try:
+            weights._weight_table(w, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * grid.size**2 * 8
+    weights._TABLE_CACHE.clear()
 
 
 def test_inf_convolution_rejects_bad_grid():
