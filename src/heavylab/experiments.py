@@ -38,7 +38,7 @@ from . import lpp, measures, pool, rng
 from . import matrixlab as ml
 from . import specmeasures as sm
 from .errors import DomainError
-from .freeprob import NCPolynomial, eval_trace, tau_semicircular, homogeneous_part
+from .freeprob import NCPolynomial, deterministic_equivalent_poly, eval_trace
 
 VERSION = "0.1.0"
 
@@ -219,8 +219,7 @@ def _eig_errors(config, n, spike):
 def _poly_errors(config, n, spike):
     poly = NCPolynomial.word_power(1, 3)
     d = poly.total_degree
-    h = ml.spike_matrix(n, spike)
-    limit = tau_semicircular(poly) + eval_trace(homogeneous_part(poly, d), (h,))
+    limit = deterministic_equivalent_poly(poly, (ml.spike_matrix(n, spike),), n)
 
     def err(y):
         return abs(eval_trace(poly, (y,), normalize=True) - limit)
@@ -329,19 +328,6 @@ def _wilson(p: float, n: int):
 
 
 # ------------------------------------------------------------- covering nets
-
-
-def sample_lp_ball(p: float, m: int, count: int, seed: int, stream: int = 0) -> np.ndarray:
-    """Uniform-like points of the unit l^p ball of R^m.
-
-    Coordinates drawn from the symmetric exponential-power law with
-    exponent p, normalized by (sum |g|^p + E)^(1/p) with E exponential;
-    valid for every p >= `measures._ALPHA_MAP_MIN` (about 0.00775), below
-    which the sampler's transport map raises `DomainError`.
-    """
-    g = measures.sample(measures.nu(p), count * m, seed, stream).reshape(count, m)
-    e = rng.exponentials(seed, stream + 2**33, count)
-    return g / _lp_radius(g, e, p)[:, None]
 
 
 def _lp_radius(v: np.ndarray, e, p: float):

@@ -58,19 +58,7 @@ class NCPolynomial:
         return _collect(self.monomials) == _collect(other.monomials)
 
     def __hash__(self):
-        return hash((tuple(sorted(_collect(self.monomials).items(), key=lambda kv: kv[0])), self.p))
-
-    def to_text(self) -> str:
-        if not self.monomials:
-            return "0"
-        parts = []
-        for coeff, word in self.monomials:
-            c = repr(coeff) if coeff.imag else repr(coeff.real)
-            if word:
-                parts.append(f"{c} * " + " ".join(f"x{k}" for k in word))
-            else:
-                parts.append(c)
-        return " + ".join(parts)
+        return hash(frozenset(_collect(self.monomials).items()))
 
 
 def _collect(monomials) -> dict:
@@ -78,62 +66,6 @@ def _collect(monomials) -> dict:
     for coeff, word in monomials:
         acc[word] = acc.get(word, 0.0) + coeff
     return {w: c for w, c in acc.items() if c != 0}
-
-
-def parse_polynomial(text: str, p: int | None = None) -> NCPolynomial:
-    """Read the textual format "coeff * x1 x2 x1" with terms joined by '+'.
-
-    The coefficient token is any Python float or complex literal (complex
-    coefficients must be parenthesized, e.g. "(1+2j) * x1 x1").  A bare
-    coefficient with no word is the constant monomial.
-    """
-    terms = _split_terms(text)
-    monomials = []
-    max_letter = 0
-    for term in terms:
-        if "*" in term:
-            coeff_tok, _, word_tok = term.partition("*")
-            letters = word_tok.split()
-            if not letters:
-                raise DomainError(f"empty word in term {term!r}")
-            word = []
-            for tok in letters:
-                if not tok.startswith("x"):
-                    raise DomainError(f"expected a letter like x1, got {tok!r}")
-                try:
-                    word.append(int(tok[1:]))
-                except ValueError as exc:
-                    raise DomainError(f"bad letter token {tok!r}") from exc
-            word = tuple(word)
-        else:
-            coeff_tok, word = term, ()
-        try:
-            coeff = complex(coeff_tok.strip())
-        except ValueError as exc:
-            raise DomainError(f"bad coefficient {coeff_tok!r}") from exc
-        monomials.append((coeff, word))
-        max_letter = max(max_letter, max(word, default=0))
-    letters_needed = max(max_letter, 1)
-    return NCPolynomial(tuple(monomials), p or letters_needed)
-
-
-def _split_terms(text: str) -> list[str]:
-    terms, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "+" and depth == 0:
-            terms.append("".join(cur).strip())
-            cur = []
-        else:
-            cur.append(ch)
-    terms.append("".join(cur).strip())
-    terms = [t for t in terms if t]
-    if not terms:
-        raise DomainError("empty polynomial text")
-    return terms
 
 
 @lru_cache(maxsize=100_000)

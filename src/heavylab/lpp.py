@@ -53,13 +53,6 @@ class WeightField:
         object.__setattr__(self, "values", vals)
 
 
-def sample_field(alpha: float, d: int, n: int, seed: int, stream: int = 0) -> WeightField:
-    """i.i.d. one-sided draws on the box."""
-    shape = (n + 1,) * d
-    draws = measures.sample(measures.mu(alpha), int(np.prod(shape)), seed, stream)
-    return WeightField(d, n, draws.reshape(shape))
-
-
 def last_passage(field: WeightField, v1, v2) -> float:
     """Maximal directed-path weight sum from v1 to v2, endpoints included."""
     v1 = tuple(int(c) for c in v1)

@@ -235,22 +235,3 @@ def spike_matrix(n: int, theta: float) -> HermitianMatrix:
     upper = np.zeros((n, n))
     upper[0, 0] = theta
     return HermitianMatrix(upper)
-
-
-def char_poly_coeffs(a: HermitianMatrix) -> np.ndarray:
-    """Characteristic polynomial coefficients via Faddeev-LeVerrier.
-
-    Returns [1, c_{n-1}, ..., c_0]; independent of any eigensolver, used as
-    a test oracle for small matrices.
-    """
-    m = np.asarray(a.mat, dtype=complex)
-    n = m.shape[0]
-    coeffs = np.zeros(n + 1, dtype=complex)
-    coeffs[0] = 1.0
-    mk = np.eye(n, dtype=complex)
-    for k in range(1, n + 1):
-        mk = m @ mk
-        ck = -np.trace(mk) / k
-        coeffs[k] = ck
-        mk += ck * np.eye(n)
-    return coeffs

@@ -239,8 +239,8 @@ def rate_I_variational(
     nodes, one per node.  Returns +inf when no feasible point is found
     within the budget.
     """
-    if n > 64:
-        raise DomainError("n is capped at 64 (desk-scale search)")
+    if not 1 <= n <= 64:
+        raise DomainError("n must lie in 1..64 (desk-scale search)")
     if delta <= 0:
         raise DomainError("delta must be positive")
     nodes = default_contour().nodes

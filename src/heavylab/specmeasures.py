@@ -12,7 +12,6 @@ fixed-point step as the safeguard.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -33,16 +32,11 @@ _DP_CHUNK = 1024
 
 @dataclass(frozen=True)
 class Measure1D:
-    """Discrete measure: strictly sorted finite atoms with matching finite weights.
-
-    Probability measures carry non-negative weights summing to 1 (checked
-    to 1e-12); signed measures (``probability=False``) reuse the same
-    container with arbitrary weights.
-    """
+    """Discrete probability measure: strictly sorted finite atoms with
+    matching finite non-negative weights summing to 1 (checked to 1e-12)."""
 
     atoms: np.ndarray
     weights: np.ndarray
-    probability: bool = True
 
     def __post_init__(self):
         atoms = np.asarray(self.atoms, dtype=float)
@@ -55,11 +49,10 @@ class Measure1D:
             raise DomainError("atoms and weights must be finite")
         if np.any(np.diff(atoms) <= 0):
             raise DomainError("atoms must be strictly sorted")
-        if self.probability:
-            if np.any(weights < 0):
-                raise DomainError("probability weights must be non-negative")
-            if abs(weights.sum() - 1.0) > 1e-12:
-                raise DomainError("probability weights must sum to 1")
+        if np.any(weights < 0):
+            raise DomainError("probability weights must be non-negative")
+        if abs(weights.sum() - 1.0) > 1e-12:
+            raise DomainError("probability weights must sum to 1")
         atoms.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "atoms", atoms)
@@ -69,6 +62,8 @@ class Measure1D:
     def from_atoms(atoms, weights=None) -> "Measure1D":
         """Probability measure from unsorted atoms, merging exact duplicates."""
         atoms = np.asarray(atoms, dtype=float)
+        if atoms.size == 0:
+            raise DomainError("a measure needs at least one atom")
         if weights is None:
             weights = np.full(atoms.size, 1.0 / atoms.size)
         weights = np.asarray(weights, dtype=float)
@@ -83,10 +78,6 @@ class Measure1D:
     def dirac(x: float) -> "Measure1D":
         return Measure1D(np.array([float(x)]), np.array([1.0]))
 
-    @property
-    def total_variation(self) -> float:
-        return float(np.sum(np.abs(self.weights)))
-
     def mean(self) -> float:
         return float(np.dot(self.atoms, self.weights))
 
@@ -98,19 +89,11 @@ class Measure1D:
         """Pushforward under x -> t x (t > 0)."""
         if t <= 0:
             raise DomainError("dilation factor must be positive")
-        return Measure1D(self.atoms * t, self.weights, probability=self.probability)
-
-    def to_csv(self) -> str:
-        """Two-column CSV (atom, weight), '.' decimal separator."""
-        buf = io.StringIO()
-        buf.write("atom,weight\n")
-        for a, w in zip(self.atoms, self.weights):
-            buf.write(f"{float(a)!r},{float(w)!r}\n")
-        return buf.getvalue()
+        return Measure1D(self.atoms * t, self.weights)
 
     @staticmethod
     def from_csv(text: str) -> "Measure1D":
-        """Probability measure from `to_csv` text; DomainError on a malformed line."""
+        """Probability measure from "atom,weight" lines; DomainError on a malformed line."""
         atoms, weights = [], []
         for line in text.strip().splitlines():
             line = line.strip()
@@ -328,7 +311,7 @@ def cp_constant(p: float) -> float:
 
 
 def frac_integral(sigma: Measure1D, alpha: float, t: float, side: str) -> float:
-    """Fractional integral of order alpha+1 of an atomic signed measure.
+    """Fractional integral of order alpha+1 of an atomic measure.
 
     side "+": (1/Gamma(alpha+1)) sum_{x_i <= t} w_i (t - x_i)^alpha;
     side "-": same with (x_i - t)^alpha over x_i >= t.

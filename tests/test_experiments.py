@@ -149,12 +149,16 @@ def test_power_fit_is_stationary():
     assert np.all(np.abs(cosines) < 1e-10)
 
 
-def test_lp_ball_sampler_inside_ball():
-    for p in (0.5, 1.0, 2.0):
-        pts = ex.sample_lp_ball(p, 16, 200, seed=3)
-        norms = np.sum(np.abs(pts) ** p, axis=1)
-        assert np.all(norms <= 1.0 + 1e-9)
-        assert norms.mean() > 0.1  # not collapsed at the origin
+def test_net_probes_lie_in_the_ball():
+    from heavylab import rng
+
+    for p in (0.3, 0.5, 1.0, 2.0):
+        gen = rng.philox(5, 2**34)
+        probes = np.array([ex._net_probe(p, 16, gen) for _ in range(400)])
+        assert np.isfinite(probes).all()
+        norms = np.sum(np.abs(probes) ** p, axis=1)
+        assert np.all(norms <= 1.0 + 1e-12)
+        assert norms.mean() > 0.5  # not collapsed at the origin
 
 
 def test_greedy_net_trivial_and_nesting():
@@ -196,16 +200,6 @@ def test_preset_rerun_byte_identical():
     assert out1 == out2
     with pytest.raises(DomainError):
         ex.run_preset("nope")
-
-
-def test_lp_ball_sampler_draws_radius_exponentials_from_offset_stream():
-    from heavylab import measures, rng
-
-    p, m, count, seed, stream = 0.7, 5, 300, 9, 4
-    g = measures.sample(measures.nu(p), count * m, seed, stream).reshape(count, m)
-    e = -np.log1p(-rng.philox(seed, stream + 2**33).random(count))
-    radius = (np.sum(np.abs(g) ** p, axis=1) + e) ** (1.0 / p)
-    assert np.array_equal(ex.sample_lp_ball(p, m, count, seed, stream), g / radius[:, None])
 
 
 def test_csv_header_splits_back_into_every_pair():

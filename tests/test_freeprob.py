@@ -40,9 +40,9 @@ def test_tau_exhaustive_short_words():
 
 
 def test_homogeneous_part():
-    poly = fp.parse_polynomial("1 * x1 + 1 * x1 x1 x1")
+    poly = fp.NCPolynomial(((1.0, (1,)), (1.0, (1, 1, 1))), 1)
     cubic = fp.homogeneous_part(poly, 3)
-    assert cubic == fp.parse_polynomial("1 * x1 x1 x1")
+    assert cubic == fp.NCPolynomial(((1.0, (1, 1, 1)),), 1)
     assert fp.homogeneous_part(poly, 2).monomials == ()
     parts = [fp.homogeneous_part(poly, k) for k in range(poly.total_degree + 1)]
     recombined = parts[0]
@@ -51,21 +51,17 @@ def test_homogeneous_part():
     assert recombined == poly
 
 
-def test_parse_polynomial_formats():
-    poly = fp.parse_polynomial("2.5 * x1 x2 x1 + -1 * x2 + 0.5")
-    assert poly.p == 2
-    assert set(poly.monomials) == {
-        (2.5 + 0j, (1, 2, 1)),
-        (-1 + 0j, (2,)),
-        (0.5 + 0j, ()),
-    }
-    roundtrip = fp.parse_polynomial(poly.to_text())
-    assert roundtrip == poly
-    cplx = fp.parse_polynomial("(1+2j) * x1 x1")
-    assert cplx.monomials[0][0] == 1 + 2j
-    for bad in ("", "* x1", "2 * y1", "two * x1"):
-        with pytest.raises(DomainError):
-            fp.parse_polynomial(bad)
+def test_equal_polynomials_hash_equal():
+    # equality compares the collected monomials only, so the hash must too
+    base = fp.NCPolynomial(((1.0, (1,)), (0.5, (2, 1))), 2)
+    equal = [
+        base,
+        fp.NCPolynomial(((0.5, (2, 1)), (1.0, (1,))), 2),
+        fp.NCPolynomial(((1.0, (1,)), (0.5, (2, 1))), 3),
+        fp.NCPolynomial(((0.25, (2, 1)), (1.0, (1,)), (0.25, (2, 1))), 2),
+    ]
+    assert all(q == base and hash(q) == hash(base) for q in equal)
+    assert len(set(equal)) == 1
 
 
 def test_eval_trace_identity_and_swap():
@@ -82,7 +78,7 @@ def test_eval_trace_identity_and_swap():
 
 def test_eval_trace_unitary_conjugation_invariance():
     rng = np.random.default_rng(2)
-    poly = fp.parse_polynomial("1 * x1 x2 x1 x2 + 0.5 * x2 x2 x1")
+    poly = fp.NCPolynomial(((1.0, (1, 2, 1, 2)), (0.5, (2, 2, 1))), 2)
     a = ml.HermitianMatrix(rng.normal(size=(9, 9)))
     b = ml.HermitianMatrix(rng.normal(size=(9, 9)))
     q, _ = np.linalg.qr(rng.normal(size=(9, 9)))

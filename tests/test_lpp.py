@@ -66,7 +66,7 @@ def test_field_validation():
 
 
 def test_last_passage_trivial_cases():
-    f = lpp.sample_field(0.5, 2, 3, seed=2)
+    f = lpp.WeightField(2, 3, measures.sample(measures.mu(0.5), 16, 2).reshape(4, 4))
     assert lpp.last_passage(f, (1, 2), (1, 2)) == f.values[1, 2]
     ones = lpp.WeightField(2, 1, np.ones((2, 2)))
     assert lpp.last_passage(ones, (0, 0), (1, 1)) == 3.0

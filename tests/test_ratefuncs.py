@@ -137,6 +137,14 @@ def test_variational_rejects_a_target_off_the_contour(shape):
         rf.rate_I_variational(target, 1.0, ens, n=8, delta=0.05, restarts=1, iters=1)
 
 
+@pytest.mark.parametrize("n", [0, 65])
+def test_variational_rejects_a_size_outside_1_to_64(n):
+    ens = ml.WignerEnsemble(1.0, b=1.0, a1=2.0)
+    target = sm.g_semicircle(sm.default_contour().nodes)
+    with pytest.raises(DomainError, match="1..64"):
+        rf.rate_I_variational(target, 1.0, ens, n=n, delta=0.05, restarts=1, iters=1)
+
+
 def test_variational_large_delta_everything_feasible():
     ens = ml.WignerEnsemble(1.0, b=1.0, a1=2.0)
     nu = sm.Measure1D(np.array([-2.0, 2.0]), np.array([0.5, 0.5]))
