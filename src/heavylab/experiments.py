@@ -9,12 +9,14 @@ can differ in the last digits with the BLAS thread count.
 Spectral audits and curves share one replica loop, `_wigner_replicas`: each
 replica's Wigner matrix is built once, divided by sqrt(n) in place, shifted
 in place at its [0, 0] corner (the rank-one spike of the curves) and handed
-to the functional.  Its chunks of streams run on the replica pool that
-`lpp.passage_times` uses as well (`pool.run`).  When the pool runs more
-than one thread, eigensolves run on one BLAS thread each and release the
-interpreter lock (`openblas`).  Matrices too large for two in the pool's
-memory budget (n >= 916 for beta = 1, n >= 648 for beta = 2) run serially on
-the default BLAS.
+to the functional.  The ``largest_eig`` audit and the "eig" curve solve
+for the top eigenvalue alone (`HermitianMatrix.largest_eig`); the
+``esm_distance`` audit and the "esm" curve take whole spectra.  The loop's
+chunks of streams run on the replica pool that `lpp.passage_times` uses as
+well (`pool.run`).  When the pool runs more than one thread, eigensolves
+run on one BLAS thread each and release the interpreter lock (`openblas`).
+Matrices too large for two in the pool's memory budget (n >= 916 for
+beta = 1, n >= 648 for beta = 2) run serially on the default BLAS.
 
 Every output goes through one of two emitters, and both open with a header
 carrying the package version, the resolved config and its hash.

@@ -145,8 +145,9 @@ def eval_trace(poly: NCPolynomial, mats, normalize: bool = False):
     n = mats[0].n
     if any(m.n != n for m in mats):
         raise DomainError("all matrices must share one dimension")
-    if poly.p > len(mats):
-        raise DomainError(f"polynomial uses {poly.p} letters, got {len(mats)} matrices")
+    letters = max((max(word) for _, word in poly.monomials if word), default=0)
+    if letters > len(mats):
+        raise DomainError(f"polynomial uses {letters} letters, got {len(mats)} matrices")
     total = 0.0 + 0.0j
     for coeff, word in poly.monomials:
         if not word:

@@ -13,10 +13,12 @@ so each draw flows through the transport-map sampler of `measures`.
 closed-form moments so that E|X_12|^2 = 1.
 
 Spectra come from `openblas.eigvalsh`, the LAPACK call `np.linalg.eigvalsh`
-makes, with identical output; it releases the interpreter lock, so the
-replica pool's threads solve at the same time.  `_replica_cells` gives the
-memory one sampled matrix holds until its spectrum is known, which sets how
-many replicas the pool runs at once.
+makes, with identical output.  The largest eigenvalue is solved alone by
+`openblas.largest_eigvalsh` and agrees with the spectrum's last entry to
+rounding.  Both release the interpreter lock, so the replica pool's threads
+solve at the same time.  `_replica_cells` gives the memory one sampled
+matrix holds until its spectrum is known, which sets how many replicas the
+pool runs at once.
 """
 
 from __future__ import annotations
@@ -130,7 +132,13 @@ class HermitianMatrix:
         return self._spectrum
 
     def largest_eig(self) -> float:
-        return float(self.spectrum()[-1])
+        """Largest eigenvalue, solved alone (`openblas.largest_eigvalsh`).
+
+        It never reads the cached spectrum, so its value does not depend on
+        whether `spectrum` ran first; it agrees with ``spectrum()[-1]`` to
+        rounding, not bit for bit.
+        """
+        return openblas.largest_eigvalsh(self.mat)
 
     def esm(self) -> Measure1D:
         """Empirical spectral measure: eigenvalue atoms, uniform weights."""

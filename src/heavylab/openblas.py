@@ -3,19 +3,27 @@
 numpy wheels link one OpenBLAS build, ``libscipy_openblas64_`` (64-bit
 integers, symbols prefixed ``scipy_``), but expose neither its thread count
 nor an eigensolve that releases the interpreter lock.  This module finds
-that library on first use and offers both:
+that library on first use and offers:
 
 - `single_threaded` pins the BLAS to one thread for the duration of a block
   and restores the previous count after it.  The setting is process-global:
   any BLAS work of the process runs single-threaded while the block is open.
 - `eigvalsh` makes the call `np.linalg.eigvalsh` makes (``dsyevd`` or
   ``zheevd``, eigenvalues only, lower triangle, a Fortran-order copy and the
-  queried workspace), so its eigenvalues equal numpy's bit for bit.  ctypes
-  releases the interpreter lock for the call, so eigensolves on different
-  threads run at the same time.
+  queried workspace), so its eigenvalues equal numpy's bit for bit.
+- `largest_eigvalsh` asks ``dsyevr`` or ``zheevr`` for the top eigenvalue
+  alone (index n of n, eigenvalues only, lower triangle, absolute tolerance
+  0): the reduction to tridiagonal form, then bisection for one eigenvalue
+  instead of the whole spectrum.  It agrees with ``eigvalsh(a)[-1]`` to
+  rounding, not bit for bit.
+
+ctypes releases the interpreter lock for each solve, so eigensolves on
+different threads run at the same time.  Both solves raise
+`np.linalg.LinAlgError` when the solver fails or an eigenvalue is not
+finite, as a NaN or infinite entry makes it.
 
 Where the library or one of its symbols is missing (another numpy build),
-`eigvalsh` is numpy's and `single_threaded` does nothing.
+both solves are numpy's and `single_threaded` does nothing.
 """
 
 from __future__ import annotations
@@ -30,12 +38,26 @@ import numpy as np
 
 _INT = ctypes.c_int64  # the library's integers
 _INT_P = ctypes.POINTER(_INT)
+_DOUBLE_P = ctypes.POINTER(ctypes.c_double)
 _PTR = ctypes.c_void_p
-# Per matrix dtype: the solver and its workspaces' dtypes (work, [rwork,] iwork)
-_SOLVERS = {
-    np.dtype(float): ("scipy_dsyevd_64_", (np.dtype(float), np.dtype(np.int64))),
-    np.dtype(complex): (
-        "scipy_zheevd_64_", (np.dtype(complex), np.dtype(float), np.dtype(np.int64))
+_CHAR = ctypes.c_char_p
+# Per matrix dtype: the workspace dtypes (work, [rwork,] iwork) of both kinds of solve
+_WORK = {
+    np.dtype(float): (np.dtype(float), np.dtype(np.int64)),
+    np.dtype(complex): (np.dtype(complex), np.dtype(float), np.dtype(np.int64)),
+}
+# Per kind of solve: its routine per matrix dtype, and the argument types before the workspaces
+_ROUTINES = {
+    # all eigenvalues: jobz, uplo, n, a, lda, w
+    "evd": (
+        {np.dtype(float): "scipy_dsyevd_64_", np.dtype(complex): "scipy_zheevd_64_"},
+        [_CHAR, _CHAR, _INT_P, _PTR, _INT_P, _PTR],
+    ),
+    # a range of indices: jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol, m, w, z, ldz, isuppz
+    "evr": (
+        {np.dtype(float): "scipy_dsyevr_64_", np.dtype(complex): "scipy_zheevr_64_"},
+        [_CHAR, _CHAR, _CHAR, _INT_P, _PTR, _INT_P, _DOUBLE_P, _DOUBLE_P, _INT_P, _INT_P,
+         _DOUBLE_P, _INT_P, _PTR, _PTR, _INT_P, _PTR],
     ),
 }
 
@@ -53,16 +75,16 @@ def _library():
             lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
             lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
             lib.scipy_openblas_set_num_threads64_.restype = None
-            for name, work in _SOLVERS.values():
-                solver = getattr(lib, name)
-                # jobz, uplo, n, a, lda, w, each workspace and its length, info,
-                # and the hidden lengths of the two character arguments
-                solver.argtypes = (
-                    [ctypes.c_char_p, ctypes.c_char_p, _INT_P, _PTR, _INT_P, _PTR]
-                    + [_PTR, _INT_P] * len(work)
-                    + [_INT_P, ctypes.c_size_t, ctypes.c_size_t]
-                )
-                solver.restype = None
+            for names, lead in _ROUTINES.values():
+                for dtype, name in names.items():
+                    solver = getattr(lib, name)
+                    # the leading arguments, each workspace and its length, info,
+                    # and the hidden length of each character argument
+                    solver.argtypes = (
+                        lead + [_PTR, _INT_P] * len(_WORK[dtype]) + [_INT_P]
+                        + [ctypes.c_size_t] * lead.count(_CHAR)
+                    )
+                    solver.restype = None
         except (OSError, AttributeError):
             continue
         return lib
@@ -84,46 +106,89 @@ def single_threaded():
         lib.scipy_openblas_set_num_threads64_(old)
 
 
-# Per (n, dtype): the workspace lengths the solver's size query reports
-_LENGTHS: dict[tuple[int, np.dtype], tuple[int, ...]] = {}
+# Per (kind, n, dtype): the workspace lengths the solver's size query reports
+_LENGTHS: dict[tuple[str, int, np.dtype], tuple[int, ...]] = {}
 
 
-def _solve(lib, a: np.ndarray, lengths) -> tuple[int, np.ndarray, list[np.ndarray]]:
-    """One ``?syevd``/``?heevd`` call on a Fortran-order copy of ``a``.
+def _solve(lib, kind: str, a: np.ndarray, lengths) -> tuple[int, np.ndarray, list[np.ndarray]]:
+    """One call of the kind's routine on a Fortran-order copy of ``a``.
 
-    Returns (info, eigenvalues, workspaces).  Lengths of -1 query the
+    Returns (info, eigenvalues, workspaces): all n eigenvalues for ``evd``,
+    those found of the top one for ``evr``.  Lengths of -1 query the
     workspace sizes into each workspace's first entry.
     """
     fortran = np.array(a, order="F")  # the solver overwrites it
     w = np.empty(a.shape[0])
-    work = [np.empty(max(k, 1), dt) for k, dt in zip(lengths, _SOLVERS[a.dtype][1])]
-    args = []
+    work = [np.empty(max(k, 1), dt) for k, dt in zip(lengths, _WORK[a.dtype])]
+    dim, info = _INT(a.shape[0]), _INT(0)
+    found = _INT(a.shape[0])  # evd finds all n; evr reports its count here
+    names, lead = _ROUTINES[kind]
+    if kind == "evd":
+        args = [
+            b"N", b"L", ctypes.byref(dim), fortran.ctypes.data, ctypes.byref(dim), w.ctypes.data,
+        ]
+    else:
+        # vl, vu and abstol are 0 (the first two unread); il = iu = n; no
+        # eigenvectors, so z and isuppz are placeholders and ldz is 1
+        zero, one = ctypes.c_double(0.0), _INT(1)
+        z, isuppz = np.empty(1, a.dtype), np.empty(2, np.int64)
+        args = [
+            b"N", b"I", b"L", ctypes.byref(dim), fortran.ctypes.data, ctypes.byref(dim),
+            ctypes.byref(zero), ctypes.byref(zero), ctypes.byref(dim), ctypes.byref(dim),
+            ctypes.byref(zero), ctypes.byref(found), w.ctypes.data, z.ctypes.data,
+            ctypes.byref(one), isuppz.ctypes.data,
+        ]
     for buf, k in zip(work, lengths):
         args += [buf.ctypes.data, ctypes.byref(_INT(k))]
-    dim, info = _INT(a.shape[0]), _INT(0)
-    getattr(lib, _SOLVERS[a.dtype][0])(
-        b"N", b"L", ctypes.byref(dim), fortran.ctypes.data, ctypes.byref(dim),
-        w.ctypes.data, *args, ctypes.byref(info), 1, 1,
-    )
-    return info.value, w, work
+    getattr(lib, names[a.dtype])(*args, ctypes.byref(info), *[1] * lead.count(_CHAR))
+    return info.value, w[: found.value], work
+
+
+def _native(kind: str, a: np.ndarray) -> np.ndarray | None:
+    """The eigenvalues of ``a`` from the library, or None where numpy solves.
+
+    Square float64 and complex128 matrices go to the library without the
+    interpreter lock; other shapes and dtypes, an empty matrix or a missing
+    library go to numpy.
+    """
+    lib = _library()
+    square = a.ndim == 2 and a.shape[0] == a.shape[1] > 0
+    if lib is None or not square or a.dtype not in _WORK:
+        return None
+    key = kind, a.shape[0], a.dtype
+    if key not in _LENGTHS:
+        _, _, work = _solve(lib, kind, a, (-1,) * len(_WORK[a.dtype]))
+        _LENGTHS[key] = tuple(int(buf[0].real) for buf in work)
+    info, w, _ = _solve(lib, kind, a, _LENGTHS[key])
+    if info != 0 or w.size == 0:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return w
+
+
+def _finite(w: np.ndarray) -> np.ndarray:
+    """``w``, once every eigenvalue in it is known to be finite."""
+    if not np.isfinite(w).all():
+        raise np.linalg.LinAlgError("Eigenvalues are not finite")
+    return w
 
 
 def eigvalsh(a: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a self-adjoint matrix from its lower triangle.
 
-    Equal to ``np.linalg.eigvalsh(a)`` bit for bit.  Square float64 and
-    complex128 matrices go to the library without the interpreter lock;
-    other shapes and dtypes, an empty matrix or a missing library go to numpy.
+    Equal to ``np.linalg.eigvalsh(a)`` bit for bit (``dsyevd``/``zheevd``);
+    raises `np.linalg.LinAlgError` where one is not finite.
     """
-    lib = _library()
-    square = a.ndim == 2 and a.shape[0] == a.shape[1] > 0
-    if lib is None or not square or a.dtype not in _SOLVERS:
-        return np.linalg.eigvalsh(a)
-    key = a.shape[0], a.dtype
-    if key not in _LENGTHS:
-        _, _, work = _solve(lib, a, (-1,) * len(_SOLVERS[a.dtype][1]))
-        _LENGTHS[key] = tuple(int(buf[0].real) for buf in work)
-    info, w, _ = _solve(lib, a, _LENGTHS[key])
-    if info != 0:
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    return w
+    w = _native("evd", a)
+    return _finite(np.linalg.eigvalsh(a) if w is None else w)
+
+
+def largest_eigvalsh(a: np.ndarray) -> float:
+    """Largest eigenvalue of a self-adjoint matrix from its lower triangle.
+
+    Solved alone (``dsyevr``/``zheevr``, index n of n), so it agrees with
+    ``np.linalg.eigvalsh(a)[-1]`` to rounding, not bit for bit; where numpy
+    solves, it is that value.  Raises `np.linalg.LinAlgError` where it is
+    not finite.
+    """
+    w = _native("evr", a)
+    return float(_finite(np.linalg.eigvalsh(a)[-1:] if w is None else w)[0])

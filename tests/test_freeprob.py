@@ -76,6 +76,14 @@ def test_eval_trace_identity_and_swap():
         fp.eval_trace(fp.NCPolynomial(((1.0, (2,)),), 2), (eye,))
 
 
+def test_eval_trace_reads_the_letters_the_polynomial_uses():
+    # equal polynomials, declared over one letter and over two
+    one, two = (fp.NCPolynomial(((1.0, (1,)),), p) for p in (1, 2))
+    assert one == two
+    eye = ml.HermitianMatrix(np.eye(3))
+    assert fp.eval_trace(one, (eye,)) == fp.eval_trace(two, (eye,)) == 3.0
+
+
 def test_eval_trace_unitary_conjugation_invariance():
     rng = np.random.default_rng(2)
     poly = fp.NCPolynomial(((1.0, (1, 2, 1, 2)), (0.5, (2, 2, 1))), 2)

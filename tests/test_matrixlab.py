@@ -123,6 +123,17 @@ def test_largest_eigenvalue_near_two():
     assert abs(np.mean(tops) - 2.0) < 0.15
 
 
+def test_largest_eig_does_not_depend_on_the_cached_spectrum():
+    ens = ml.unit_variance_ensemble(0.5, beta=2)
+    first = ml.sample_wigner(ens, 60, seed=8)
+    top = first.largest_eig()
+    first.spectrum()
+    assert first.largest_eig() == top
+    second = ml.sample_wigner(ens, 60, seed=8)
+    second.spectrum()
+    assert second.largest_eig() == top
+
+
 # ----------------------------------------------------------------- spectrum
 
 

@@ -1,4 +1,4 @@
-"""The replica pool, its BLAS pin, and the ctypes eigensolver the spectral replicas use."""
+"""The replica pool, its BLAS pin, and the ctypes eigensolvers the spectral replicas use."""
 
 import glob
 import math
@@ -68,10 +68,64 @@ def test_eigvalsh_equals_numpy(n):
         assert np.array_equal(openblas.eigvalsh(a), np.linalg.eigvalsh(a))
 
 
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0, 2.0])
+def test_largest_eigvalsh_agrees_with_numpy_to_rounding(alpha, beta):
+    # the top eigenvalue alone is not numpy's to the bit: within 128 units
+    # of rounding of the spectral norm, a bound fixed before measuring
+    ens = ml.unit_variance_ensemble(alpha, beta=beta)
+    for n in (1, 2, 3, 8, 33, 200, 400):
+        for stream in (0, 1):
+            a = ml.sample_wigner(ens, n, seed=13, stream=stream).mat
+            w = np.linalg.eigvalsh(a)
+            bound = 128 * np.finfo(float).eps * max(-w[0], w[-1])
+            assert abs(openblas.largest_eigvalsh(a) - w[-1]) <= bound
+
+
+def test_largest_eigvalsh_exact_cases():
+    for dtype in (float, complex):
+        assert openblas.largest_eigvalsh(np.array([[-2.75]], dtype)) == -2.75
+        for n in (1, 5, 40):
+            assert openblas.largest_eigvalsh(np.eye(n, dtype=dtype)) == 1.0
+            assert openblas.largest_eigvalsh(np.zeros((n, n), dtype)) == 0.0
+
+
+def test_other_inputs_take_the_numpy_path(monkeypatch):
+    eigvalsh, shapes = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
+    single = np.diag([1.0, 3.0, 2.0]).astype(np.float32)
+    assert np.array_equal(openblas.eigvalsh(single), eigvalsh(single))
+    assert openblas.largest_eigvalsh(single) == 3.0
+    empty = np.empty((0, 0))
+    assert openblas.eigvalsh(empty).shape == (0,)
+    with pytest.raises(IndexError):
+        openblas.largest_eigvalsh(empty)
+    for solve in (openblas.eigvalsh, openblas.largest_eigvalsh):
+        with pytest.raises(np.linalg.LinAlgError):
+            solve(np.ones((2, 3)))
+    assert shapes == [(3, 3)] * 2 + [(0, 0)] * 2 + [(2, 3)] * 2
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_entries_raise(bad, beta):
+    for i, j in ((1, 1), (2, 1)):
+        a = np.eye(4, dtype=float if beta == 1 else complex)
+        a[i, j] = a[j, i] = bad
+        for solve in (openblas.eigvalsh, openblas.largest_eigvalsh):
+            with pytest.raises(np.linalg.LinAlgError):
+                solve(a)
+
+
 def test_missing_library_falls_back_to_numpy(monkeypatch):
     monkeypatch.setattr(openblas, "_library", lambda: None)
     for a in hermitian_pair(30):
         assert np.array_equal(openblas.eigvalsh(a), np.linalg.eigvalsh(a))
+        assert openblas.largest_eigvalsh(a) == np.linalg.eigvalsh(a)[-1]
+        a[2, 1] = a[1, 2] = math.inf
+        for solve in (openblas.eigvalsh, openblas.largest_eigvalsh):
+            with pytest.raises(np.linalg.LinAlgError):
+                solve(a)
     monkeypatch.setattr(pool, "_WORKERS", 2)
     cfg = spectral_config()
     got = ex._wigner_replicas(cfg, 12, ml.HermitianMatrix.largest_eig)  # pin is a no-op

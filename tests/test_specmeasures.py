@@ -53,9 +53,9 @@ def test_measure_validation_and_merge():
         ([0.0, nan], [0.5, 0.5]),
         ([0.0, 1.0], [nan, 0.5]),
         ([0.0, inf], [0.5, 0.5]),
-        ([nan], [1.0]),
+        ([0.0, 1.0], [1.0]),
         ([-inf, 0.0], [0.5, -0.5]),
-        ([0.0, 1.0], [nan, 0.5]),
+        ([0.0, 1.0], [0.5, 0.5 + 1e-9]),
         ([0.0, 1.0], [inf, -inf]),
     ]:
         with pytest.raises(DomainError):
