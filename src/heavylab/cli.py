@@ -216,25 +216,28 @@ def cmd_freeconv(args) -> int:
     return 0
 
 
+# Per --kind: the rate function and the RateParams field each of its flags sets
+_RATES = {
+    "J": (rf.rate_J, {"c": "constant_c"}),
+    "K": (rf.rate_K, {"c1": "c1", "cm1": "c_minus1", "taup": "tauP", "d": "d"}),
+    "L": (rf.rate_L, {"g11": "g11"}),
+}
+
+
 def cmd_rate(args) -> int:
     xs = _floats(args.x, "x")
-    if args.kind == "J":
-        params = rf.RateParams(alpha=args.alpha, constant_c=args.c)
-        fn = lambda x: rf.rate_J(x, params)
-    elif args.kind == "K":
-        params = rf.RateParams(
-            alpha=args.alpha, c1=args.c1, c_minus1=args.cm1, tauP=args.taup, d=args.d
-        )
-        fn = lambda x: rf.rate_K(x, params)
-    else:
-        params = rf.RateParams(alpha=args.alpha, g11=args.g11)
-        fn = lambda x: rf.rate_L(x, params)
+    rate, fields = _RATES[args.kind]
+    others = (k for _, flags in _RATES.values() for k in flags if k not in fields)
+    stray = [f"--{k}" for k in others if getattr(args, k) is not None]
+    if stray:
+        raise ConfigError(f"rate --kind {args.kind} does not read {' '.join(stray)}")
+    params = rf.RateParams(alpha=args.alpha, **{f: getattr(args, k) for k, f in fields.items()})
     conf = _resolved_config(args)
     if args.out is None and len(xs) == 1:
         # single evaluation: header plus the bare value
-        _write(None, ex.csv_header(conf) + "\n" + repr(float(fn(xs[0]))) + "\n")
+        _write(None, ex.csv_header(conf) + "\n" + repr(float(rate(xs[0], params))) + "\n")
         return 0
-    _write(args.out, ex.csv_text(conf, ("x", "rate"), ((x, float(fn(x))) for x in xs)))
+    _write(args.out, ex.csv_text(conf, ("x", "rate"), ((x, float(rate(x, params))) for x in xs)))
     return 0
 
 

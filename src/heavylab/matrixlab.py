@@ -81,7 +81,7 @@ def unit_variance_ensemble(alpha: float, beta: int = BETA_SYMMETRIC) -> WignerEn
 
 
 class HermitianMatrix:
-    """Dense self-adjoint matrix, read-only; spectra are cached on first request.
+    """Dense self-adjoint matrix, read-only.
 
     ``HermitianMatrix(upper)`` takes a square array from outside (a
     rate-function search, a test) and builds the stored matrix from its
@@ -91,7 +91,7 @@ class HermitianMatrix:
     already and are wrapped as they are, with no second build.
     """
 
-    __slots__ = ("mat", "n", "beta", "_spectrum")
+    __slots__ = ("mat", "n", "beta")
 
     def __init__(self, upper: np.ndarray):
         upper = np.asarray(upper)
@@ -116,7 +116,6 @@ class HermitianMatrix:
         self.mat = full
         self.n = full.shape[0]
         self.beta = BETA_HERMITIAN if np.iscomplexobj(full) else BETA_SYMMETRIC
-        self._spectrum = None
 
     def __add__(self, other: "HermitianMatrix") -> "HermitianMatrix":
         return HermitianMatrix._wrap(self.mat + other.mat)
@@ -126,26 +125,19 @@ class HermitianMatrix:
         return HermitianMatrix._wrap(self.mat * float(t))
 
     def spectrum(self) -> np.ndarray:
-        """Ascending eigenvalues, equal to ``np.linalg.eigvalsh`` (`openblas.eigvalsh`)."""
-        if self._spectrum is None:
-            self._spectrum = openblas.eigvalsh(self.mat)
-        return self._spectrum
+        """Ascending eigenvalues, a new array per call (`openblas.eigvalsh`)."""
+        return openblas.eigvalsh(self.mat)
 
     def largest_eig(self) -> float:
         """Largest eigenvalue, solved alone (`openblas.largest_eigvalsh`).
 
-        It never reads the cached spectrum, so its value does not depend on
-        whether `spectrum` ran first; it agrees with ``spectrum()[-1]`` to
-        rounding, not bit for bit.
+        It agrees with ``spectrum()[-1]`` to rounding, not bit for bit.
         """
         return openblas.largest_eigvalsh(self.mat)
 
     def esm(self) -> Measure1D:
         """Empirical spectral measure: eigenvalue atoms, uniform weights."""
         return Measure1D.from_atoms(self.spectrum())
-
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.mat)))
 
     def lp_norm(self, p: float) -> float:
         """Entrywise norm (sum_{i,j} |A_ij|^p)^(1/p)."""

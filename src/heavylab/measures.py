@@ -272,11 +272,6 @@ class AlphaLaw:
         out = np.where(x >= 0, np.exp(-np.abs(x) ** self.alpha), 0.0)
         return out / self.Z_alpha
 
-    def cdf(self, x) -> np.ndarray:
-        if self.sided == "two":
-            return cdf_two_sided(self.alpha, x)
-        return cdf_one_sided(self.alpha, x)
-
 
 def nu(alpha: float) -> AlphaLaw:
     """The symmetric law on the line."""

@@ -19,8 +19,8 @@ that library on first use and offers:
 
 ctypes releases the interpreter lock for each solve, so eigensolves on
 different threads run at the same time.  Both solves raise
-`np.linalg.LinAlgError` when the solver fails or an eigenvalue is not
-finite, as a NaN or infinite entry makes it.
+`np.linalg.LinAlgError` on a NaN or infinite entry, when an eigenvalue
+overflows and when the solver fails.
 
 Where the library or one of its symbols is missing (another numpy build),
 both solves are numpy's and `single_threaded` does nothing.
@@ -165,21 +165,21 @@ def _native(kind: str, a: np.ndarray) -> np.ndarray | None:
     return w
 
 
-def _finite(w: np.ndarray) -> np.ndarray:
-    """``w``, once every eigenvalue in it is known to be finite."""
-    if not np.isfinite(w).all():
-        raise np.linalg.LinAlgError("Eigenvalues are not finite")
-    return w
+def _finite(x: np.ndarray, what: str) -> np.ndarray:
+    """``x``, once every entry of it is known to be finite."""
+    if not np.isfinite(x).all():
+        raise np.linalg.LinAlgError(f"{what} not finite")
+    return x
 
 
 def eigvalsh(a: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a self-adjoint matrix from its lower triangle.
 
     Equal to ``np.linalg.eigvalsh(a)`` bit for bit (``dsyevd``/``zheevd``);
-    raises `np.linalg.LinAlgError` where one is not finite.
+    raises `np.linalg.LinAlgError` where an entry or eigenvalue is not finite.
     """
-    w = _native("evd", a)
-    return _finite(np.linalg.eigvalsh(a) if w is None else w)
+    w = _native("evd", _finite(a, "Matrix entries are"))
+    return _finite(np.linalg.eigvalsh(a) if w is None else w, "Eigenvalues are")
 
 
 def largest_eigvalsh(a: np.ndarray) -> float:
@@ -187,8 +187,8 @@ def largest_eigvalsh(a: np.ndarray) -> float:
 
     Solved alone (``dsyevr``/``zheevr``, index n of n), so it agrees with
     ``np.linalg.eigvalsh(a)[-1]`` to rounding, not bit for bit; where numpy
-    solves, it is that value.  Raises `np.linalg.LinAlgError` where it is
-    not finite.
+    solves, it is that value.  Raises `np.linalg.LinAlgError` where an
+    entry or the eigenvalue is not finite.
     """
-    w = _native("evr", a)
-    return float(_finite(np.linalg.eigvalsh(a)[-1:] if w is None else w)[0])
+    w = _native("evr", _finite(a, "Matrix entries are"))
+    return float(_finite(np.linalg.eigvalsh(a)[-1:] if w is None else w, "Eigenvalues are")[0])

@@ -111,13 +111,12 @@ def optimize_constant_c(
     n_max: int = 4,
     restarts: int = 50,
     iters: int = 200,
-    seed: int = 0,
 ):
     """Upper bound estimate of inf{W_alpha(A): lambda_A = 1} over n <= n_max.
 
     Projected local search: each candidate is renormalized by its largest
     eigenvalue after every move.  The rank-one diagonal witness guarantees
-    the estimate never exceeds b.
+    the estimate never exceeds b.  Restart r draws from Philox key (0, r).
     """
     if n_max > 8:
         raise DomainError("n_max is capped at 8 (desk-scale search)")
@@ -127,7 +126,7 @@ def optimize_constant_c(
         witness = np.zeros((n, n))
         witness[0, 0] = 1.0
         for restart in range(restarts + 1):
-            gen = rng.philox(seed, restart)
+            gen = rng.philox(0, restart)
             if restart == 0:
                 cur = witness.copy()
             else:
@@ -166,14 +165,13 @@ def optimize_constant_csigma(
     n_max: int = 3,
     restarts: int = 50,
     iters: int = 150,
-    seed: int = 0,
 ) -> float:
     """Upper bound estimate of inf{W_alpha(H): tr P_d(H) = sigma}, alpha = ens.alpha.
 
     Exploits tr P_d(tH) = t^d tr P_d(H): any candidate whose trace sign
     matches sigma is rescaled onto the constraint, so the objective is
     W_alpha(H) (sigma/s)^(alpha/d).  Returns +inf when no tested candidate
-    ever achieves the requested sign.
+    ever achieves the requested sign.  Restart r draws from Philox key (1, r).
     """
     if sigma not in (-1, 1):
         raise DomainError("sigma must be -1 or +1")
@@ -197,7 +195,7 @@ def optimize_constant_csigma(
 
     for n in range(1, n_max + 1):
         for restart in range(restarts):
-            gen = rng.philox(seed + 1, restart)
+            gen = rng.philox(1, restart)
             cur = [_perturbed(np.zeros((n, n)), gen, 1.0, ens.beta) for _ in range(p)]
             cur_mats = tuple(HermitianMatrix(m) for m in cur)
             cur_val = cost(cur_mats)
@@ -226,7 +224,6 @@ def rate_I_variational(
     delta: float = 0.05,
     restarts: int = 50,
     iters: int = 120,
-    seed: int = 0,
     init=None,
 ):
     """Upper bound estimate of the spectral-measure rate at a target measure.
@@ -237,7 +234,7 @@ def rate_I_variational(
     convolution and the target staying below delta on the default contour.
     ``target`` holds the target's transform values at the default contour's
     nodes, one per node.  Returns +inf when no feasible point is found
-    within the budget.
+    within the budget.  Restart r draws from Philox key (2, r).
     """
     if not 1 <= n <= 64:
         raise DomainError("n must lie in 1..64 (desk-scale search)")
@@ -262,7 +259,7 @@ def rate_I_variational(
     if init is not None:
         seeds.append(np.asarray(init, dtype=float))
     for restart in range(restarts):
-        gen = rng.philox(seed + 2, restart)
+        gen = rng.philox(2, restart)
         if restart < len(seeds):
             cur = seeds[restart].copy()
         else:

@@ -78,9 +78,6 @@ class Measure1D:
     def dirac(x: float) -> "Measure1D":
         return Measure1D(np.array([float(x)]), np.array([1.0]))
 
-    def mean(self) -> float:
-        return float(np.dot(self.atoms, self.weights))
-
     def moment(self, p: float) -> float:
         """p-th absolute moment (finite by construction)."""
         return float(np.dot(np.abs(self.atoms) ** p, self.weights))

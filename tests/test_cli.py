@@ -65,6 +65,41 @@ def test_unknown_flag_exits_one(capsys, tmp_path):
         assert "usage" in err and "unrecognized arguments" in err
 
 
+# per --kind, the constants it reads, each with a value
+_RATE_CONSTANTS = {
+    "J": ("--c", "1"),
+    "K": ("--c1", "1", "--cm1", "2", "--taup", "0", "--d", "2"),
+    "L": ("--g11", "2"),
+}
+
+
+def test_rate_takes_only_the_constants_its_kind_reads(capsys, tmp_path):
+    code, out, err = run(
+        capsys, "rate", "--kind", "J", "--alpha", "1", "--c", "1", "--g11", "5", "--taup", "3",
+        "--x", "2",
+    )
+    assert (code, out) == (1, "")
+    assert "config error" in err and "--taup --g11" in err
+    accepted = 0
+    for kind, own in _RATE_CONSTANTS.items():
+        for other, theirs in _RATE_CONSTANTS.items():
+            for flag, value in zip(theirs[::2], theirs[1::2]):
+                argv = ("rate", "--kind", kind, *own, flag, value, "--x", "1,3")
+                code, out, err = run(capsys, *argv)
+                if other == kind:
+                    accepted += 1
+                    assert (code, err) == (0, "")
+                else:
+                    assert (code, out) == (1, "")
+                    assert f"config error: rate --kind {kind} does not read {flag}" in err
+    assert accepted == 6
+    cfg = tmp_path / "g11.cfg"
+    cfg.write_text("g11=5\n")
+    code, out, err = run(capsys, "rate", "--config", str(cfg), "--kind", "J", "--c", "1", "--x", "2")
+    assert (code, out) == (1, "")
+    assert "config error" in err and "--g11" in err
+
+
 def test_unknown_subcommand_exits_one(capsys):
     code, _, err = run(capsys, "frobnicate")
     assert code == 1

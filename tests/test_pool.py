@@ -109,9 +109,18 @@ def test_other_inputs_take_the_numpy_path(monkeypatch):
 @pytest.mark.parametrize("beta", [1, 2])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_entries_raise(bad, beta):
+    dtype = float if beta == 1 else complex
+    cases = []
     for i, j in ((1, 1), (2, 1)):
-        a = np.eye(4, dtype=float if beta == 1 else complex)
+        a = np.eye(4, dtype=dtype)
         a[i, j] = a[j, i] = bad
+        cases.append(a)
+    # dsyevd/zheevd return finite eigenvalues for a NaN on this diagonal,
+    # and every solver reads only the real part of a complex diagonal
+    cases.append(np.array([[bad, 1.0], [1.0, 2.0]], dtype))
+    if beta == 2:
+        cases.append(np.diag([complex(1.0, bad), 2.0]))
+    for a in cases:
         for solve in (openblas.eigvalsh, openblas.largest_eigvalsh):
             with pytest.raises(np.linalg.LinAlgError):
                 solve(a)
@@ -123,9 +132,11 @@ def test_missing_library_falls_back_to_numpy(monkeypatch):
         assert np.array_equal(openblas.eigvalsh(a), np.linalg.eigvalsh(a))
         assert openblas.largest_eigvalsh(a) == np.linalg.eigvalsh(a)[-1]
         a[2, 1] = a[1, 2] = math.inf
+        nan_diagonal = np.array([[math.nan, 1.0], [1.0, 2.0]], a.dtype)
         for solve in (openblas.eigvalsh, openblas.largest_eigvalsh):
-            with pytest.raises(np.linalg.LinAlgError):
-                solve(a)
+            for bad in (a, nan_diagonal):
+                with pytest.raises(np.linalg.LinAlgError):
+                    solve(bad)
     monkeypatch.setattr(pool, "_WORKERS", 2)
     cfg = spectral_config()
     got = ex._wigner_replicas(cfg, 12, ml.HermitianMatrix.largest_eig)  # pin is a no-op
