@@ -2,19 +2,13 @@
 percolation: transport samplers, weight-function concentration checks,
 spectral distances, semicircle free convolution, explicit rate functions,
 lattice passage-time dynamic programs, and Monte Carlo audits.
+
+Importing the package loads only its error classes and its version, not
+numpy: import each module by name (``from heavylab import measures``).  A
+CLI process thereby loads just the modules its command runs.
 """
 
-from . import (
-    experiments,
-    freeprob,
-    lpp,
-    matrixlab,
-    measures,
-    ratefuncs,
-    rng,
-    specmeasures,
-    weights,
-)
+from .emit import VERSION as __version__
 from .errors import (
     AccuracyError,
     ConfigError,
@@ -22,8 +16,6 @@ from .errors import (
     DomainError,
     HeavylabError,
 )
-
-__version__ = experiments.VERSION
 
 __all__ = [
     "experiments",

@@ -7,25 +7,29 @@ version and a hash of the resolved configuration, and identical
 (argv, seed) pairs produce byte-identical outputs.
 
 Exit codes: 0 success, 1 domain/config error, 2 numerical non-convergence.
+
+Each command imports the modules it runs when it runs, so `sample` loads
+`measures` and `rng` and none of the others.  Unless its caller has set
+the BLAS thread count (OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
+OMP_NUM_THREADS), a CLI process runs numpy's BLAS on one thread: an idle
+second thread only spins, and the replica pool, the CLI's source of
+parallel work, pins the BLAS to one thread anyway.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
-import numpy as np
-
-from . import experiments as ex
-from . import lpp as lpp_mod
-from . import matrixlab as ml
-from . import measures
-from . import ratefuncs as rf
-from . import specmeasures as sm
+from .emit import csv_header, csv_text, jsonl_text
 from .errors import ConfigError, ConvergenceError, DomainError, HeavylabError
 
-VERSION = ex.VERSION
+# read by OpenBLAS when numpy loads it, so only before numpy is imported
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_VARS):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 SUBCOMMANDS = ("sample", "spectrum", "freeconv", "rate", "lpp", "audit", "net")
 
@@ -171,36 +175,41 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _ensemble(args) -> ml.WignerEnsemble:
-    if args.b is None and args.a1 is None and args.a2 is None:
-        return ml.unit_variance_ensemble(args.alpha, beta=args.beta)
-    return ml.WignerEnsemble(
-        args.alpha,
-        b=args.b if args.b is not None else 1.0,
-        a1=args.a1 if args.a1 is not None else 1.0,
-        a2=args.a2 if args.a2 is not None else 1.0,
-        beta=args.beta,
-    )
-
-
 def cmd_sample(args) -> int:
+    from . import measures
+
     law = measures.nu(args.alpha) if args.law == "nu" else measures.mu(args.alpha)
     draws = measures.sample(law, args.count, args.seed)
-    _write(args.out, ex.csv_text(_resolved_config(args), ("draw",), ((v,) for v in draws)))
+    _write(args.out, csv_text(_resolved_config(args), ("draw",), ((v,) for v in draws)))
     return 0
 
 
 def cmd_spectrum(args) -> int:
-    ens = _ensemble(args)
+    from . import matrixlab as ml
+
+    if args.b is None and args.a1 is None and args.a2 is None:
+        ens = ml.unit_variance_ensemble(args.alpha, beta=args.beta)
+    else:
+        ens = ml.WignerEnsemble(
+            args.alpha,
+            b=args.b if args.b is not None else 1.0,
+            a1=args.a1 if args.a1 is not None else 1.0,
+            a2=args.a2 if args.a2 is not None else 1.0,
+            beta=args.beta,
+        )
     x = ml.sample_wigner(ens, args.n, args.seed)
     if args.scale == "sqrtn":
         x = x.scale(1.0 / math.sqrt(args.n))
     rows = ((v,) for v in x.spectrum())
-    _write(args.out, ex.csv_text(_resolved_config(args), ("eigenvalue",), rows))
+    _write(args.out, csv_text(_resolved_config(args), ("eigenvalue",), rows))
     return 0
 
 
 def cmd_freeconv(args) -> int:
+    import numpy as np
+
+    from . import specmeasures as sm
+
     if args.measure:
         with open(args.measure, encoding="utf-8") as fh:
             nu = sm.Measure1D.from_csv(fh.read())
@@ -212,22 +221,22 @@ def cmd_freeconv(args) -> int:
     grid = np.linspace(lo, hi, args.grid_count)
     g, dens = sm.free_conv_semicircle(nu, args.eta, grid)
     rows = zip(grid, g.real, g.imag, dens)
-    _write(args.out, ex.csv_text(_resolved_config(args), ("x", "re_g", "im_g", "density"), rows))
+    _write(args.out, csv_text(_resolved_config(args), ("x", "re_g", "im_g", "density"), rows))
     return 0
 
 
-# Per --kind: the rate function and the RateParams field each of its flags sets
-_RATES = {
-    "J": (rf.rate_J, {"c": "constant_c"}),
-    "K": (rf.rate_K, {"c1": "c1", "cm1": "c_minus1", "taup": "tauP", "d": "d"}),
-    "L": (rf.rate_L, {"g11": "g11"}),
-}
-
-
 def cmd_rate(args) -> int:
+    from . import ratefuncs as rf
+
+    # per --kind: the rate function and the RateParams field each of its flags sets
+    rates = {
+        "J": (rf.rate_J, {"c": "constant_c"}),
+        "K": (rf.rate_K, {"c1": "c1", "cm1": "c_minus1", "taup": "tauP", "d": "d"}),
+        "L": (rf.rate_L, {"g11": "g11"}),
+    }
     xs = _floats(args.x, "x")
-    rate, fields = _RATES[args.kind]
-    others = (k for _, flags in _RATES.values() for k in flags if k not in fields)
+    rate, fields = rates[args.kind]
+    others = (k for _, flags in rates.values() for k in flags if k not in fields)
     stray = [f"--{k}" for k in others if getattr(args, k) is not None]
     if stray:
         raise ConfigError(f"rate --kind {args.kind} does not read {' '.join(stray)}")
@@ -235,13 +244,17 @@ def cmd_rate(args) -> int:
     conf = _resolved_config(args)
     if args.out is None and len(xs) == 1:
         # single evaluation: header plus the bare value
-        _write(None, ex.csv_header(conf) + "\n" + repr(float(rate(xs[0], params))) + "\n")
+        _write(None, csv_header(conf) + "\n" + repr(float(rate(xs[0], params))) + "\n")
         return 0
-    _write(args.out, ex.csv_text(conf, ("x", "rate"), ((x, float(rate(x, params))) for x in xs)))
+    _write(args.out, csv_text(conf, ("x", "rate"), ((x, float(rate(x, params))) for x in xs)))
     return 0
 
 
 def cmd_lpp(args) -> int:
+    import numpy as np
+
+    from . import lpp
+
     if args.dim != 2:
         raise ConfigError("the CLI Monte Carlo path covers d = 2")
     if not 0.0 < args.alpha < 1.0:
@@ -249,24 +262,26 @@ def cmd_lpp(args) -> int:
     if args.n < 1 or args.replicas < 1:
         raise ConfigError("lpp needs --n >= 1 and --replicas >= 1")
     n = args.n
-    times = lpp_mod.passage_times(args.alpha, (n + 1, n + 1), args.replicas, args.seed) / n
+    times = lpp.passage_times(args.alpha, (n + 1, n + 1), args.replicas, args.seed) / n
     g11_hat = float(times.mean())
     t_det = None
     if args.spike > 0.0:
         hvals = np.zeros((n + 1, n + 1))
         hvals[n, n] = args.spike
-        h = lpp_mod.WeightField(2, n, hvals)
-        t_det = lpp_mod.deterministic_equivalent_T(h, lpp_mod.additive_g)
+        h = lpp.WeightField(2, n, hvals)
+        t_det = lpp.deterministic_equivalent_T(h, lpp.additive_g)
     records = [
         {"n": n, "alpha": args.alpha, "seed": args.seed, "stream": rep, "T": float(t),
          "T_det": t_det, "g11_hat": g11_hat}
         for rep, t in enumerate(times)
     ]
-    _write(args.out, ex.jsonl_text(_resolved_config(args), records))
+    _write(args.out, jsonl_text(_resolved_config(args), records))
     return 0
 
 
 def cmd_audit(args) -> int:
+    from . import experiments as ex
+
     t_grid = _floats(args.t_grid, "t-grid")
     config = ex.ExperimentConfig(
         functional=args.functional,
@@ -286,9 +301,11 @@ def cmd_audit(args) -> int:
 
 
 def cmd_net(args) -> int:
+    from . import experiments as ex
+
     eps_list = _floats(args.eps, "eps")
     profile = ex.greedy_net_profile(args.p, args.q, eps_list, args.m, args.trials, args.seed)
-    _write(args.out, ex.csv_text(_resolved_config(args), ("eps", "size"), profile))
+    _write(args.out, csv_text(_resolved_config(args), ("eps", "size"), profile))
     return 0
 
 

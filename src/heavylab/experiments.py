@@ -16,22 +16,18 @@ chunks of streams run on the replica pool that `lpp.passage_times` uses as
 well (`pool.run`).  When the pool runs more than one thread, eigensolves
 run on one BLAS thread each and release the interpreter lock (`openblas`).
 Matrices too large for two in the pool's memory budget (n >= 916 for
-beta = 1, n >= 648 for beta = 2) run serially on the default BLAS.
+beta = 1, n >= 648 for beta = 2) run serially on the process's BLAS
+threads: numpy's default in a library caller, one thread in a CLI process
+unless its caller set the thread count (`cli`).
 
-Every output goes through one of two emitters, and both open with a header
-carrying the package version, the resolved config and its hash.
-`jsonl_text` writes a JSON header line, then one JSON record per line;
-`csv_text` writes ``# heavylab <version> config_hash=<hash> k=v ...``, the
-column line, then one line per row.  `emit_jsonl` and `emit_csv` apply
-them to an `ExperimentConfig`.
+Every output goes through one of the two emitters of `emit`, `jsonl_text`
+and `csv_text`; `emit_jsonl` and `emit_csv` apply them to an
+`ExperimentConfig`.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-import shlex
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -39,10 +35,9 @@ import numpy as np
 from . import lpp, measures, pool, rng
 from . import matrixlab as ml
 from . import specmeasures as sm
+from .emit import config_hash, csv_text, jsonl_text
 from .errors import DomainError
 from .freeprob import NCPolynomial, deterministic_equivalent_poly, eval_trace
-
-VERSION = "0.1.0"
 
 FUNCTIONALS = ("esm_distance", "largest_eig", "trace_poly", "lpp_time")
 
@@ -89,15 +84,6 @@ class ExperimentConfig:
 
     def config_hash(self) -> str:
         return config_hash(asdict(self))
-
-
-def _json_line(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=str)
-
-
-def config_hash(conf: dict) -> str:
-    """First 12 hex digits of the SHA-256 of the compact, key-sorted JSON of conf."""
-    return hashlib.sha256(_json_line(conf).encode()).hexdigest()[:12]
 
 
 def k_alpha_shape(functional: str, alpha: float, n: int, t) -> np.ndarray:
@@ -419,55 +405,10 @@ def greedy_net_profile(p: float, q: float, eps_list, m: int, trials: int, seed: 
 # ------------------------------------------------------------------ emission
 
 
-def jsonl_text(conf: dict, records) -> str:
-    """JSON-lines text: a header line, then one record per line.
-
-    The header carries the package version, conf and its hash.
-    """
-    head = {"header": True, "version": VERSION, "config": conf, "config_hash": config_hash(conf)}
-    return "\n".join([_json_line(head), *map(_json_line, records)]) + "\n"
-
-
 def emit_jsonl(config: ExperimentConfig, records) -> str:
     """`jsonl_text` for a config; every record carries its seed and config hash."""
     stamp = {"seed": config.seed, "config_hash": config.config_hash()}
     return jsonl_text(asdict(config), ({**stamp, **rec} for rec in records))
-
-
-def _header_value(v) -> str:
-    """A header value that `shlex.split` returns whole.
-
-    Tuples are written without spaces, ``(0.2,0.5,1.0)``; strings holding
-    whitespace, quotes or backslashes are shlex-quoted; anything else is
-    ``str(v)``.
-    """
-    if isinstance(v, tuple):
-        inner = ",".join(map(_header_value, v))
-        return f"({inner},)" if len(v) == 1 else f"({inner})"
-    text = str(v)
-    if isinstance(v, str) and any(c.isspace() or c in "'\"\\" for c in text):
-        return shlex.quote(text)
-    return text
-
-
-def csv_header(conf: dict) -> str:
-    """Header line: package version, the hash of conf, then its key=value pairs.
-
-    The line splits back into its ``k=v`` pairs with `shlex.split`.
-    """
-    pairs = " ".join(f"{k}={_header_value(v)}" for k, v in conf.items())
-    return f"# heavylab {VERSION} config_hash={config_hash(conf)} {pairs}"
-
-
-def csv_text(conf: dict, cols, rows) -> str:
-    """CSV text: the header line for conf, the column line, then one line per row.
-
-    Floats, numpy's included, are written as ``repr(float(v))``; other cells as ``str(v)``.
-    """
-    lines = [csv_header(conf), ",".join(cols)]
-    for row in rows:
-        lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
 
 
 def emit_csv(config: ExperimentConfig, cols, rows) -> str:

@@ -231,9 +231,10 @@ class RearrangementMap:
         return float(out[0]) if scalar else out
 
     def odd(self, x) -> np.ndarray:
-        """Odd extension psi(x) = sign(x) * phi(|x|)."""
+        """Odd extension psi(x) = sign(x) * phi(|x|), with psi(-0.0) = +0.0."""
         x = np.asarray(x, dtype=float)
-        return np.sign(x) * self(np.abs(x))
+        # x + 0.0 is x, but +0.0 at x = -0.0: psi(-0.0) = sign(-0.0) * phi(0) = +0.0
+        return np.copysign(self(np.abs(x)), x + 0.0)
 
 
 _MAP_CACHE: dict[float, RearrangementMap] = {}

@@ -89,8 +89,11 @@ def laplaces(seed: int, stream: int | range, count: int) -> np.ndarray:
     """Standard symmetric exponentials (Laplace with unit tail exponent).
 
     Each stream consumes a (2, count) uniform block: row 0 sets the
-    magnitude through the exponential inverse CDF, row 1 the sign.
+    magnitude through the exponential inverse CDF, row 1 the sign (minus
+    below 1/2).
     """
     u = _fill(seed, stream, (2, count))
     mag = _to_exponential(u[..., 0, :])
-    return np.where(u[..., 1, :] < 0.5, -1.0, 1.0) * mag
+    sign = u[..., 1, :]
+    sign -= 0.5
+    return np.copysign(mag, sign)

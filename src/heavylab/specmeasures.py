@@ -138,15 +138,25 @@ def stieltjes(mu: Measure1D, z, derivative: bool = False):
     g_mu'(z) = -sum_i w_i / (z - x_i)^2 comes from the same differences.
     """
     z = np.asarray(z, dtype=complex)
+    shape = (z.size, mu.atoms.size)
+    out = _stieltjes_rows(mu, z.reshape(-1), np.empty(shape, complex), np.empty(shape, complex),
+                          derivative)
+    return tuple(v.reshape(z.shape) for v in out) if derivative else out.reshape(z.shape)
+
+
+def _stieltjes_rows(mu: Measure1D, z: np.ndarray, gaps: np.ndarray, terms: np.ndarray,
+                    derivative: bool):
+    """`stieltjes` at the nodes of the 1-d array z, with the (z.size, atoms)
+    differences and terms written into the buffers ``gaps`` and ``terms``."""
     if np.any(z.imag <= 0):
         raise DomainError("Stieltjes transform needs Im z > 0")
-    gaps = z.reshape(-1, 1) - mu.atoms[None, :]
-    terms = mu.weights[None, :] / gaps
-    g = terms.sum(axis=1).reshape(z.shape)
+    np.subtract(z[:, None], mu.atoms, out=gaps)
+    np.divide(mu.weights, gaps, out=terms)
+    g = terms.sum(axis=1)
     if not derivative:
         return g
     terms /= gaps
-    return g, -terms.sum(axis=1).reshape(z.shape)
+    return g, -terms.sum(axis=1)
 
 
 def g_semicircle(z) -> np.ndarray:
@@ -390,9 +400,13 @@ def freeconv_transform(nu: Measure1D, z_nodes):
     bar = np.full(z.shape, np.inf)
     newton = np.zeros(z.shape, dtype=bool)
     active = np.arange(z.size)
+    # the active nodes' differences and terms, in the leading rows of two buffers
+    gaps = np.empty((z.size, nu.atoms.size), dtype=complex)
+    terms = np.empty_like(gaps)
     for _ in range(_NEWTON_ITERS):
         cur = g[active]
-        target, slope = stieltjes(nu, z[active] - cur, derivative=True)
+        rows = slice(active.size)
+        target, slope = _stieltjes_rows(nu, z[active] - cur, gaps[rows], terms[rows], True)
         resid = cur - target
         done = np.abs(resid) < _NEWTON_TOL
         damped = 0.5 * (cur + target)

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from heavylab import cli
+from heavylab import cli, emit, openblas
 
 
 def run(capsys, *argv):
@@ -175,7 +175,7 @@ def test_lpp_command_jsonl(capsys, tmp_path):
     assert code == 0
     lines = out.read_text().splitlines()
     head = json.loads(lines[0])
-    assert head["header"] is True and head["version"] == cli.VERSION
+    assert head["header"] is True and head["version"] == emit.VERSION
     recs = [json.loads(line) for line in lines[1:]]
     assert len(recs) == 20
     assert {"n", "alpha", "seed", "T", "T_det", "g11_hat", "stream"} <= set(recs[0])
@@ -218,7 +218,10 @@ def test_lpp_output_bytes_pinned(capsys, argv, digest):
     ids=["sample-mu", "sample-nu-alpha0.3", "freeconv", "rate-single", "rate-multi", "net"],
 )
 def test_csv_output_bytes_pinned(capsys, argv, digest):
-    # spectrum is left out: its eigenvalues depend on the BLAS thread count
+    # spectrum is left out: its eigenvalues depend on the BLAS build; a CLI
+    # process solves on one BLAS thread, and
+    # test_spectrum_output_is_the_single_threaded_spectrum checks it against
+    # the in-process spectrum on one thread
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -266,6 +269,101 @@ def test_import_loads_no_scipy_subpackage():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[] False False"
+
+
+def _modules_after(probe):
+    proc = subprocess.run(
+        [sys.executable, "-c", probe + "\nprint(' '.join(sorted(sys.modules)))"],
+        capture_output=True, text=True, env=_src_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_package_import_loads_neither_numpy_nor_a_module():
+    mods = _modules_after("import sys, heavylab")
+    assert "numpy" not in mods
+    # the error classes and the version, both standard-library only
+    assert {m for m in mods if m.startswith("heavylab")} == {
+        "heavylab", "heavylab.emit", "heavylab.errors",
+    }
+
+
+def test_sample_loads_only_the_modules_it_runs():
+    probe = "\n".join([
+        "import contextlib, io, sys",
+        "from heavylab.cli import main",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert main(['sample', '--law', 'nu', '--alpha', '0.5', '--count', '10']) == 0",
+    ])
+    mods = _modules_after(probe)
+    assert {m for m in mods if m.startswith("heavylab")} == {
+        "heavylab", "heavylab.cli", "heavylab.emit", "heavylab.errors",
+        "heavylab.measures", "heavylab.rng",
+    }
+    assert "concurrent.futures" not in mods
+
+
+def test_version_reads_without_numpy():
+    # setuptools reads the dynamic version from pyproject.toml at build
+    # time, where numpy may be missing
+    tomllib = pytest.importorskip("tomllib")
+    pytest.importorskip("setuptools")
+    root = pathlib.Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        attr = tomllib.load(fh)["tool"]["setuptools"]["dynamic"]["version"]["attr"]
+    probe = (
+        "import sys; from setuptools.config.expand import read_attr;"
+        f" print(read_attr({attr!r}, {{'': 'src'}}, {str(root)!r}), 'numpy' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, cwd=root, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [emit.VERSION, "False"]
+
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _caller_env(**env):
+    """`_src_env` without the BLAS thread-count variables, then ``env``."""
+    return {**{k: v for k, v in _src_env().items() if k not in _BLAS_VARS}, **env}
+
+
+def _blas_threads(probe, **env):
+    probe += "; from heavylab import openblas; lib = openblas._library()"
+    probe += "; print(lib.scipy_openblas_get_num_threads64_())"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_caller_env(**env),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
+
+
+@pytest.mark.skipif(openblas._library() is None, reason="numpy without its bundled OpenBLAS")
+@pytest.mark.parametrize("env", [{}, {"OMP_NUM_THREADS": "2"}, {"OPENBLAS_NUM_THREADS": "2"}])
+def test_cli_process_runs_one_blas_thread_unless_its_caller_sets_one(env):
+    cli_threads = _blas_threads("import heavylab.cli, numpy", **env)
+    if env:
+        # the caller's setting, as numpy alone reads it (capped at the CPU count)
+        assert cli_threads == _blas_threads("import numpy", **env)
+    else:
+        assert cli_threads == 1
+
+
+def test_spectrum_output_is_the_single_threaded_spectrum(capsys):
+    argv = ["spectrum", "--alpha", "1", "--n", "400", "--seed", "3"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "heavylab.cli", *argv], capture_output=True, text=True,
+        env=_caller_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    with openblas.single_threaded():
+        code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert proc.stdout == out
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from heavylab import emit
 from heavylab import experiments as ex
 from heavylab.errors import DomainError
 
@@ -182,13 +183,13 @@ def test_emission_headers_and_determinism():
     text = ex.emit_jsonl(cfg, [{"value": 1.5}])
     lines = text.strip().splitlines()
     head = json.loads(lines[0])
-    assert head["version"] == ex.VERSION
+    assert head["version"] == emit.VERSION
     assert head["config_hash"] == cfg.config_hash()
     rec = json.loads(lines[1])
     assert rec["seed"] == cfg.seed and rec["config_hash"] == cfg.config_hash()
     csv_text = ex.emit_csv(cfg, ("a", "b"), [(1, 2.5)])
     head = csv_text.splitlines()[0]
-    assert head.startswith(f"# heavylab {ex.VERSION} ")
+    assert head.startswith(f"# heavylab {emit.VERSION} ")
     assert f"config_hash={cfg.config_hash()}" in head.split()
     assert f"seed={cfg.seed}" in head.split()
     assert csv_text.splitlines()[1:] == ["a,b", "1,2.5"]
@@ -209,13 +210,13 @@ def test_csv_header_splits_back_into_every_pair():
     cfg = ex.PRESETS["eig-concentration-small"]
     head = ex.emit_csv(cfg, ("a",), [(1,)]).splitlines()[0]
     tokens = shlex.split(head)
-    assert tokens[:4] == ["#", "heavylab", ex.VERSION, f"config_hash={cfg.config_hash()}"]
+    assert tokens[:4] == ["#", "heavylab", emit.VERSION, f"config_hash={cfg.config_hash()}"]
     pairs = dict(tok.split("=", 1) for tok in tokens[4:])
     assert pairs["t_grid"] == "(0.1,0.2,0.4,0.8)" and pairs["n_list"] == "(50,)"
     for key, value in asdict(cfg).items():
         assert pairs[key] == (value if isinstance(value, str) else str(value).replace(" ", ""))
     conf = {"measure": "my runs/atoms 1.csv", "quote": "it's", "t_grid": (), "eta": 0.01}
-    tokens = shlex.split(ex.csv_text(conf, ("x",), []).splitlines()[0])
+    tokens = shlex.split(emit.csv_text(conf, ("x",), []).splitlines()[0])
     assert dict(tok.split("=", 1) for tok in tokens[4:]) == {
         "measure": "my runs/atoms 1.csv",
         "quote": "it's",
