@@ -189,22 +189,28 @@ def sample_wigner(ens: WignerEnsemble, n: int, seed: int, stream: int = 0) -> He
 
 
 def _wigner_array(ens: WignerEnsemble, n: int, seed: int, stream: int) -> np.ndarray:
-    """The writable array `sample_wigner` wraps; the off-diagonal draws are scaled in place."""
+    """The writable array `sample_wigner` wraps; the draws are scaled in place
+    and written through the real and imaginary views of the array."""
     if n < 1:
         raise DomainError(f"dimension must be >= 1, got {n}")
     law = measures.nu(ens.alpha)
     n_off = n * (n - 1) // 2
+    hermitian = ens.beta == BETA_HERMITIAN
     draws = measures.sample(law, n + n_off, seed, stream=2 * stream)
     off = draws[n:]
     off *= ens.offdiag_real_scale
-    if ens.beta == BETA_HERMITIAN:
-        im_draws = measures.sample(law, n_off, seed, stream=2 * stream + 1)
-        off = off + 1j * ens.offdiag_imag_scale * im_draws
-    full = np.empty((n, n), dtype=off.dtype)
+    if hermitian:
+        im_off = measures.sample(law, n_off, seed, stream=2 * stream + 1)
+        im_off *= ens.offdiag_imag_scale
+    full = np.empty((n, n), dtype=complex if hermitian else float)
     full[np.diag_indices(n)] = ens.diag_scale * draws[:n]
     upper = _strict_upper(n)
-    full[upper] = off
-    full.T[upper] = off.conj() if ens.beta == BETA_HERMITIAN else off
+    # a real array is its own .real
+    full.real[upper] = off
+    full.real.T[upper] = off
+    if hermitian:
+        full.imag[upper] = im_off
+        full.imag.T[upper] = np.negative(im_off, out=im_off)
     return full
 
 

@@ -19,7 +19,7 @@ from . import rng
 from .errors import DomainError
 from .freeprob import NCPolynomial, eval_trace
 from .matrixlab import HermitianMatrix, WignerEnsemble, w_alpha_energy
-from .specmeasures import Measure1D, default_contour, freeconv_transform, g_semicircle
+from .specmeasures import Measure1D, _freeconv_each, default_contour, g_semicircle
 
 INF = float("inf")
 
@@ -235,6 +235,13 @@ def rate_I_variational(
     ``target`` holds the target's transform values at the default contour's
     nodes, one per node.  Returns +inf when no feasible point is found
     within the budget.  Restart r draws from Philox key (2, r).
+
+    The restarts run in lockstep.  A restart's draws never depend on which
+    of its points were feasible, so one fixed-point solve checks the
+    starting points of all restarts (a restart with an infeasible start is
+    dropped), and at each step one solve checks every candidate that beats
+    its restart's current cost.  Each restart walks the path it would walk
+    alone, and the result is the least final cost over the restarts.
     """
     if not 1 <= n <= 64:
         raise DomainError("n must lie in 1..64 (desk-scale search)")
@@ -246,31 +253,32 @@ def rate_I_variational(
         raise DomainError(f"target needs one value per contour node, shape {nodes.shape}")
     scale = n ** (1.0 / alpha)
 
-    def feasible(h) -> bool:
-        deform = Measure1D.from_atoms(scale * h)
-        g = freeconv_transform(deform, nodes)
-        return float(np.max(np.abs(g - tvals))) < delta
+    def feasible(hs) -> np.ndarray:
+        g = _freeconv_each([Measure1D.from_atoms(scale * h) for h in hs], nodes)
+        return np.max(np.abs(g - tvals), axis=1) < delta
 
     def cost(h) -> float:
         return ens.b * float(np.sum(np.abs(h) ** alpha))
 
-    best = INF
     seeds = [np.zeros(n)]
     if init is not None:
         seeds.append(np.asarray(init, dtype=float))
-    for restart in range(restarts):
-        gen = rng.philox(2, restart)
+    gens = [rng.philox(2, restart) for restart in range(restarts)]
+    cur = []
+    for restart, gen in enumerate(gens):
         if restart < len(seeds):
-            cur = seeds[restart].copy()
+            cur.append(seeds[restart].copy())
         else:
             base = seeds[-1]
-            cur = base + 0.1 * gen.normal(size=n) * (np.abs(base).max() + 0.1)
-        if not feasible(cur):
-            continue
-        cur_val = cost(cur)
-        for _ in range(iters):
+            cur.append(base + 0.1 * gen.normal(size=n) * (np.abs(base).max() + 0.1))
+    live = [r for r, ok in enumerate(feasible(cur)) if ok]
+    cur_val = {r: cost(cur[r]) for r in live}
+    for _ in range(iters):
+        moves = []
+        for r in live:
+            gen = gens[r]
             move = gen.integers(3)
-            cand = cur.copy()
+            cand = cur[r].copy()
             if move == 0:
                 cand *= 1.0 - 10 ** gen.uniform(-3, -0.7)
             elif move == 1:
@@ -280,7 +288,9 @@ def rate_I_variational(
                 k = int(gen.integers(n))
                 cand[k] = 0.0
             val = cost(cand)
-            if val < cur_val and feasible(cand):
-                cur, cur_val = cand, val
-        best = min(best, cur_val)
-    return best
+            if val < cur_val[r]:
+                moves.append((r, cand, val))
+        for (r, cand, val), ok in zip(moves, feasible([cand for _, cand, _ in moves])):
+            if ok:
+                cur[r], cur_val[r] = cand, val
+    return min(cur_val.values(), default=INF)

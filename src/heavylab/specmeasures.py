@@ -139,19 +139,21 @@ def stieltjes(mu: Measure1D, z, derivative: bool = False):
     """
     z = np.asarray(z, dtype=complex)
     shape = (z.size, mu.atoms.size)
-    out = _stieltjes_rows(mu, z.reshape(-1), np.empty(shape, complex), np.empty(shape, complex),
-                          derivative)
+    out = _stieltjes_rows(mu.atoms, mu.weights, z.reshape(-1), np.empty(shape, complex),
+                          np.empty(shape, complex), derivative)
     return tuple(v.reshape(z.shape) for v in out) if derivative else out.reshape(z.shape)
 
 
-def _stieltjes_rows(mu: Measure1D, z: np.ndarray, gaps: np.ndarray, terms: np.ndarray,
-                    derivative: bool):
+def _stieltjes_rows(atoms: np.ndarray, weights: np.ndarray, z: np.ndarray, gaps: np.ndarray,
+                    terms: np.ndarray, derivative: bool):
     """`stieltjes` at the nodes of the 1-d array z, with the (z.size, atoms)
-    differences and terms written into the buffers ``gaps`` and ``terms``."""
+    differences and terms written into the buffers ``gaps`` and ``terms``.
+
+    ``atoms`` and ``weights`` are one measure's, or one row per node."""
     if np.any(z.imag <= 0):
         raise DomainError("Stieltjes transform needs Im z > 0")
-    np.subtract(z[:, None], mu.atoms, out=gaps)
-    np.divide(mu.weights, gaps, out=terms)
+    np.subtract(z[:, None], atoms, out=gaps)
+    np.divide(weights, gaps, out=terms)
     g = terms.sum(axis=1)
     if not derivative:
         return g
@@ -219,8 +221,16 @@ def _dp_diff(mu: Measure1D, nu: Measure1D, p: float):
     """t -> int (t-x)_+^p dmu - int (t-x)_+^p dnu, elementwise over any t.
 
     Points are evaluated in runs of ``_DP_CHUNK``; each point is summed on
-    its own, so the values do not depend on the chunking.
+    its own, so the values do not depend on the chunking.  The power is
+    taken only where t > x: elsewhere the term is an exact +0, as 0^p is.
     """
+
+    def part(x, sigma):
+        base = x - sigma.atoms
+        np.maximum(base, 0.0, out=base)
+        np.power(base, p, out=base, where=base > 0)
+        base *= sigma.weights
+        return base.sum(axis=-1)
 
     def diff(t):
         t = np.asarray(t, dtype=float)
@@ -228,9 +238,7 @@ def _dp_diff(mu: Measure1D, nu: Measure1D, p: float):
         out = np.empty(flat.size)
         for start in range(0, flat.size, _DP_CHUNK):
             x = flat[start : start + _DP_CHUNK, None]
-            a = np.sum(mu.weights[None, :] * np.maximum(x - mu.atoms[None, :], 0.0) ** p, axis=-1)
-            b = np.sum(nu.weights[None, :] * np.maximum(x - nu.atoms[None, :], 0.0) ** p, axis=-1)
-            out[start : start + _DP_CHUNK] = a - b
+            out[start : start + _DP_CHUNK] = part(x, mu) - part(x, nu)
         return out.reshape(t.shape)
 
     return diff
@@ -392,21 +400,57 @@ def freeconv_transform(nu: Measure1D, z_nodes):
     Returns G with Im G < 0.
     """
     z = np.asarray(z_nodes, dtype=complex).reshape(-1)
+    g = _subordination(nu.atoms[None, :], nu.weights[None, :], z)
+    return g.reshape(np.shape(z_nodes))
+
+
+def _freeconv_each(measures, z: np.ndarray) -> np.ndarray:
+    """`freeconv_transform` of each measure at the 1-d nodes z, one row each.
+
+    Measures with equal atom counts share one `_subordination` call, and
+    every row equals its measure's own solve bit for bit.  Rows of unequal
+    length are never padded into one stack: zero-weight atoms would change
+    the pairwise summation of numpy's row sums.
+    """
+    sizes = np.array([mu.atoms.size for mu in measures], dtype=int)
+    out = np.empty((sizes.size, z.size), dtype=complex)
+    for k in np.unique(sizes):
+        group = np.flatnonzero(sizes == k)
+        out[group] = _subordination(np.stack([measures[i].atoms for i in group]),
+                                    np.stack([measures[i].weights for i in group]), z)
+    return out
+
+
+def _subordination(atoms: np.ndarray, weights: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The `freeconv_transform` iteration for m measures in one loop.
+
+    Row r of the (m, z.size) result solves G = g_r(z - G) at the 1-d nodes z
+    for the measure with atoms ``atoms[r]`` and weights ``weights[r]``, both
+    (m, k).  Every node takes the steps it would take alone.  A single
+    measure (m = 1) broadcasts, so it is not gathered per node.
+    """
     if np.any(z.imag <= 0):
         raise DomainError("fixed point needs Im z > 0")
-    g = np.asarray(g_semicircle(z), dtype=complex).copy()
+    m, size = atoms.shape[0], z.size
+    z = np.tile(z, m)
+    g = g_semicircle(z)
     # per node: the damped step from the last point whose merit set the bar
     fallback = np.empty_like(g)
     bar = np.full(z.shape, np.inf)
     newton = np.zeros(z.shape, dtype=bool)
     active = np.arange(z.size)
     # the active nodes' differences and terms, in the leading rows of two buffers
-    gaps = np.empty((z.size, nu.atoms.size), dtype=complex)
+    gaps = np.empty((z.size, atoms.shape[1]), dtype=complex)
     terms = np.empty_like(gaps)
     for _ in range(_NEWTON_ITERS):
         cur = g[active]
         rows = slice(active.size)
-        target, slope = _stieltjes_rows(nu, z[active] - cur, gaps[rows], terms[rows], True)
+        if m == 1:
+            at, wt = atoms, weights
+        else:
+            row = active // size
+            at, wt = atoms[row], weights[row]
+        target, slope = _stieltjes_rows(at, wt, z[active] - cur, gaps[rows], terms[rows], True)
         resid = cur - target
         done = np.abs(resid) < _NEWTON_TOL
         damped = 0.5 * (cur + target)
@@ -430,7 +474,7 @@ def freeconv_transform(nu: Measure1D, z_nodes):
     # keep the physical branch
     if np.any(g.imag >= 0):
         raise AccuracyError("fixed point left the lower half plane")
-    return g.reshape(np.shape(z_nodes))
+    return g.reshape(m, size)
 
 
 def free_conv_semicircle(nu: Measure1D, eta: float, grid):

@@ -186,3 +186,95 @@ def test_variational_monotone_in_delta():
         for d in (0.02, 0.1, 0.5)
     ]
     assert vals[0] >= vals[1] >= vals[2] >= 0.0
+
+
+def serial_rate_I_variational(target, alpha, ens, n, delta, restarts, iters, init=None):
+    """The search one restart after another, one solve per candidate: the oracle.
+
+    Returns the estimate and the number of restarts whose start was feasible.
+    """
+    nodes = sm.default_contour().nodes
+    tvals = np.asarray(target, dtype=complex)
+    scale = n ** (1.0 / alpha)
+
+    def feasible(h) -> bool:
+        deform = sm.Measure1D.from_atoms(scale * h)
+        g = sm.freeconv_transform(deform, nodes)
+        return float(np.max(np.abs(g - tvals))) < delta
+
+    def cost(h) -> float:
+        return ens.b * float(np.sum(np.abs(h) ** alpha))
+
+    best, started = math.inf, 0
+    seeds = [np.zeros(n)]
+    if init is not None:
+        seeds.append(np.asarray(init, dtype=float))
+    for restart in range(restarts):
+        gen = rf.rng.philox(2, restart)
+        if restart < len(seeds):
+            cur = seeds[restart].copy()
+        else:
+            base = seeds[-1]
+            cur = base + 0.1 * gen.normal(size=n) * (np.abs(base).max() + 0.1)
+        if not feasible(cur):
+            continue
+        started += 1
+        cur_val = cost(cur)
+        for _ in range(iters):
+            move = gen.integers(3)
+            cand = cur.copy()
+            if move == 0:
+                cand *= 1.0 - 10 ** gen.uniform(-3, -0.7)
+            elif move == 1:
+                k = int(gen.integers(n))
+                cand[k] *= 1.0 - 10 ** gen.uniform(-3, -0.7)
+            else:
+                k = int(gen.integers(n))
+                cand[k] = 0.0
+            val = cost(cand)
+            if val < cur_val and feasible(cand):
+                cur, cur_val = cand, val
+        best = min(best, cur_val)
+    return best, started
+
+
+def two_atom_target(theta):
+    nu = sm.Measure1D(np.array([-theta, theta]), np.array([0.5, 0.5]))
+    return sm.freeconv_transform(nu, sm.default_contour().nodes)
+
+
+def split_init(n, theta):
+    return np.concatenate([np.full(n // 2, theta), np.full(n // 2, -theta)]) / n
+
+
+# (theta, alpha, n, delta, restarts, iters, with init, feasible starts):
+# criterion 11 first; its zero start is infeasible, so restart 0 drops out
+LOCKSTEP_CASES = [
+    (2.0, 1.0, 32, 0.01, 50, 120, True, "some"),
+    (2.0, 1.0, 8, 0.01, 8, 40, True, "some"),
+    (1.0, 1.0, 16, 0.05, 8, 40, True, "some"),
+    (0.5, 0.7, 16, 0.01, 8, 40, False, "some"),
+    (1.0, 0.7, 16, 0.05, 8, 40, False, "some"),
+    (0.5, 1.0, 8, 0.05, 8, 40, False, "all"),
+    (2.0, 1.0, 16, 10.0, 4, 20, True, "all"),
+    (2.0, 1.0, 8, 10.0, 4, 20, False, "all"),
+    (1.0, 1.0, 8, 0.01, 8, 40, False, "none"),
+    (2.0, 1.5, 16, 0.05, 4, 20, True, "none"),
+]
+
+
+@pytest.mark.parametrize("theta, alpha, n, delta, restarts, iters, with_init, starts", LOCKSTEP_CASES)
+def test_variational_lockstep_matches_serial_search(theta, alpha, n, delta, restarts, iters,
+                                                    with_init, starts):
+    # the restarts advance together and share each step's solve, but every
+    # restart draws and accepts as it would alone, so the estimate is the
+    # serial search's bit for bit
+    ens = ml.WignerEnsemble(alpha, b=1.0, a1=2.0)
+    target = two_atom_target(theta)
+    init = split_init(n, theta) if with_init else None
+    want, started = serial_rate_I_variational(target, alpha, ens, n, delta, restarts, iters, init)
+    assert {"none": started == 0, "some": 0 < started < restarts, "all": started == restarts}[starts]
+    got = rf.rate_I_variational(target, alpha, ens, n=n, delta=delta, restarts=restarts,
+                                iters=iters, init=init)
+    assert got == want
+    assert (got == math.inf) == (starts == "none")

@@ -8,7 +8,7 @@ from scipy import integrate
 from scipy.optimize import linprog
 
 from heavylab import specmeasures as sm
-from heavylab.errors import DomainError
+from heavylab.errors import ConvergenceError, DomainError
 
 RNG = np.random.default_rng(314)
 
@@ -229,7 +229,7 @@ def test_distance_dp_dominated_by_coupling_cost():
 
 
 def scalar_dp_diff(mu, nu, p):
-    """The d_p difference on all points at once, without chunking."""
+    """The d_p difference on all points at once, without chunking or a masked power."""
 
     def diff(t):
         t = np.asarray(t, dtype=float)
@@ -238,6 +238,23 @@ def scalar_dp_diff(mu, nu, p):
         return a - b
 
     return diff
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_dp_diff_masked_power_matches_plain_formula(seed):
+    # a term with t <= x is an exact +0 with or without the power, so every
+    # value keeps its bits, at points placed exactly on atoms too
+    rng = np.random.default_rng(61 + seed)
+    for _ in range(60):
+        a, b = random_measure(rng, max_atoms=9), random_measure(rng, max_atoms=9)
+        p = float(rng.uniform(0.01, 0.99))
+        t = np.concatenate([a.atoms, b.atoms, rng.uniform(-5.0, 5.0, size=40)])
+        assert sm._dp_diff(a, b, p)(t).tobytes() == scalar_dp_diff(a, b, p)(t).tobytes()
+    # -0.0 - 0.0 is -0.0, which both forms clip to +0
+    zero = sm.Measure1D(np.array([-1.0, 0.0]), np.array([0.5, 0.5]))
+    t = np.array([-0.0, 0.0, -1.0, 2.0])
+    assert sm._dp_diff(zero, sm.Measure1D.dirac(0.0), 0.5)(t).tobytes() == \
+        scalar_dp_diff(zero, sm.Measure1D.dirac(0.0), 0.5)(t).tobytes()
 
 
 def scalar_golden_max(fun, lo, hi, iters=80):
@@ -523,20 +540,20 @@ def test_freeconv_newton_iteration_counts(monkeypatch):
     # one transform evaluation per Newton iteration; the damped iteration
     # took 38 on the contour and 213 at Im z = 0.01 for these solves
     calls = []
-    plain = sm.stieltjes
+    plain = sm._stieltjes_rows
 
     def counted(*args, **kwargs):
         calls.append(1)
         return plain(*args, **kwargs)
 
-    monkeypatch.setattr(sm, "stieltjes", counted)
+    monkeypatch.setattr(sm, "_stieltjes_rows", counted)
     two = sm.Measure1D(np.array([-2.0, 2.0]), np.array([0.5, 0.5]))
     sm.freeconv_transform(two, sm.default_contour().nodes)
-    assert len(calls) <= 5
+    assert 0 < len(calls) <= 5
     calls.clear()
     semicircle = sm.semicircle_measure(2000)
     sm.freeconv_transform(semicircle, np.linspace(-5.5, 5.5, 401) + 0.01j)
-    assert len(calls) <= 10
+    assert 0 < len(calls) <= 10
 
 
 @settings(max_examples=100, deadline=None)
@@ -556,6 +573,29 @@ def test_freeconv_residual_property(unit_atoms, log_spread, eta, seed):
     g = sm.freeconv_transform(nu, z)
     assert sm.fixed_point_residual(nu, z, g) <= 1e-12
     assert np.all(g.imag < 0)
+
+
+def test_freeconv_rows_match_single_solves():
+    # measures of one atom count share a Newton loop, yet each row keeps the
+    # bits of its own solve; counts 1-9 are mixed, so the rows form groups
+    rng = np.random.default_rng(67)
+    for _ in range(6):
+        measures = [random_measure(rng, max_atoms=9) for _ in range(30)]
+        z = rng.uniform(-7.0, 7.0, size=48) + 1j * 10.0 ** rng.uniform(-3.0, math.log10(2.0), size=48)
+        rows = sm._freeconv_each(measures, z)
+        assert len({mu.atoms.size for mu in measures}) > 1
+        for mu, row in zip(measures, rows):
+            assert row.tobytes() == sm.freeconv_transform(mu, z).tobytes()
+
+
+def test_freeconv_rows_keep_the_checks(monkeypatch):
+    rng = np.random.default_rng(71)
+    measures = [random_measure(rng, max_atoms=3) for _ in range(6)]
+    with pytest.raises(DomainError):
+        sm._freeconv_each(measures, np.array([1.0 + 1.0j, 0.5 + 0.0j]))
+    monkeypatch.setattr(sm, "_NEWTON_ITERS", 1)
+    with pytest.raises(ConvergenceError):
+        sm._freeconv_each(measures, np.linspace(-4.0, 4.0, 9) + 0.01j)
 
 
 def test_freeconv_dirac_recovers_semicircle():
