@@ -1,10 +1,13 @@
 """Command-line front end.
 
-Subcommands: sample, spectrum, freeconv, rate, lpp, audit, net.  Config
+Subcommands: sample, spectrum, freeconv, rate, lpp, audit, net.  Each
+takes only the flags it reads, plus --out: of the shared flags (`_SHARED`:
+--alpha --beta --n --replicas --seed) it names its own, and any other flag,
+on the command line or as a config-file line, is a usage error.  Config
 files are flat UTF-8 key=value lines; command-line flags override file
 values.  Every output file begins with a header line carrying the package
-version and a hash of the resolved configuration, and identical
-(argv, seed) pairs produce byte-identical outputs.
+version and the resolved configuration, the values the command read, with
+its hash, and identical (argv, seed) pairs produce byte-identical outputs.
 
 Exit codes: 0 success, 1 domain/config error, 2 numerical non-convergence.
 
@@ -101,45 +104,46 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     raise ConfigError("--config needs a subcommand")
 
 
+# the flags several commands read, each with its type and default
+_SHARED = {"alpha": (float, 1.0), "beta": (int, 1), "n": (int, 100), "replicas": (int, 100),
+           "seed": (int, 0)}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="heavylab", description=__doc__)
     parser.add_argument("--config", help="flat key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--alpha", type=float, default=1.0)
-        p.add_argument("--beta", type=int, default=1)
-        p.add_argument("--n", type=int, default=100)
-        p.add_argument("--replicas", type=int, default=100)
-        p.add_argument("--seed", type=int, default=0)
+    def command(name, func, shared, summary):
+        """A subcommand taking the named shared flags and --out."""
+        p = sub.add_parser(name, help=summary)
+        for flag in shared.split():
+            kind, default = _SHARED[flag]
+            p.add_argument(f"--{flag}", type=kind, default=default)
         p.add_argument("--out", default=None)
+        p.set_defaults(func=func)
+        return p
 
-    p_sample = sub.add_parser("sample", help="draw from the one-dimensional laws")
-    common(p_sample)
+    p_sample = command("sample", cmd_sample, "alpha seed", "draw from the one-dimensional laws")
     p_sample.add_argument("--law", choices=("nu", "mu"), default="nu")
     p_sample.add_argument("--count", type=int, default=1000)
-    p_sample.set_defaults(func=cmd_sample)
 
-    p_spec = sub.add_parser("spectrum", help="sample a matrix and print its spectrum")
-    common(p_spec)
+    p_spec = command("spectrum", cmd_spectrum, "alpha beta n seed",
+                     "sample a matrix and print its spectrum")
     p_spec.add_argument("--b", type=float, default=None)
     p_spec.add_argument("--a1", type=float, default=None)
     p_spec.add_argument("--a2", type=float, default=None)
     p_spec.add_argument("--scale", choices=("none", "sqrtn"), default="sqrtn")
-    p_spec.set_defaults(func=cmd_spectrum)
 
-    p_free = sub.add_parser("freeconv", help="semicircle free convolution of a measure")
-    common(p_free)
+    p_free = command("freeconv", cmd_freeconv, "", "semicircle free convolution of a measure")
     p_free.add_argument("--measure", help="CSV path (atom,weight); default is a two-point measure")
     p_free.add_argument("--theta", type=float, default=2.0)
     p_free.add_argument("--eta", type=float, default=0.01)
     p_free.add_argument("--grid-lo", type=float, default=None)
     p_free.add_argument("--grid-hi", type=float, default=None)
     p_free.add_argument("--grid-count", type=int, default=401)
-    p_free.set_defaults(func=cmd_freeconv)
 
-    p_rate = sub.add_parser("rate", help="evaluate a rate function, CSV (x, rate)")
-    common(p_rate)
+    p_rate = command("rate", cmd_rate, "alpha", "evaluate a rate function, CSV (x, rate)")
     p_rate.add_argument("--kind", choices=("J", "K", "L"), required=True)
     p_rate.add_argument("--x", type=str, required=True, help="comma-separated evaluation points")
     p_rate.add_argument("--c", type=float, default=None)
@@ -148,29 +152,23 @@ def build_parser() -> _Parser:
     p_rate.add_argument("--taup", type=float, default=None)
     p_rate.add_argument("--g11", type=float, default=None)
     p_rate.add_argument("--d", type=int, default=None)
-    p_rate.set_defaults(func=cmd_rate)
 
-    p_lpp = sub.add_parser("lpp", help="last-passage Monte Carlo, JSON-lines records")
-    common(p_lpp)
-    p_lpp.add_argument("--dim", type=int, default=2)
+    p_lpp = command("lpp", cmd_lpp, "alpha n replicas seed",
+                    "last-passage Monte Carlo, JSON-lines records")
     p_lpp.add_argument("--spike", type=float, default=0.0)
-    p_lpp.set_defaults(func=cmd_lpp)
 
-    p_audit = sub.add_parser("audit", help="concentration audit, JSON-lines + CSV summary")
-    common(p_audit)
+    p_audit = command("audit", cmd_audit, "alpha beta n replicas seed",
+                      "concentration audit, JSON-lines + CSV summary")
     p_audit.add_argument("--functional", choices=("largest_eig", "esm_distance"), default="largest_eig")
     p_audit.add_argument("--t-grid", type=str, default="0.1,0.25,0.5,1.0")
     p_audit.add_argument("--summary-out", default=None)
-    p_audit.set_defaults(func=cmd_audit)
 
-    p_net = sub.add_parser("net", help="greedy covering-net sizes, CSV (eps, size)")
-    common(p_net)
+    p_net = command("net", cmd_net, "seed", "greedy covering-net sizes, CSV (eps, size)")
     p_net.add_argument("--p", type=float, default=0.5)
     p_net.add_argument("--q", type=float, default=2.0)
     p_net.add_argument("--eps", type=str, default="0.3,0.5,0.7,0.9")
     p_net.add_argument("--m", type=int, default=16)
     p_net.add_argument("--trials", type=int, default=120)
-    p_net.set_defaults(func=cmd_net)
 
     return parser
 
@@ -218,6 +216,8 @@ def cmd_freeconv(args) -> int:
         nu = sm.Measure1D(np.array([-t, t]), np.array([0.5, 0.5]))
     lo = args.grid_lo if args.grid_lo is not None else float(nu.atoms.min() - 3.5)
     hi = args.grid_hi if args.grid_hi is not None else float(nu.atoms.max() + 3.5)
+    if args.grid_count < 2:
+        raise ConfigError("freeconv needs --grid-count >= 2")
     grid = np.linspace(lo, hi, args.grid_count)
     g, dens = sm.free_conv_semicircle(nu, args.eta, grid)
     rows = zip(grid, g.real, g.imag, dens)
@@ -255,8 +255,6 @@ def cmd_lpp(args) -> int:
 
     from . import lpp
 
-    if args.dim != 2:
-        raise ConfigError("the CLI Monte Carlo path covers d = 2")
     if not 0.0 < args.alpha < 1.0:
         raise ConfigError("lpp needs alpha in (0, 1)")
     if args.n < 1 or args.replicas < 1:

@@ -69,14 +69,12 @@ class ExperimentConfig:
     t_grid: tuple = ()
     beta: int = 1
     d: int | None = None
-    lattice_dim: int = 2
-    assertable: bool = False
 
     def __post_init__(self):
         if self.functional not in FUNCTIONALS:
             raise DomainError(f"unknown functional {self.functional!r}")
-        if self.assertable and self.replicas < 100:
-            raise DomainError("asserted criteria need at least 100 replicas")
+        if self.replicas < 1:
+            raise DomainError(f"replicas must be at least 1, got {self.replicas}")
         if self.t_grid and (np.any(np.diff(self.t_grid) <= 0) or min(self.t_grid) <= 0):
             raise DomainError("t_grid must be positive and increasing")
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
@@ -218,9 +216,9 @@ def _poly_errors(config, n, spike):
 def _lpp_errors(config, n, spike, g_eval):
     if g_eval is None:
         raise DomainError("lpp curves need a shape estimate g_eval")
-    hvals = np.zeros((n + 1,) * config.lattice_dim)
-    hvals[(n,) * config.lattice_dim] = spike
-    h = lpp.WeightField(config.lattice_dim, n, hvals)
+    hvals = np.zeros((n + 1, n + 1))
+    hvals[n, n] = spike
+    h = lpp.WeightField(2, n, hvals)
     t_det = lpp.deterministic_equivalent_T(h, g_eval)
     times = lpp.passage_times(
         config.alpha, hvals.shape, config.replicas, config.seed, shift=n * hvals
@@ -370,6 +368,8 @@ def greedy_net_centers(p: float, q: float, eps: float, m: int, trials: int, seed
         raise DomainError("eps must be positive")
     if not 0.0 < p <= 2.0:
         raise DomainError("probe sampling covers p in (0, 2]")
+    if m < 1 or trials < 1:
+        raise DomainError(f"need m >= 1 and trials >= 1, got m={m}, trials={trials}")
     centers = [] if centers is None else [np.asarray(c) for c in centers]
     covered_run = 0
     gen = rng.philox(seed, 2**34)

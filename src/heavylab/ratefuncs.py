@@ -50,6 +50,8 @@ class RateParams:
             val = getattr(self, name)
             if val is not None and val < 0:
                 raise DomainError(f"{name} must be non-negative")
+        if self.d is not None and self.d < 1:
+            raise DomainError(f"d must be at least 1, got {self.d}")
 
 
 def rate_J(x: float, params: RateParams) -> float:

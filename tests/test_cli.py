@@ -1,9 +1,13 @@
+import argparse
+import ast
 import hashlib
+import inspect
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -45,24 +49,69 @@ def test_rate_multiple_points_csv(capsys, tmp_path):
     assert lines[4].split(",")[1] == "2.0"  # c * g(2.5)^-1 = 2
 
 
+# per command, a run that exits 0 and the shared flags the command does not read
+_UNREAD = {
+    ("sample", "--count", "10"): "beta n replicas",
+    ("spectrum", "--n", "10"): "replicas",
+    ("freeconv", "--grid-count", "5"): "alpha beta n replicas seed",
+    ("rate", "--kind", "J", "--c", "1", "--x", "2"): "beta n replicas seed",
+    ("lpp", "--alpha", "0.5", "--n", "2", "--replicas", "2"): "beta",
+    ("net", "--eps", "0.5", "--m", "2", "--trials", "5"): "alpha beta n replicas",
+}
+
+
 def test_unknown_flag_exits_one(capsys, tmp_path):
     code, out, err = run(capsys, "rate", "--kind", "J", "--x", "2", "--mystery", "1")
     assert code == 1
     assert "usage" in err or "config error" in err
     # the ensemble coefficients belong to spectrum alone, on the command
-    # line and in a config file; --b is no abbreviation of --beta either
+    # line and in a config file; --b is no abbreviation of --beta either;
+    # a command takes none of the shared flags it does not read, which would
+    # land unread in its header
     cfg = tmp_path / "b.cfg"
     cfg.write_text("b=2\n")
+    seed_cfg = tmp_path / "seed.cfg"
+    seed_cfg.write_text("seed=1\n")
+    unread = [(*base, f"--{flag}", "1") for base, flags in _UNREAD.items() for flag in flags.split()]
+    assert len(unread) == 18
     for argv in (
         ("audit", "--b", "2"),
         ("sample", "--a1", "3"),
         ("lpp", "--a2", "1"),
         ("audit", "--config", str(cfg)),
+        *unread,
+        ("lpp", "--alpha", "0.5", "--n", "2", "--replicas", "2", "--dim", "2"),
+        ("freeconv", "--grid-count", "5", "--config", str(seed_cfg)),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""
         assert "usage" in err and "unrecognized arguments" in err
+
+
+def test_every_declared_flag_is_read():
+    # a flag its command never reads would still land in the header and the
+    # config hash; the rate constants are read by name from a table, so a
+    # string constant counts as a read as well as ``args.<dest>``
+    (subparsers,) = (
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    for name, parser in subparsers.choices.items():
+        func = parser.get_default("func")
+        tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+        read = {
+            node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "args"
+        }
+        read |= {
+            node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        }
+        declared = {
+            a.dest for a in parser._actions if not isinstance(a, argparse._HelpAction)
+        } - {"out"}
+        assert declared <= read, f"{name} declares {sorted(declared - read)} without reading it"
 
 
 # per --kind, the constants it reads, each with a value
@@ -181,50 +230,70 @@ def test_lpp_command_jsonl(capsys, tmp_path):
     assert {"n", "alpha", "seed", "T", "T_det", "g11_hat", "stream"} <= set(recs[0])
 
 
+def _assert_output(out, header, digest):
+    # the header line exactly, and the SHA-256 of every byte below it: the
+    # bytes are part of the contract
+    head, body = out.split("\n", 1)
+    assert head == header
+    assert hashlib.sha256(body.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize(
-    "argv, digest",
+    "argv, header, digest",
     [
         (("lpp", "--alpha", "0.5", "--n", "8", "--replicas", "20", "--seed", "3"),
-         "5048cded72b5def230fc8b20e89b10d9272f178cc844473182a32f191f4fb08e"),
+         '{"config":{"alpha":0.5,"command":"lpp","n":8,"replicas":20,"seed":3,"spike":0.0},'
+         '"config_hash":"4d0f412618ba","header":true,"version":"0.1.0"}',
+         "ec26e9b9691c3b3ffb97b1391e0d1278d5b9e2142df66f6165b048b26614b408"),
         (("lpp", "--alpha", "0.3", "--n", "8", "--replicas", "20", "--seed", "3", "--spike", "2"),
-         "cf429639ca64f7dda71589b8015601981405790c0567c9d69725b90a29c2b1f1"),
+         '{"config":{"alpha":0.3,"command":"lpp","n":8,"replicas":20,"seed":3,"spike":2.0},'
+         '"config_hash":"ff3dea24122e","header":true,"version":"0.1.0"}',
+         "3ce156319af7a110fe1d559c6954748d4a3e8cc5dd3e422029d81c189014ecf8"),
     ],
     ids=["alpha0.5", "alpha0.3-spike2"],
 )
-def test_lpp_output_bytes_pinned(capsys, argv, digest):
-    # SHA-256 of the whole output, header and records: the bytes are part of the contract
+def test_lpp_output_bytes_pinned(capsys, argv, header, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    _assert_output(out, header, digest)
 
 
 @pytest.mark.parametrize(
-    "argv, digest",
+    "argv, header, digest",
     [
         (("sample", "--law", "mu", "--alpha", "0.5", "--count", "50", "--seed", "9"),
-         "2bb8a950460383ffa926c0eaafb61e7aab5d3926274b607301bea46304c8d012"),
+         "# heavylab 0.1.0 config_hash=b1be4a76cafa alpha=0.5 command=sample count=50 law=mu seed=9",
+         "42b184b1a206ef3a779fb541093390349946ded168016e46acaaeb042725f801"),
         (("sample", "--law", "nu", "--alpha", "0.3", "--count", "50", "--seed", "1"),
-         "5f8a15382f55083ef3b046838bf0b763e0ec5eaaffbdf8bdcf17d3065e80b1c2"),
+         "# heavylab 0.1.0 config_hash=ed6109923fa5 alpha=0.3 command=sample count=50 law=nu seed=1",
+         "3823eab4c1a3db4646fbde7549c3108c5f279c6415bf0f7251a09fb23f5332b9"),
         (("freeconv", "--theta", "2", "--eta", "0.01", "--grid-count", "41"),
-         "76850d8ac30711eba56c4b65fe63728b4fd0436b5f6c4e492eb67fb7f2287247"),
+         "# heavylab 0.1.0 config_hash=6314d73d02fa command=freeconv eta=0.01 grid_count=41"
+         " theta=2.0",
+         "0026f6157bf27ee698469166712dcd9c0f1031d8d943c7ebe78afccced4722c6"),
         (("rate", "--kind", "J", "--alpha", "1", "--c", "1", "--x", "2"),
-         "f3b2055949c2fa0f5624723d5913d340d110ecbe4337f4fbd1855cdcb0e21ff7"),
+         "# heavylab 0.1.0 config_hash=e36cc420e37e alpha=1.0 c=1.0 command=rate kind=J x=2",
+         "51ff0d2f0d3a5d61edec31785532ea0d570f8c348d58b15b94ff9c2ca6e926a4"),
         (("rate", "--kind", "J", "--alpha", "1", "--c", "1", "--x", "1,2,2.5"),
-         "df3fac1025d4a1970714bb67b8268b5b68c6eaf3edd40c9a60ff6fe2eeb65e22"),
+         "# heavylab 0.1.0 config_hash=10ba510ade42 alpha=1.0 c=1.0 command=rate kind=J"
+         " x=1,2,2.5",
+         "71522fd146020daaa7983a741124d01108e1db2e22cdfb66f528200b64f9715a"),
         (("net", "--p", "0.5", "--q", "2", "--eps", "0.5,0.9", "--m", "8", "--trials", "30",
           "--seed", "5"),
-         "f63b213caa95e176e9f27a4ea8bd55e9fb587c3b7085a44f3447b5c2ce828338"),
+         "# heavylab 0.1.0 config_hash=11429cb5b4d4 command=net eps=0.5,0.9 m=8 p=0.5 q=2.0"
+         " seed=5 trials=30",
+         "1c0c84d3fb8fed6f413930d2fc6a4bcdb5dba9f197fa2aa4a67ba96f4331f153"),
     ],
     ids=["sample-mu", "sample-nu-alpha0.3", "freeconv", "rate-single", "rate-multi", "net"],
 )
-def test_csv_output_bytes_pinned(capsys, argv, digest):
+def test_csv_output_bytes_pinned(capsys, argv, header, digest):
     # spectrum is left out: its eigenvalues depend on the BLAS build; a CLI
     # process solves on one BLAS thread, and
     # test_spectrum_output_is_the_single_threaded_spectrum checks it against
     # the in-process spectrum on one thread
     code, out, _ = run(capsys, *argv)
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    _assert_output(out, header, digest)
 
 
 def _src_env():
@@ -400,12 +469,22 @@ def test_small_exponent_exits_one(capsys, argv, message):
         (("freeconv",), "atom,weight\n-1.0,0.5\n1.0;0.5\n"),
         (("freeconv",), "abc,0.5\n1.0,0.5\n"),
         (("freeconv",), "0.0,nan\n1.0,0.5\n"),
+        (("audit", "--n", "10", "--replicas", "0"), None),
+        (("freeconv", "--grid-count", "0"), None),
+        (("freeconv", "--grid-count", "-1"), None),
+        (("net", "--m", "0"), None),
+        (("net", "--trials", "0"), None),
+        (("rate", "--kind", "K", "--c1", "1", "--cm1", "1", "--taup", "0", "--d", "0", "--x", "1"),
+         None),
     ],
-    ids=["rate-x", "audit-t-grid", "net-eps", "measure-semicolon", "measure-text", "measure-nan"],
+    ids=["rate-x", "audit-t-grid", "net-eps", "measure-semicolon", "measure-text", "measure-nan",
+         "audit-replicas0", "grid-count0", "grid-count-1", "net-m0", "net-trials0", "rate-d0"],
 )
 def test_malformed_input_exits_one(capsys, tmp_path, argv, measure):
-    # each of these once ended in a ValueError traceback, or (measure-nan)
-    # in a RuntimeWarning and a fixed point that never converged, exit 2
+    # each of these once ended in a traceback (ValueError; ZeroDivisionError
+    # for rate-d0), in a RuntimeWarning and a fixed point that never
+    # converged, exit 2 (measure-nan), or in exit 0 with records of NaN
+    # exceedances (audit-replicas0) or nets of size 0 (net-trials0)
     if measure is not None:
         path = tmp_path / "measure.csv"
         path.write_text(measure)

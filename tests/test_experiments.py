@@ -37,7 +37,7 @@ def test_config_validation_and_hash():
     with pytest.raises(DomainError):
         small_config(functional="nope")
     with pytest.raises(DomainError):
-        small_config(replicas=50, assertable=True)
+        small_config(replicas=0)
     with pytest.raises(DomainError):
         small_config(t_grid=(0.5, 0.25))
     a, b = small_config(), small_config()
