@@ -259,6 +259,8 @@ def cmd_lpp(args) -> int:
         raise ConfigError("lpp needs alpha in (0, 1)")
     if args.n < 1 or args.replicas < 1:
         raise ConfigError("lpp needs --n >= 1 and --replicas >= 1")
+    if not args.spike >= 0.0:
+        raise ConfigError("lpp needs --spike >= 0 (0 is no spike)")
     n = args.n
     times = lpp.passage_times(args.alpha, (n + 1, n + 1), args.replicas, args.seed) / n
     g11_hat = float(times.mean())

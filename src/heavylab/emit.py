@@ -2,22 +2,38 @@
 
 Both open with a header carrying the package version, the resolved config
 and its hash.  `jsonl_text` writes a JSON header line, then one JSON record
-per line; `csv_text` writes ``# heavylab <version> config_hash=<hash> k=v
-...``, the column line, then one line per row.  The module imports the
-standard library only, so the CLI can load it without numpy.
+per line, with non-finite floats as the strings "inf", "-inf" and "nan";
+`csv_text` writes ``# heavylab <version> config_hash=<hash> k=v ...``, the
+column line, then one line per row.  The module imports the standard
+library only, so the CLI can load it without numpy.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import shlex
 
 VERSION = "0.1.0"
 
 
+def _finite_json(obj):
+    """obj with each +inf, -inf and NaN float replaced by "inf", "-inf" or "nan".
+
+    json.dumps would write them as Infinity and NaN, which are not JSON.
+    """
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else str(obj)
+    if isinstance(obj, dict):
+        return {k: _finite_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_json(v) for v in obj]
+    return obj
+
+
 def _json_line(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=str)
+    return json.dumps(_finite_json(obj), sort_keys=True, separators=(",", ":"), default=str)
 
 
 def config_hash(conf: dict) -> str:

@@ -467,9 +467,9 @@ def run_preset(name: str) -> str:
             {
                 "n": n,
                 "p_hat": p,
-                "estimate": est if math.isfinite(est) else "inf",
+                "estimate": est,
                 "ci_lo": lo,
-                "ci_hi": hi if math.isfinite(hi) else "inf",
+                "ci_hi": hi,
                 "hits": hits,
                 "g11_hat": g_hat,
             }

@@ -12,14 +12,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import rng
 from .errors import DomainError
-from .freeprob import NCPolynomial, eval_trace
-from .matrixlab import HermitianMatrix, WignerEnsemble, w_alpha_energy
 from .specmeasures import Measure1D, _freeconv_each, default_contour, g_semicircle
+
+# the searches import what they run when they run, so the closed forms load
+# only specmeasures
+if TYPE_CHECKING:
+    from .freeprob import NCPolynomial
+    from .matrixlab import WignerEnsemble
 
 INF = float("inf")
 
@@ -120,6 +124,9 @@ def optimize_constant_c(
     eigenvalue after every move.  The rank-one diagonal witness guarantees
     the estimate never exceeds b.  Restart r draws from Philox key (0, r).
     """
+    from . import matrixlab as ml
+    from . import rng
+
     if n_max > 8:
         raise DomainError("n_max is capped at 8 (desk-scale search)")
     best_val, best_mat = INF, None
@@ -133,22 +140,22 @@ def optimize_constant_c(
                 cur = witness.copy()
             else:
                 cur = _perturbed(np.zeros((n, n)), gen, 1.0, ens.beta)
-            hm = HermitianMatrix(cur)
+            hm = ml.HermitianMatrix(cur)
             lam = hm.largest_eig()
             if lam <= 1e-9:
                 continue
             cur = hm.mat / lam
-            cur_val = w_alpha_energy(HermitianMatrix(cur), ens)
+            cur_val = ml.w_alpha_energy(ml.HermitianMatrix(cur), ens)
             step = 0.5
             for _ in range(iters):
                 cand = _perturbed(cur, gen, step, ens.beta)
-                hm = HermitianMatrix(cand)
+                hm = ml.HermitianMatrix(cand)
                 lam = hm.largest_eig()
                 if lam <= 1e-9:
                     step *= 0.7
                     continue
                 cand = hm.mat / lam
-                val = w_alpha_energy(HermitianMatrix(cand), ens)
+                val = ml.w_alpha_energy(ml.HermitianMatrix(cand), ens)
                 if val < cur_val:
                     cur, cur_val = cand, val
                 else:
@@ -156,7 +163,7 @@ def optimize_constant_c(
                 if step < 1e-6:
                     break
             if cur_val < best_val:
-                best_val, best_mat = cur_val, HermitianMatrix(cur)
+                best_val, best_mat = cur_val, ml.HermitianMatrix(cur)
     return best_val, best_mat
 
 
@@ -175,6 +182,10 @@ def optimize_constant_csigma(
     W_alpha(H) (sigma/s)^(alpha/d).  Returns +inf when no tested candidate
     ever achieves the requested sign.  Restart r draws from Philox key (1, r).
     """
+    from . import freeprob as fp
+    from . import matrixlab as ml
+    from . import rng
+
     if sigma not in (-1, 1):
         raise DomainError("sigma must be -1 or +1")
     if n_max > 6:
@@ -187,26 +198,26 @@ def optimize_constant_csigma(
     best = INF
 
     def cost(mats) -> float:
-        s = eval_trace(poly_d, mats, normalize=False)
+        s = fp.eval_trace(poly_d, mats, normalize=False)
         if not isinstance(s, float):
             s = s.real
         if s == 0.0 or math.copysign(1.0, s) != float(sigma):
             return INF
-        w = sum(w_alpha_energy(m, ens) for m in mats)
+        w = sum(ml.w_alpha_energy(m, ens) for m in mats)
         return w * (abs(1.0 / s)) ** (ens.alpha / d)
 
     for n in range(1, n_max + 1):
         for restart in range(restarts):
             gen = rng.philox(1, restart)
             cur = [_perturbed(np.zeros((n, n)), gen, 1.0, ens.beta) for _ in range(p)]
-            cur_mats = tuple(HermitianMatrix(m) for m in cur)
+            cur_mats = tuple(ml.HermitianMatrix(m) for m in cur)
             cur_val = cost(cur_mats)
             step = 0.5
             for _ in range(iters):
                 k = int(gen.integers(p))
                 cand = list(cur)
                 cand[k] = _perturbed(cand[k], gen, step, ens.beta)
-                cand_mats = tuple(HermitianMatrix(m) for m in cand)
+                cand_mats = tuple(ml.HermitianMatrix(m) for m in cand)
                 val = cost(cand_mats)
                 if val < cur_val:
                     cur, cur_mats, cur_val = cand, cand_mats, val
@@ -245,6 +256,8 @@ def rate_I_variational(
     its restart's current cost.  Each restart walks the path it would walk
     alone, and the result is the least final cost over the restarts.
     """
+    from . import rng
+
     if not 1 <= n <= 64:
         raise DomainError("n must lie in 1..64 (desk-scale search)")
     if delta <= 0:

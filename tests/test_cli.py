@@ -373,6 +373,21 @@ def test_sample_loads_only_the_modules_it_runs():
     assert "concurrent.futures" not in mods
 
 
+def test_rate_loads_only_the_modules_it_runs():
+    probe = "\n".join([
+        "import contextlib, io, sys",
+        "from heavylab.cli import main",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert main(['rate', '--kind', 'J', '--c', '1', '--x', '2.5']) == 0",
+    ])
+    mods = _modules_after(probe)
+    # specmeasures for g_semicircle; the searches' modules load when they run
+    assert {m for m in mods if m.startswith("heavylab")} == {
+        "heavylab", "heavylab.cli", "heavylab.emit", "heavylab.errors",
+        "heavylab.ratefuncs", "heavylab.specmeasures",
+    }
+
+
 def test_version_reads_without_numpy():
     # setuptools reads the dynamic version from pyproject.toml at build
     # time, where numpy may be missing
@@ -476,15 +491,18 @@ def test_small_exponent_exits_one(capsys, argv, message):
         (("net", "--trials", "0"), None),
         (("rate", "--kind", "K", "--c1", "1", "--cm1", "1", "--taup", "0", "--d", "0", "--x", "1"),
          None),
+        (("lpp", "--alpha", "0.5", "--n", "3", "--replicas", "2", "--spike", "-1"), None),
     ],
     ids=["rate-x", "audit-t-grid", "net-eps", "measure-semicolon", "measure-text", "measure-nan",
-         "audit-replicas0", "grid-count0", "grid-count-1", "net-m0", "net-trials0", "rate-d0"],
+         "audit-replicas0", "grid-count0", "grid-count-1", "net-m0", "net-trials0", "rate-d0",
+         "lpp-spike-1"],
 )
 def test_malformed_input_exits_one(capsys, tmp_path, argv, measure):
     # each of these once ended in a traceback (ValueError; ZeroDivisionError
     # for rate-d0), in a RuntimeWarning and a fixed point that never
     # converged, exit 2 (measure-nan), or in exit 0 with records of NaN
-    # exceedances (audit-replicas0) or nets of size 0 (net-trials0)
+    # exceedances (audit-replicas0), nets of size 0 (net-trials0) or an
+    # unread spike (lpp-spike-1)
     if measure is not None:
         path = tmp_path / "measure.csv"
         path.write_text(measure)
@@ -544,6 +562,21 @@ def test_audit_command(capsys, tmp_path):
     assert json.loads(lines[0])["header"] is True
     assert len(lines) == 4
     assert summary.read_text().splitlines()[1] == "t,exceedance,bound"
+
+
+def test_audit_records_past_every_deviation_are_json(capsys, tmp_path):
+    # no t of the grid has an exceedance strictly between 0 and 1, so c_hat
+    # is inf; json.dumps alone writes it as the non-JSON token Infinity
+    out = tmp_path / "audit.jsonl"
+    code, _, _ = run(capsys, "audit", "--n", "10", "--replicas", "5", "--t-grid", "50,100",
+                     "--out", str(out))
+    assert code == 0
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    records = [json.loads(line, parse_constant=reject) for line in out.read_text().splitlines()]
+    assert [r["c_hat"] for r in records[1:]] == ["inf", "inf"]
 
 
 def test_net_command(capsys, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from heavylab import matrixlab as ml
 from heavylab import ratefuncs as rf
+from heavylab import rng
 from heavylab import specmeasures as sm
 from heavylab.errors import DomainError
 from heavylab.freeprob import NCPolynomial
@@ -210,7 +211,7 @@ def serial_rate_I_variational(target, alpha, ens, n, delta, restarts, iters, ini
     if init is not None:
         seeds.append(np.asarray(init, dtype=float))
     for restart in range(restarts):
-        gen = rf.rng.philox(2, restart)
+        gen = rng.philox(2, restart)
         if restart < len(seeds):
             cur = seeds[restart].copy()
         else:

@@ -15,6 +15,7 @@ def brute_inf_conv(f, w, grid, at=None):
 
     Each row w(x - grid) is evaluated on an array, as `inf_convolution` does:
     the weight evaluated one scalar at a time can differ from it by 1 ulp.
+    A NaN candidate makes the row NaN, as in numpy's min.
     """
     at = grid if at is None else at
     out = np.empty(len(at))
@@ -23,6 +24,9 @@ def brute_inf_conv(f, w, grid, at=None):
         best = math.inf
         for j in range(len(grid)):
             val = f[j] + row[j]
+            if val != val:
+                best = val
+                break
             if val < best:
                 best = val
         out[i] = best
@@ -177,6 +181,72 @@ def test_inf_convolution_large_grid_with_inf_entries():
     rows = np.unique(np.r_[0 : grid.size : 16, 63, 64, 1535, 1536, 1599, 1600])
     fw = weights.inf_convolution(f, w, grid)
     assert np.array_equal(fw[rows], brute_inf_conv(f, w, grid, at=grid[rows]))
+
+
+# a cached 1201-node table, where each 64-row block reads only the columns that
+# can hold a row's minimum; the brute force runs on every 16th row and the
+# rows around block ends
+PRUNE_GRID = np.linspace(-30, 30, 1201)
+PRUNE_ROWS = np.unique(np.r_[0:1201:16, 63, 64, 575, 576, 1151, 1152, 1200])
+
+
+def _matches_brute_force_on_rows(f, w):
+    fw = weights.inf_convolution(f, w, PRUNE_GRID)
+    brute = brute_inf_conv(f, w, PRUNE_GRID, at=PRUNE_GRID[PRUNE_ROWS])
+    return np.array_equal(fw[PRUNE_ROWS], brute, equal_nan=True)
+
+
+@pytest.mark.parametrize("w", [weights.corexp(0.25), weights.talagrand(0.3)])
+@pytest.mark.parametrize("special", [np.inf, -np.inf, np.nan])
+def test_pruned_inf_convolution_with_non_finite_f(w, special):
+    rng = np.random.default_rng(31)
+    f = rng.uniform(0, 4, size=PRUNE_GRID.size)
+    assert _matches_brute_force_on_rows(f, w)
+    assert weights._block_floors(w, PRUNE_GRID, weights._weight_table(w, PRUNE_GRID)) is not None
+    # +inf on a fifth of the nodes, a whole 64-column chunk included; one -inf
+    # or NaN entry turns every row to -inf or NaN
+    if special == np.inf:
+        f[rng.random(f.size) < 0.2] = np.inf
+        f[128:192] = np.inf
+    else:
+        f[700] = special
+    assert _matches_brute_force_on_rows(f, w)
+
+
+def test_pruned_inf_convolution_with_negative_weight_entries():
+    # w = -50 at lag 20: the minimum of a row 20 to the right of a large f is
+    # reached there, so the block floors must keep that column
+    base = weights.corexp(0.25)
+    w = lambda t: np.where(np.abs(np.abs(t) - 20.0) < 1e-9, -50.0, base(t))
+    f = np.random.default_rng(37).uniform(0, 4, size=PRUNE_GRID.size)
+    f[100] = 4.0
+    table = weights._weight_table(w, PRUNE_GRID)
+    assert table.min() == -50.0
+    assert weights._block_floors(w, PRUNE_GRID, table) is not None
+    assert _matches_brute_force_on_rows(f, w)
+
+
+def test_inf_convolution_with_infinite_weight_entries_reads_every_column():
+    base = weights.corexp(0.25)
+    w = lambda t: np.where(np.abs(t) > 25.0, np.inf, base(t))
+    f = np.random.default_rng(41).uniform(0, 4, size=PRUNE_GRID.size)
+    assert weights._block_floors(w, PRUNE_GRID, weights._weight_table(w, PRUNE_GRID)) is None
+    assert _matches_brute_force_on_rows(f, w)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.floats(min_value=1e-3, max_value=100.0),
+    st.floats(min_value=0.02, max_value=0.49),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_pruned_inf_convolution_matches_brute_force(top, delta, seed):
+    rng = np.random.default_rng(seed)
+    knots = np.linspace(-30, 30, 8) + rng.uniform(-2, 2, size=8)
+    smooth = np.interp(PRUNE_GRID, knots, rng.uniform(0, top, size=8))
+    rough = rng.uniform(0, top, size=PRUNE_GRID.size)
+    for f in (smooth, rough):
+        assert _matches_brute_force_on_rows(f, weights.corexp(delta))
 
 
 TABLE_WEIGHTS = [weights.talagrand(0.4), weights.corexp(0.45), weights.truncated(0.7, 0.2)]
