@@ -301,10 +301,10 @@ def cmd_audit(args) -> int:
 
 
 def cmd_net(args) -> int:
-    from . import experiments as ex
+    from . import nets
 
     eps_list = _floats(args.eps, "eps")
-    profile = ex.greedy_net_profile(args.p, args.q, eps_list, args.m, args.trials, args.seed)
+    profile = nets.greedy_net_profile(args.p, args.q, eps_list, args.m, args.trials, args.seed)
     _write(args.out, csv_text(_resolved_config(args), ("eps", "size"), profile))
     return 0
 

@@ -23,6 +23,7 @@ pool runs at once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -74,9 +75,21 @@ def unit_variance_ensemble(alpha: float, beta: int = BETA_SYMMETRIC) -> WignerEn
 
     For beta = 1 the off-diagonal scale c has c^2 m2 = 1, i.e. a1 = c^-alpha;
     for beta = 2 the real and imaginary parts carry variance 1/2 each.
+    Below alpha ~ 0.01387 the variance overflows a double while the
+    coefficient stays moderate (e^5.25 at alpha = 0.01), so there it is
+    taken from logs; elsewhere it is the plain power, whose last bit the
+    log form would move.
     """
-    m2 = measures.moment(measures.nu(alpha), 2)
-    coef = (m2 if beta == BETA_SYMMETRIC else 2.0 * m2) ** (alpha / 2.0)
+    law = measures.nu(alpha)
+    spread = 1.0 if beta == BETA_SYMMETRIC else 2.0
+    try:
+        var = spread * measures.moment(law, 2)
+    except DomainError:
+        var = math.inf
+    if var < math.inf:
+        coef = var ** (alpha / 2.0)
+    else:
+        coef = math.exp(alpha / 2.0 * (measures.log_moment(law, 2) + math.log(spread)))
     return WignerEnsemble(alpha, b=coef, a1=coef, a2=coef, beta=beta)
 
 

@@ -284,17 +284,21 @@ def mu(alpha: float) -> AlphaLaw:
     return AlphaLaw(alpha, "one")
 
 
-def moment(law: AlphaLaw, k: int) -> float:
-    """k-th absolute moment: E|X|^k = Gamma((k+1)/alpha) / Gamma(1/alpha)."""
+def log_moment(law: AlphaLaw, k: int) -> float:
+    """log E|X|^k = lgamma((k+1)/alpha) - lgamma(1/alpha), finite where the moment overflows."""
     if k < 0:
         raise DomainError(f"moment order must be non-negative, got {k}")
     if k == 0:
-        return 1.0
-    a = law.alpha
+        return 0.0
+    return math.lgamma((k + 1.0) / law.alpha) - math.lgamma(1.0 / law.alpha)
+
+
+def moment(law: AlphaLaw, k: int) -> float:
+    """k-th absolute moment: E|X|^k = Gamma((k+1)/alpha) / Gamma(1/alpha)."""
     try:
-        return math.exp(math.lgamma((k + 1.0) / a) - math.lgamma(1.0 / a))
+        return math.exp(log_moment(law, k))
     except OverflowError:
-        raise DomainError(f"moment {k} of the law with alpha={a} overflows a double") from None
+        raise DomainError(f"moment {k} of the law with alpha={law.alpha} overflows a double") from None
 
 
 # Draws pass through the map in blocks of this many: a block and the map's

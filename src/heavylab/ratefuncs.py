@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DomainError
-from .specmeasures import Measure1D, _freeconv_each, default_contour, g_semicircle
+from .specmeasures import Measure1D, _freeconv_rows, default_contour, g_semicircle
 
 # the searches import what they run when they run, so the closed forms load
 # only specmeasures
@@ -246,15 +246,19 @@ def rate_I_variational(
     subject to the transform distance between the semicircle free
     convolution and the target staying below delta on the default contour.
     ``target`` holds the target's transform values at the default contour's
-    nodes, one per node.  Returns +inf when no feasible point is found
-    within the budget.  Restart r draws from Philox key (2, r).
+    nodes, one per node; ``init``, when given, is a starting h of n
+    entries.  Returns +inf when no feasible point is found within the
+    budget.  Restart r draws from Philox key (2, r).
 
     The restarts run in lockstep.  A restart's draws never depend on which
     of its points were feasible, so one fixed-point solve checks the
     starting points of all restarts (a restart with an infeasible start is
     dropped), and at each step one solve checks every candidate that beats
-    its restart's current cost.  Each restart walks the path it would walk
-    alone, and the result is the least final cost over the restarts.
+    its restart's current cost.  The candidates go to the solver as the
+    rows of one array (`specmeasures._freeconv_rows`), with no `Measure1D`
+    built per candidate, and each row's transform has the bits of its
+    measure's own solve.  Each restart walks the path it would walk alone,
+    and the result is the least final cost over the restarts.
     """
     from . import rng
 
@@ -266,10 +270,12 @@ def rate_I_variational(
     tvals = np.asarray(target, dtype=complex)
     if tvals.shape != nodes.shape:
         raise DomainError(f"target needs one value per contour node, shape {nodes.shape}")
+    if init is not None and np.shape(init) != (n,):
+        raise DomainError(f"init needs n = {n} entries, got shape {np.shape(init)}")
     scale = n ** (1.0 / alpha)
 
     def feasible(hs) -> np.ndarray:
-        g = _freeconv_each([Measure1D.from_atoms(scale * h) for h in hs], nodes)
+        g = _freeconv_rows(scale * np.reshape(hs, (-1, n)), nodes)
         return np.max(np.abs(g - tvals), axis=1) < delta
 
     def cost(h) -> float:

@@ -28,6 +28,14 @@ _NEWTON_TOL = 1e-12
 _DP_TOL = 1e-9
 # points per d_p difference evaluation; bounds the (points x atoms) temporaries
 _DP_CHUNK = 1024
+# distance_dp splits each segment that its end values leave uncertified into
+# this many pieces, once
+_DP_PIECES = 8
+# distance_dp's rounding margin is _DP_SLACK (m + 4) (eps (A + B) + eta),
+# eps = 2^-52 and eta = 2^-1074 (the smallest subnormal)
+_DP_SLACK = 24.0
+_EPS = 2.0**-52
+_TINY = 2.0**-1074
 
 
 @dataclass(frozen=True)
@@ -217,31 +225,49 @@ def monotone_coupling_cost(mu: Measure1D, nu: Measure1D, p: float) -> float:
     return float(np.sum(mass * np.abs(xa - xb) ** p))
 
 
-def _dp_diff(mu: Measure1D, nu: Measure1D, p: float):
-    """t -> int (t-x)_+^p dmu - int (t-x)_+^p dnu, elementwise over any t.
+def _dp_parts(mu: Measure1D, nu: Measure1D, p: float, t) -> np.ndarray:
+    """The pair (int (t-x)_+^p dmu, int (t-x)_+^p dnu), elementwise over any t.
 
     Points are evaluated in runs of ``_DP_CHUNK``; each point is summed on
     its own, so the values do not depend on the chunking.  The power is
     taken only where t > x: elsewhere the term is an exact +0, as 0^p is.
     """
+    t = np.asarray(t, dtype=float)
+    flat = t.reshape(-1)
+    out = np.empty((2, flat.size))
+    for start in range(0, flat.size, _DP_CHUNK):
+        x = flat[start : start + _DP_CHUNK, None]
+        for row, sigma in zip(out, (mu, nu)):
+            base = x - sigma.atoms
+            np.maximum(base, 0.0, out=base)
+            np.power(base, p, out=base, where=base > 0)
+            base *= sigma.weights
+            row[start : start + _DP_CHUNK] = base.sum(axis=-1)
+    return out.reshape(2, *t.shape)
 
-    def part(x, sigma):
-        base = x - sigma.atoms
-        np.maximum(base, 0.0, out=base)
-        np.power(base, p, out=base, where=base > 0)
-        base *= sigma.weights
-        return base.sum(axis=-1)
+
+def _dp_diff(mu: Measure1D, nu: Measure1D, p: float):
+    """t -> int (t-x)_+^p dmu - int (t-x)_+^p dnu, the difference of `_dp_parts`."""
 
     def diff(t):
-        t = np.asarray(t, dtype=float)
-        flat = t.reshape(-1)
-        out = np.empty(flat.size)
-        for start in range(0, flat.size, _DP_CHUNK):
-            x = flat[start : start + _DP_CHUNK, None]
-            out[start : start + _DP_CHUNK] = part(x, mu) - part(x, nu)
-        return out.reshape(t.shape)
+        a, b = _dp_parts(mu, nu, p, t)
+        return a - b
 
     return diff
+
+
+def _dp_may_reach(parts: np.ndarray, floor: float, size: int) -> np.ndarray:
+    """Pieces between consecutive points of the last axis on which the
+    computed |A - B| may reach ``floor``; ``parts`` holds (A, B) at the
+    points, as `_dp_parts` gives them, and ``size`` is the larger atom count.
+
+    A and B do not decrease, so on a piece [s, s'] the exact |A - B| is at
+    most max(A(s') - B(s), B(s') - A(s)); `distance_dp` derives the margin.
+    """
+    a, b = parts
+    bound = np.maximum(a[..., 1:] - b[..., :-1], b[..., 1:] - a[..., :-1])
+    margin = _DP_SLACK * (size + 4) * (_EPS * (a[..., 1:] + b[..., 1:]) + _TINY)
+    return ~(bound + margin < floor)
 
 
 def _golden_max(fun, lo, hi, iters: int = 80) -> np.ndarray:
@@ -290,6 +316,28 @@ def distance_dp(mu: Measure1D, nu: Measure1D, p: float) -> float:
     All segments are sampled in one evaluation and refined by one lockstep
     golden section; the difference is evaluated in chunks of points, which
     bounds memory without changing any value.
+
+    Segments that provably stay below the knots are left out of the search.
+    Both parts A(t) = int (t-x)_+^p dmu and B(t) do not decrease, so on a
+    piece [s, s'] the exact |A - B| is at most
+    U = max(A(s') - B(s), B(s') - A(s)).  A segment is dropped when, on
+    its whole length or on each of its ``_DP_PIECES`` = 8 equal pieces (one
+    split, no recursion), the computed U plus the margin
+    M = 24 (m + 4) (eps (A(s') + B(s')) + eta) lies below the knots'
+    maximum, with m the larger atom count, eps = 2^-52 and eta = 2^-1074.
+    M bounds the rounding of the computed |diff(t)| at any t of the piece
+    and of the computed U together: each of the four parts involved is m
+    non-negative terms w (t - x)^p, whose subtraction, power and product
+    err by a few ulps each and whose pairwise sum errs by at most (m - 1)
+    eps of the total, at most (m + 4) eps A(s') with a pow good to 3 ulps;
+    the two subtractions add eps (A + B) each, and a product that
+    underflows adds at most eta per term.  That sums to about
+    4 (m + 5) eps (A + B) + 2 m eta, which M exceeds several times over.
+    So every value the search would compute on a dropped segment lies below
+    the result, while the kept segments sample, bracket and refine exactly
+    the points they did before: every sweep, the 1e-9 stop and the result
+    keep their bits.  A pair whose parts cancel (mu = nu) certifies
+    nothing and takes the full search.
     """
     if not 0.0 < p < 1.0:
         raise DomainError("distance_dp needs p in (0, 1)")
@@ -298,15 +346,26 @@ def distance_dp(mu: Measure1D, nu: Measure1D, p: float) -> float:
     knots = np.unique(np.concatenate([mu.atoms, nu.atoms]))
     span = max(knots[-1] - knots[0], 1.0)
     ends = np.append(knots[1:], knots[-1] + 10.0 * span)
-    at_knots = float(np.max(absdiff(knots)))
-    rows = np.arange(knots.size)
+    parts = _dp_parts(mu, nu, p, np.append(knots, ends[-1]))
+    at_knots = float(np.max(np.abs(parts[0, :-1] - parts[1, :-1])))
+    size = max(mu.atoms.size, nu.atoms.size)
+    live = _dp_may_reach(parts, at_knots, size)
+    split = np.flatnonzero(live)
+    pieces = np.linspace(knots[split], ends[split], _DP_PIECES + 1, axis=1)
+    live[split] = _dp_may_reach(_dp_parts(mu, nu, p, pieces), at_knots, size).any(axis=1)
+    rows = np.flatnonzero(live)
+    if rows.size == 0:
+        return at_knots
+    local = np.arange(rows.size)
 
     def sweep(per_segment: int) -> float:
-        ts = np.linspace(knots, ends, per_segment, axis=1)
+        # spaced over every segment, then taken: linspace switches its
+        # formula for all rows when one row's step underflows to 0
+        ts = np.linspace(knots, ends, per_segment, axis=1)[rows]
         vals = absdiff(ts)
         k = np.argmax(vals, axis=1)
-        a = ts[rows, np.maximum(k - 1, 0)]
-        b = ts[rows, np.minimum(k + 1, per_segment - 1)]
+        a = ts[local, np.maximum(k - 1, 0)]
+        b = ts[local, np.minimum(k + 1, per_segment - 1)]
         return max(at_knots, float(np.max(vals)), float(np.max(_golden_max(absdiff, a, b))))
 
     result = sweep(17)
@@ -404,20 +463,42 @@ def freeconv_transform(nu: Measure1D, z_nodes):
     return g.reshape(np.shape(z_nodes))
 
 
-def _freeconv_each(measures, z: np.ndarray) -> np.ndarray:
-    """`freeconv_transform` of each measure at the 1-d nodes z, one row each.
+def _freeconv_rows(points: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """`freeconv_transform` of the uniform measure on each row of ``points``,
+    an (m, n) array, at the 1-d nodes z, one row each.
 
-    Measures with equal atom counts share one `_subordination` call, and
-    every row equals its measure's own solve bit for bit.  Rows of unequal
+    Row r equals freeconv_transform(Measure1D.from_atoms(points[r]), z) bit
+    for bit.  Each row is sorted and its exact duplicates merged, and the
+    merged weights are summed from 1/n by np.add.at in the order from_atoms
+    sums them (k (1/n) differs from that sum unless n is a power of two).
+    Rows with equal numbers of distinct atoms share one `_subordination`
+    call, whose rows each keep the bits of their own solve.  Rows of unequal
     length are never padded into one stack: zero-weight atoms would change
-    the pairwise summation of numpy's row sums.
+    the pairwise summation of numpy's row sums.  A row holding -0.0 is
+    built by from_atoms, whose sort picks the zero it keeps.  The atoms
+    must be finite; sorted atoms and weights summing to 1 hold by
+    construction.
     """
-    sizes = np.array([mu.atoms.size for mu in measures], dtype=int)
-    out = np.empty((sizes.size, z.size), dtype=complex)
+    m, n = points.shape
+    if not np.isfinite(points).all():
+        raise DomainError("atoms and weights must be finite")
+    out = np.empty((m, z.size), dtype=complex)
+    signed = ((points == 0.0) & np.signbit(points)).any(axis=1)
+    for r in np.flatnonzero(signed):
+        out[r] = freeconv_transform(Measure1D.from_atoms(points[r]), z)
+    plain = np.flatnonzero(~signed)
+    atoms = np.sort(points[plain], axis=1)
+    first = np.ones(atoms.shape, dtype=bool)
+    first[:, 1:] = atoms[:, 1:] != atoms[:, :-1]
+    weights = np.zeros(np.count_nonzero(first))
+    np.add.at(weights, np.cumsum(first) - 1, np.full(first.size, 1.0 / n))
+    atoms = atoms[first]
+    sizes = first.sum(axis=1)
+    starts = np.cumsum(sizes) - sizes
     for k in np.unique(sizes):
         group = np.flatnonzero(sizes == k)
-        out[group] = _subordination(np.stack([measures[i].atoms for i in group]),
-                                    np.stack([measures[i].weights for i in group]), z)
+        cols = starts[group, None] + np.arange(k)
+        out[plain[group]] = _subordination(atoms[cols], weights[cols], z)
     return out
 
 
@@ -449,7 +530,7 @@ def _subordination(atoms: np.ndarray, weights: np.ndarray, z: np.ndarray) -> np.
             at, wt = atoms, weights
         else:
             row = active // size
-            at, wt = atoms[row], weights[row]
+            at, wt = atoms.take(row, axis=0), weights.take(row, axis=0)
         target, slope = _stieltjes_rows(at, wt, z[active] - cur, gaps[rows], terms[rows], True)
         resid = cur - target
         done = np.abs(resid) < _NEWTON_TOL

@@ -13,7 +13,8 @@ discrete min over grid nodes.  On a cached weight table each 64-row block
 reads only the columns whose f value, plus the block's smallest weight in
 that column, is at most an upper bound on the block's row minima; no
 other column can hold a minimum, so the result is the full min's to the
-bit (`inf_convolution`).
+bit (`inf_convolution`).  A table equal to its own transpose, as the
+built-in weights' tables are, is read along rows only.
 """
 
 from __future__ import annotations
@@ -90,61 +91,65 @@ def truncated(alpha: float, eps: float, m: float = 1.0) -> WeightFunction:
     return WeightFunction("truncated", alpha=alpha, eps=eps, m=m)
 
 
-# weight tables W[i,j] = w(x_i - x_j) are reused across tau-product corpora,
-# and so are their block floors (`_block_floors`)
-_TABLE_CACHE: dict[tuple, np.ndarray] = {}
-_FLOORS_CACHE: dict[tuple, np.ndarray | None] = {}
+# weight tables W[i,j] = w(x_i - x_j), reused across tau-product corpora, each
+# kept beside its block floors and whether it reads as its own transpose
+# (`_table_entry`)
+_TABLE_CACHE: dict[tuple, tuple] = {}
 
 # a block whose kept columns exceed this share of the row takes the dense
-# add-and-min, which is faster there (the two cost the same near 0.4 at 1201
-# nodes)
+# add-and-min, which is faster there (read as row segments or as columns,
+# the kept columns cost the same as the dense block near 0.4 at 1201 nodes)
 _DENSE_SHARE = 0.4
 
 
-def _table_key(w, grid: np.ndarray):
-    """The cache key of w's table on grid; None for weights that are not cached."""
-    return (w, grid.tobytes()) if isinstance(w, WeightFunction) else None
-
-
 def _weight_table(w, grid: np.ndarray) -> np.ndarray:
-    key = _table_key(w, grid)
-    hit = _TABLE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    # built 64 rows at a time, the blocks `inf_convolution` evaluates above
-    # 1600 nodes, so no n x n temporary of w's expression is ever live; each
-    # block holds its differences until w has read them
+    """W[i,j] = w(x_i - x_j), built 64 rows at a time, the blocks
+    `inf_convolution` evaluates above 1600 nodes, so no n x n temporary of
+    w's expression is ever live; each block holds its differences until w
+    has read them."""
     n = grid.size
     table = np.empty((n, n))
     for start in range(0, n, 64):
         rows = table[start : start + 64]
         np.subtract(grid[start : start + 64, None], grid[None, :], out=rows)
         rows[...] = w(rows)
-    if key is not None:
-        if len(_TABLE_CACHE) > 8:
-            _TABLE_CACHE.clear()
-        _TABLE_CACHE[key] = table
     return table
 
 
-def _block_floors(w, grid: np.ndarray, table: np.ndarray) -> np.ndarray | None:
+def _block_floors(table: np.ndarray) -> np.ndarray | None:
     """floors[b, j]: the smallest entry of column j over the 64-row block b.
 
-    None when some entry of the table is not finite.  Read 64 rows at a
-    time, once per cached table.
+    None when some entry of the table is not finite.  Read 64 rows at a time.
     """
-    key = _table_key(w, grid)
-    if key in _FLOORS_CACHE:
-        return _FLOORS_CACHE[key]
-    floors = np.array([table[start : start + 64].min(axis=0) for start in range(0, grid.size, 64)])
+    floors = np.array([table[start : start + 64].min(axis=0) for start in range(0, len(table), 64)])
     # max and min propagate NaN, so a NaN entry fails both tests
     if not (table.max() < math.inf and floors.min() > -math.inf):
-        floors = None
-    if key is not None:
-        if len(_FLOORS_CACHE) > 8:
-            _FLOORS_CACHE.clear()
-        _FLOORS_CACHE[key] = floors
+        return None
     return floors
+
+
+def _table_entry(w, grid: np.ndarray):
+    """(table, floors, symmetric) of w on grid, built once per WeightFunction
+    and grid and looked up under one key.
+
+    ``symmetric`` holds when the floors exist, W equals its transpose
+    exactly and no entry is -0.0: then W[i,j] and W[j,i] have the same bits
+    and a column of the table can be read as a row.  The built-in weights
+    pass, because x - y = -(y - x) in IEEE arithmetic and w reads |t|.
+    """
+    key = (w, grid.tobytes()) if isinstance(w, WeightFunction) else None
+    entry = _TABLE_CACHE.get(key)
+    if entry is None:
+        table = _weight_table(w, grid)
+        floors = _block_floors(table)
+        symmetric = (floors is not None and np.array_equal(table, table.T)
+                     and not np.signbit(table[table == 0.0]).any())
+        entry = table, floors, symmetric
+        if key is not None:
+            if len(_TABLE_CACHE) > 8:
+                _TABLE_CACHE.clear()
+            _TABLE_CACHE[key] = entry
+    return entry
 
 
 def inf_convolution(f, w, grid) -> np.ndarray:
@@ -164,8 +169,12 @@ def inf_convolution(f, w, grid) -> np.ndarray:
     the block, because rounded addition is monotone, so it holds no row's
     minimum.  The kept columns give each row the same single addition of
     the same table entry, and min selects without rounding, so the result
-    is the dense add-and-min's to the bit.  Above 1600 nodes the rows are
-    computed per block and read in full.
+    is the dense add-and-min's to the bit.  On a symmetric table
+    (`_table_entry`) the anchor bounds and each block's kept columns are
+    read as contiguous row segments W[j, block] in place of column gathers
+    W[block, j]; the entries have the same bits, and with no -0.0 among
+    the sums each row's minimum is the same double.  Above 1600 nodes the
+    rows are computed per block and read in full.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
@@ -178,23 +187,30 @@ def inf_convolution(f, w, grid) -> np.ndarray:
     n = grid.size
     # cached table rows up to 1600 nodes, rows computed per block above;
     # 64-row blocks keep every temporary in cache
-    table = _weight_table(w, grid) if n <= 1600 else None
+    table, floors, symmetric = _table_entry(w, grid) if n <= 1600 else (None, None, False)
     keep = None
-    if table is not None and not np.isnan(f).any():
-        floors = _block_floors(w, grid, table)
-        if floors is not None:
-            starts = np.arange(0, n, 64)
-            padded = np.full(starts.size * 64, np.inf)
-            padded[:n] = f
-            anchors = starts + padded.reshape(-1, 64).argmin(axis=1)
+    if floors is not None and not np.isnan(f).any():
+        starts = np.arange(0, n, 64)
+        padded = np.full(starts.size * 64, np.inf)
+        padded[:n] = f
+        anchors = starts + padded.reshape(-1, 64).argmin(axis=1)
+        if symmetric:
+            ub = np.min(f[anchors, None] + table[anchors], axis=0)
+        else:
             ub = np.min(f[anchors] + table[:, anchors], axis=1)
-            keep = f + floors <= np.maximum.reduceat(ub, starts)[:, None]
+        keep = f + floors <= np.maximum.reduceat(ub, starts)[:, None]
+        # each block's kept columns, from one pass over the mask
+        kept = np.flatnonzero(keep)
+        bounds = np.searchsorted(kept, np.arange(starts.size + 1) * n)
     out = np.empty(n)
     for b, start in enumerate(range(0, n, 64)):
         block = slice(start, start + 64)
-        cols = None if keep is None else np.flatnonzero(keep[b])
-        if cols is not None and cols.size <= _DENSE_SHARE * n:
-            out[block] = np.min(f[cols] + table[block, cols], axis=1)
+        if keep is not None and bounds[b + 1] - bounds[b] <= _DENSE_SHARE * n:
+            cols = kept[bounds[b] : bounds[b + 1]] - b * n
+            if symmetric:
+                out[block] = np.min(f[cols, None] + table[cols, block], axis=0)
+            else:
+                out[block] = np.min(f[cols] + table[block, cols], axis=1)
         else:
             rows = w(grid[block, None] - grid[None, :]) if table is None else table[block]
             out[block] = np.min(f[None, :] + rows, axis=1)

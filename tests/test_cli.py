@@ -3,6 +3,7 @@ import ast
 import hashlib
 import inspect
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -388,6 +389,21 @@ def test_rate_loads_only_the_modules_it_runs():
     }
 
 
+def test_net_loads_only_the_modules_it_runs():
+    probe = "\n".join([
+        "import contextlib, io, sys",
+        "from heavylab.cli import main",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert main(['net', '--m', '4', '--trials', '10']) == 0",
+    ])
+    mods = _modules_after(probe)
+    assert {m for m in mods if m.startswith("heavylab")} == {
+        "heavylab", "heavylab.cli", "heavylab.emit", "heavylab.errors",
+        "heavylab.measures", "heavylab.nets", "heavylab.rng",
+    }
+    assert "concurrent.futures" not in mods
+
+
 def test_version_reads_without_numpy():
     # setuptools reads the dynamic version from pyproject.toml at build
     # time, where numpy may be missing
@@ -454,16 +470,20 @@ def test_spectrum_output_is_the_single_threaded_spectrum(capsys):
     "argv, message",
     [
         (("sample", "--alpha", "0.005"), "at least 0.00586546"),
-        (("audit", "--functional", "largest_eig", "--alpha", "0.01", "--n", "10",
-          "--replicas", "10"), "moment 2"),
+        (("audit", "--functional", "largest_eig", "--alpha", "0.007", "--n", "10",
+          "--replicas", "10"), "at least 0.00775312"),
         (("net", "--p", "0.005", "--m", "8"), "not finite"),
         (("sample", "--alpha", "0.006"), "at least 0.00775312"),
         (("lpp", "--alpha", "0.006", "--n", "4", "--replicas", "3"), "at least 0.00775312"),
         (("net", "--p", "0.01", "--m", "16"), "l^p radius at p=0.01 is not finite"),
+        (("spectrum", "--alpha", "0.007", "--n", "20"), "at least 0.00775312"),
     ],
-    ids=["sample", "audit", "net", "sample-map", "lpp-map", "net-radius"],
+    ids=["sample", "audit", "net", "sample-map", "lpp-map", "net-radius", "spectrum-map"],
 )
 def test_small_exponent_exits_one(capsys, argv, message):
+    # the audit's case, at alpha 0.01, once stopped at its moment 2; it now
+    # runs (test_small_alpha_spectrum_and_audit_run), and below the map's
+    # domain it stops at the map, as spectrum does
     # these ended in an OverflowError traceback (sample, audit), in a
     # one-center net of NaN probes with exit 0 (net), in infinite draws
     # and passage times with exit 0 (sample-map, lpp-map), or in probes
@@ -473,6 +493,32 @@ def test_small_exponent_exits_one(capsys, argv, message):
     assert code == 1
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--alpha", "0.01", "--n", "20"),
+        ("spectrum", "--alpha", "0.01", "--n", "20", "--beta", "2"),
+        ("audit", "--functional", "largest_eig", "--alpha", "0.01", "--n", "10", "--replicas", "10"),
+        ("audit", "--functional", "esm_distance", "--alpha", "0.01", "--n", "10", "--replicas", "10"),
+    ],
+    ids=["spectrum", "spectrum-beta2", "audit-largest-eig", "audit-esm"],
+)
+def test_small_alpha_spectrum_and_audit_run(capsys, argv):
+    # both exited 1 with "moment 2 ... overflows a double": the unit-variance
+    # coefficient is now taken from logs where the variance overflows
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    lines = out.strip().splitlines()[1:]
+    if argv[0] == "spectrum":
+        values = [float(v) for v in lines[1:]]
+        assert len(values) == 20
+    else:
+        records = [json.loads(line) for line in lines]
+        values = [r[k] for r in records for k in ("t", "exceedance", "bound")]
+        assert len(records) == 4
+    assert all(math.isfinite(v) for v in values)
 
 
 @pytest.mark.parametrize(

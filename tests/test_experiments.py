@@ -6,6 +6,7 @@ import pytest
 
 from heavylab import emit
 from heavylab import experiments as ex
+from heavylab import nets
 from heavylab.errors import DomainError
 
 
@@ -155,7 +156,7 @@ def test_net_probes_lie_in_the_ball():
 
     for p in (0.3, 0.5, 1.0, 2.0):
         gen = rng.philox(5, 2**34)
-        probes = np.array([ex._net_probe(p, 16, gen) for _ in range(400)])
+        probes = np.array([nets._net_probe(p, 16, gen) for _ in range(400)])
         assert np.isfinite(probes).all()
         norms = np.sum(np.abs(probes) ** p, axis=1)
         assert np.all(norms <= 1.0 + 1e-12)
@@ -163,15 +164,15 @@ def test_net_probes_lie_in_the_ball():
 
 
 def test_greedy_net_trivial_and_nesting():
-    assert len(ex.greedy_net_centers(0.5, 2.0, eps=10.0, m=16, trials=50, seed=11)) == 1
-    profile = ex.greedy_net_profile(0.5, 2.0, (1.0, 0.5, 0.25), m=16, trials=40, seed=11)
+    assert len(nets.greedy_net_centers(0.5, 2.0, eps=10.0, m=16, trials=50, seed=11)) == 1
+    profile = nets.greedy_net_profile(0.5, 2.0, (1.0, 0.5, 0.25), m=16, trials=40, seed=11)
     sizes = {eps: s for eps, s in profile}
     assert sizes[1.0] <= sizes[0.5] <= sizes[0.25]
 
 
 def test_greedy_net_slope_positive():
     eps_grid = (0.3, 0.5, 0.7, 0.9)
-    profile = ex.greedy_net_profile(0.5, 2.0, eps_grid, m=16, trials=120, seed=13)
+    profile = nets.greedy_net_profile(0.5, 2.0, eps_grid, m=16, trials=120, seed=13)
     xs = np.array([eps ** (1 / 2.0 - 1 / 0.5) for eps, _ in profile])
     ys = np.log([max(s, 1) for _, s in profile])
     slope = np.polyfit(xs, ys, 1)[0]

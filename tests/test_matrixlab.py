@@ -103,6 +103,22 @@ def test_unit_variance_coefficients_pinned():
         assert (ens.alpha, ens.beta) == (alpha, beta)
 
 
+@pytest.mark.parametrize("alpha", [0.01, 0.0105, 0.0138, 0.00775312])
+def test_unit_variance_coefficient_where_the_variance_overflows(alpha):
+    # E|X|^2 overflows a double below alpha ~ 0.01387, while the coefficient
+    # m2^(alpha/2) stays moderate (e^5.25 at alpha = 0.01); it comes from logs
+    with pytest.raises(DomainError, match="moment 2"):
+        measures.moment(measures.nu(alpha), 2)
+    log_m2 = math.lgamma(3.0 / alpha) - math.lgamma(1.0 / alpha)
+    for beta, spread in ((1, 1.0), (2, 2.0)):
+        ens = ml.unit_variance_ensemble(alpha, beta=beta)
+        want = math.exp(alpha / 2.0 * (log_m2 + math.log(spread)))
+        assert math.isfinite(ens.b) and ens.b == pytest.approx(want, rel=1e-12)
+        assert ens.b == ens.a1 == ens.a2
+    if alpha == 0.01:
+        assert ml.unit_variance_ensemble(alpha).b == pytest.approx(math.exp(5.25), rel=1e-3)
+
+
 def test_scalar_matrix_law_matches_scaled_base_law():
     # n=1 draws follow the diagonal law: b^(-1/alpha) times the base law
     ens = ml.WignerEnsemble(0.5, b=2.0, a1=1.0)

@@ -146,6 +146,17 @@ def test_variational_rejects_a_size_outside_1_to_64(n):
         rf.rate_I_variational(target, 1.0, ens, n=n, delta=0.05, restarts=1, iters=1)
 
 
+@pytest.mark.parametrize("size", [7, 9])
+def test_variational_rejects_an_init_of_another_length(size):
+    # both ran: a long init searched with more atoms than n, and a short one
+    # raised IndexError only when a move drew its missing index
+    ens = ml.WignerEnsemble(1.0, b=1.0, a1=2.0)
+    target = sm.g_semicircle(sm.default_contour().nodes)
+    with pytest.raises(DomainError, match="init needs n = 8 entries"):
+        rf.rate_I_variational(target, 1.0, ens, n=8, delta=0.05, restarts=2, iters=3,
+                              init=np.full(size, 0.1))
+
+
 def test_variational_large_delta_everything_feasible():
     ens = ml.WignerEnsemble(1.0, b=1.0, a1=2.0)
     nu = sm.Measure1D(np.array([-2.0, 2.0]), np.array([0.5, 0.5]))

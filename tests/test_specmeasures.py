@@ -307,9 +307,9 @@ def scalar_distance_dp(mu, nu, p, tol=1e-9):
     return result
 
 
-def test_distance_dp_matches_scalar_oracle():
-    # the lockstep search probes the same points as the scalar sweep, so
-    # every result agrees bit for bit
+def dp_oracle_cases():
+    """200 random pairs over spans 1e-2..1e3, Dirac and equal pairs, extreme p,
+    and a 540-segment pair."""
     rng = np.random.default_rng(41)
     cases = []
     for _ in range(200):
@@ -327,8 +327,115 @@ def test_distance_dp_matches_scalar_oracle():
     narrow = sm.Measure1D.from_atoms(rng.normal(size=40))
     assert 2 * (wide.atoms.size + narrow.atoms.size) > sm._DP_CHUNK
     cases.append((wide, narrow, 0.4))
-    for a, b, p in cases:
+    return cases
+
+
+def test_distance_dp_matches_scalar_oracle():
+    # the lockstep search probes the same points as the scalar sweep, so
+    # every result agrees bit for bit
+    for a, b, p in dp_oracle_cases():
         assert sm.distance_dp(a, b, p) == scalar_distance_dp(a, b, p)
+
+
+def unpruned_distance_dp(mu, nu, p):
+    """`distance_dp` before it left out the segments it certifies: every
+    segment is swept and refined."""
+    diff = sm._dp_diff(mu, nu, p)
+    absdiff = lambda t: np.abs(diff(t))
+    knots = np.unique(np.concatenate([mu.atoms, nu.atoms]))
+    span = max(knots[-1] - knots[0], 1.0)
+    ends = np.append(knots[1:], knots[-1] + 10.0 * span)
+    at_knots = float(np.max(absdiff(knots)))
+    rows = np.arange(knots.size)
+
+    def sweep(per_segment):
+        ts = np.linspace(knots, ends, per_segment, axis=1)
+        vals = absdiff(ts)
+        k = np.argmax(vals, axis=1)
+        a = ts[rows, np.maximum(k - 1, 0)]
+        b = ts[rows, np.minimum(k + 1, per_segment - 1)]
+        return max(at_knots, float(np.max(vals)), float(np.max(sm._golden_max(absdiff, a, b))))
+
+    result = sweep(17)
+    for per_segment in (33, 65, 129):
+        refined = sweep(per_segment)
+        if abs(refined - result) <= sm._DP_TOL:
+            return max(refined, result)
+        result = refined
+    return result
+
+
+def test_distance_dp_pruning_keeps_every_bit():
+    # pairs whose parts cancel certify nothing and take the full search:
+    # mu = nu, a Dirac against itself, and a dilation by 1 + 1e-12
+    rng = np.random.default_rng(43)
+    cases = dp_oracle_cases()
+    small = sm.semicircle_measure(200)
+    for m in (random_measure(rng), sm.Measure1D.dirac(0.0), small):
+        for p in (0.02, 0.5, 0.98):
+            cases += [(m, m, p), (m, m.dilate(1.0 + 1e-12), p), (m.dilate(1.0 + 1e-12), m, p)]
+    for p in (0.02, 0.98):
+        cases.append((small, small.dilate(1.05), p))
+    for a, b, p in cases:
+        got = sm.distance_dp(a, b, p)
+        assert np.float64(got).tobytes() == np.float64(unpruned_distance_dp(a, b, p)).tobytes()
+
+
+def test_dp_bound_keeps_every_piece_that_reaches_the_floor():
+    # the probability pairs' sup sits at a knot, so a wrong certificate would
+    # not move a result: check the bound itself against each piece's own
+    # sampled maximum, on random pieces and on the pieces between knots
+    rng = np.random.default_rng(53)
+    for _ in range(60):
+        a, b = random_measure(rng, max_atoms=9), random_measure(rng, max_atoms=9)
+        p = float(rng.uniform(0.02, 0.98))
+        knots = np.unique(np.concatenate([a.atoms, b.atoms]))
+        ends = np.sort(rng.uniform(knots[0] - 1.0, knots[-1] + 1.0, size=(20, 2)), axis=1)
+        pieces = np.concatenate([np.c_[knots[:-1], knots[1:]], ends])
+        ts = np.linspace(pieces[:, 0], pieces[:, 1], 257, axis=1)
+        top = np.max(np.abs(sm._dp_diff(a, b, p)(ts)), axis=1)
+        size = max(a.atoms.size, b.atoms.size)
+        for (s0, s1), floor in zip(pieces, top):
+            assert sm._dp_may_reach(sm._dp_parts(a, b, p, np.array([s0, s1])), floor, size)
+
+
+@pytest.mark.parametrize("size", [1, 40, 500])
+def test_dp_margin_covers_the_rounding_it_derives(size):
+    # a piece whose bound U falls short of the floor by the rounding of two
+    # evaluations, 4 (m + 5) eps (A + B), is kept; one short by more than
+    # the margin 24 (m + 4) eps (A + B) is dropped
+    eps = np.finfo(float).eps
+    for top in (1.0, 3e-7, 2.0**-1000):
+        parts = np.array([[0.0, top], [0.0, 0.0]])
+        near = top * (1.0 + 4 * (size + 5) * eps)
+        far = top * (1.0 + 25 * (size + 4) * eps)
+        assert sm._dp_may_reach(parts, near, size)
+        assert not sm._dp_may_reach(parts, far, size)
+    # products that underflow err absolutely: eta per term
+    tiny = np.array([[0.0, 0.0], [0.0, 0.0]])
+    assert sm._dp_may_reach(tiny, 2 * size * math.ulp(0.0), size)
+
+
+def test_distance_dp_skips_most_segments_of_the_benchmark_pair(monkeypatch):
+    # a search that silently fell back to every segment would pass the
+    # equality tests, so count the brackets refined: at most a fifth
+    brackets = []
+    plain = sm._golden_max
+
+    def counted(fun, lo, hi, iters=80):
+        brackets.append(np.size(lo))
+        return plain(fun, lo, hi, iters)
+
+    monkeypatch.setattr(sm, "_golden_max", counted)
+    small = sm.semicircle_measure(200)
+    segments = np.unique(np.concatenate([small.atoms, small.dilate(1.05).atoms])).size
+    for p in (0.25, 0.5, 0.75):
+        brackets.clear()
+        sm.distance_dp(small, small.dilate(1.05), p)
+        assert max(brackets, default=0) <= 0.2 * segments
+    brackets.clear()
+    sm.distance_dp(small, small, 0.5)
+    assert brackets[0] == small.atoms.size
 
 
 @pytest.mark.parametrize("iters", [80, 20])
@@ -575,27 +682,54 @@ def test_freeconv_residual_property(unit_atoms, log_spread, eta, seed):
     assert np.all(g.imag < 0)
 
 
+def candidate_rows(rng, n, count=24):
+    """Rows as the criterion-11 search makes them: random entries, some
+    repeated, some zero, and rows of one value, so the distinct-atom counts
+    mix and the rows form groups."""
+    rows = rng.normal(size=(count, n)) * 10.0 ** rng.uniform(-2.0, 1.0, size=(count, 1))
+    for row in rows[: count // 2]:
+        picks = rng.integers(n, size=rng.integers(1, n + 1))
+        row[picks] = row[rng.integers(n)]
+        row[rng.integers(n, size=rng.integers(0, n + 1))] = 0.0
+    rows[-3] = 0.0
+    rows[-2] = rows[-2, 0]
+    return rows
+
+
 def test_freeconv_rows_match_single_solves():
-    # measures of one atom count share a Newton loop, yet each row keeps the
-    # bits of its own solve; counts 1-9 are mixed, so the rows form groups
-    rng = np.random.default_rng(67)
-    for _ in range(6):
-        measures = [random_measure(rng, max_atoms=9) for _ in range(30)]
-        z = rng.uniform(-7.0, 7.0, size=48) + 1j * 10.0 ** rng.uniform(-3.0, math.log10(2.0), size=48)
-        rows = sm._freeconv_each(measures, z)
-        assert len({mu.atoms.size for mu in measures}) > 1
-        for mu, row in zip(measures, rows):
-            assert row.tobytes() == sm.freeconv_transform(mu, z).tobytes()
+    # rows of one distinct-atom count share a Newton loop, yet each keeps
+    # the bits of its own measure's solve, weights summed as from_atoms does
+    # (k (1/n) is not that sum for n = 10 or 33)
+    for n in (1, 10, 32, 33, 64):
+        rng = np.random.default_rng(67 + n)
+        z = np.concatenate([
+            sm.default_contour().nodes,
+            rng.uniform(-7.0, 7.0, size=24) + 1j * 10.0 ** rng.uniform(-3.0, math.log10(2.0), size=24),
+        ])
+        rows = candidate_rows(rng, n)
+        if n > 1:
+            assert len({np.unique(row).size for row in rows}) > 1
+        # -0.0 beside +0.0: from_atoms keeps the zero its sort puts first
+        rows[-1, : (n + 1) // 2] = -0.0
+        rows[-1, (n + 1) // 2 :] = 0.0
+        got = sm._freeconv_rows(rows, z)
+        for row, g in zip(rows, got):
+            assert g.tobytes() == sm.freeconv_transform(sm.Measure1D.from_atoms(row), z).tobytes()
 
 
 def test_freeconv_rows_keep_the_checks(monkeypatch):
-    rng = np.random.default_rng(71)
-    measures = [random_measure(rng, max_atoms=3) for _ in range(6)]
+    rows = candidate_rows(np.random.default_rng(71), 3, count=6)
     with pytest.raises(DomainError):
-        sm._freeconv_each(measures, np.array([1.0 + 1.0j, 0.5 + 0.0j]))
+        sm._freeconv_rows(rows, np.array([1.0 + 1.0j, 0.5 + 0.0j]))
+    for bad in (np.inf, np.nan):
+        broken = rows.copy()
+        broken[2, 1] = bad
+        with pytest.raises(DomainError, match="finite"):
+            sm._freeconv_rows(broken, sm.default_contour().nodes)
+    assert sm._freeconv_rows(np.empty((0, 3)), sm.default_contour().nodes).shape == (0, 64)
     monkeypatch.setattr(sm, "_NEWTON_ITERS", 1)
     with pytest.raises(ConvergenceError):
-        sm._freeconv_each(measures, np.linspace(-4.0, 4.0, 9) + 0.01j)
+        sm._freeconv_rows(rows, np.linspace(-4.0, 4.0, 9) + 0.01j)
 
 
 def test_freeconv_dirac_recovers_semicircle():

@@ -202,7 +202,8 @@ def test_pruned_inf_convolution_with_non_finite_f(w, special):
     rng = np.random.default_rng(31)
     f = rng.uniform(0, 4, size=PRUNE_GRID.size)
     assert _matches_brute_force_on_rows(f, w)
-    assert weights._block_floors(w, PRUNE_GRID, weights._weight_table(w, PRUNE_GRID)) is not None
+    _, floors, symmetric = weights._table_entry(w, PRUNE_GRID)
+    assert floors is not None and symmetric
     # +inf on a fifth of the nodes, a whole 64-column chunk included; one -inf
     # or NaN entry turns every row to -inf or NaN
     if special == np.inf:
@@ -220,9 +221,9 @@ def test_pruned_inf_convolution_with_negative_weight_entries():
     w = lambda t: np.where(np.abs(np.abs(t) - 20.0) < 1e-9, -50.0, base(t))
     f = np.random.default_rng(37).uniform(0, 4, size=PRUNE_GRID.size)
     f[100] = 4.0
-    table = weights._weight_table(w, PRUNE_GRID)
+    table, floors, symmetric = weights._table_entry(w, PRUNE_GRID)
     assert table.min() == -50.0
-    assert weights._block_floors(w, PRUNE_GRID, table) is not None
+    assert floors is not None and symmetric
     assert _matches_brute_force_on_rows(f, w)
 
 
@@ -230,8 +231,28 @@ def test_inf_convolution_with_infinite_weight_entries_reads_every_column():
     base = weights.corexp(0.25)
     w = lambda t: np.where(np.abs(t) > 25.0, np.inf, base(t))
     f = np.random.default_rng(41).uniform(0, 4, size=PRUNE_GRID.size)
-    assert weights._block_floors(w, PRUNE_GRID, weights._weight_table(w, PRUNE_GRID)) is None
+    _, floors, symmetric = weights._table_entry(w, PRUNE_GRID)
+    assert floors is None and not symmetric
     assert _matches_brute_force_on_rows(f, w)
+
+
+@pytest.mark.parametrize("kind", ["odd", "negative-zero"])
+def test_pruned_inf_convolution_reads_columns_of_an_asymmetric_table(kind):
+    # a weight that is not even, and one that is even to == but gives -0.0
+    # at negative lags and +0.0 at positive ones, fail the symmetry test and
+    # read their kept columns as columns
+    base = weights.corexp(0.25)
+    if kind == "odd":
+        w = lambda t: base(t) + 0.05 * np.asarray(t)
+    else:
+        w = lambda t: np.where(np.abs(t) < 0.3, 0.0 * np.asarray(t), base(t))
+    f = np.random.default_rng(43).uniform(0, 4, size=PRUNE_GRID.size)
+    table, floors, symmetric = weights._table_entry(w, PRUNE_GRID)
+    assert floors is not None and not symmetric
+    assert (kind == "odd") != np.array_equal(table, table.T)
+    assert _matches_brute_force_on_rows(f, w)
+    # the built-in weights read rows
+    assert weights._table_entry(base, PRUNE_GRID)[2]
 
 
 @settings(max_examples=12, deadline=None)
