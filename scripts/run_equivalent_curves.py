@@ -35,7 +35,7 @@ def main() -> None:
         )
         print(f"{kind}: " + "  ".join(f"n={n}: {m:.4g}+-{s:.2g}" for n, m, s in rows))
 
-    shape = lpp.CachedShape(0.5, 2, n_mc=40, replicas=300, seed=args.seed + 7, grid_points=5)
+    shape = lpp.CachedShape(0.5, n_mc=40, replicas=300, seed=args.seed + 7, grid_points=5)
     config = ex.ExperimentConfig(
         functional="lpp_time",
         alpha=0.5,

@@ -6,7 +6,7 @@ one engine, `passage_times`: it hands the replicas to the replica pool
 (`pool.run`), which runs chunks of them on one thread per usable CPU.  A
 chunk fills its replicas from their (seed, stream) draws, lays them out
 with replicas last, and runs the dynamic program as a wavefront over
-planes of constant coordinate sum, each step one vector operation across
+diagonals of constant coordinate sum, each step one vector operation across
 the replicas.  The draws and replicas-last copies of all chunks in flight
 together stay within the pool's 2^22-cell budget (32 MB).  The max is
 exact and every cell keeps its single addition, so the times equal the
@@ -33,19 +33,19 @@ from .errors import DomainError
 
 @dataclass(frozen=True)
 class WeightField:
-    """Weights indexed by the box {0,...,n}^d (d in {2, 3})."""
+    """Weights indexed by the square {0,...,n}^2 (d = 2 is the only dimension)."""
 
     d: int
     n: int
     values: np.ndarray
 
     def __post_init__(self):
-        if self.d not in (2, 3):
-            raise DomainError(f"dimension must be 2 or 3, got {self.d}")
+        if self.d != 2:
+            raise DomainError(f"dimension must be 2, got {self.d}")
         if self.n < 1:
             raise DomainError(f"lattice size must be >= 1, got {self.n}")
-        if self.d == 2 and self.n > 200:
-            raise DomainError("n is capped at 200 for d = 2")
+        if self.n > 200:
+            raise DomainError("n is capped at 200")
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (self.n + 1,) * self.d:
             raise DomainError(f"values must have shape {(self.n + 1,) * self.d}")
@@ -90,7 +90,7 @@ def enumerate_paths(v1, v2):
 def passage_times(alpha: float, box, replicas: int, seed: int, shift=None) -> np.ndarray:
     """Corner-to-corner passage times of ``replicas`` i.i.d. weight boxes.
 
-    ``box`` gives the side lengths (two or three of them).  Replica k takes
+    ``box`` gives the two side lengths.  Replica k takes
     the one-sided draws of stream k in C order of the box; with ``shift``
     (an array of the box's shape) its weights are (draws + shift)^+.  The
     raw times come back in stream order, identical to `last_passage` on
@@ -102,8 +102,8 @@ def passage_times(alpha: float, box, replicas: int, seed: int, shift=None) -> np
     their replicas-last copy, two cells per site and replica.
     """
     box = tuple(int(s) for s in box)
-    if len(box) not in (2, 3) or min(box) < 1:
-        raise DomainError(f"box must have two or three positive sides, got {box}")
+    if len(box) != 2 or min(box) < 1:
+        raise DomainError(f"box must have two positive sides, got {box}")
     if replicas < 0:
         raise DomainError(f"replicas must be non-negative, got {replicas}")
     law = measures.mu(alpha)
@@ -127,40 +127,26 @@ def passage_times(alpha: float, box, replicas: int, seed: int, shift=None) -> np
 def _wavefront(field: np.ndarray, box) -> np.ndarray:
     """Corner values of the passage-time DP on a (cells, replicas) field.
 
-    The DP sweeps planes of constant coordinate sum.  ``front`` is indexed
-    by all coordinates but the last, each shifted by one behind a -inf
-    border, and holds each position's value on the latest plane it met.
-    On a plane, fixing the leading coordinates (the prefix) leaves a run
-    of consecutive second-to-last coordinates: the run's field values are
-    one strided slice, and its predecessors are slices of ``front``.  Each
-    cell takes f + max(predecessors), as in `last_passage`.  Prefixes go in
-    descending order, so a run reads its lower neighbours before they are
-    overwritten with the current plane.
+    The DP sweeps the diagonals k + l = t of the (k_side, l_side) box.
+    ``front[k + 1]`` holds row k's value on the latest diagonal it met,
+    behind a -inf border at ``front[0]``.  A diagonal's cells are one
+    strided slice of the field, and their predecessors (k - 1, l) and
+    (k, l - 1) are two neighbouring slices of ``front``; each cell takes
+    f + max(predecessors), as in `last_passage`.
     """
-    *heads, k_side, l_side = box
+    k_side, l_side = box
     reps = field.shape[1]
-    front = np.full(tuple(s + 1 for s in box[:-1]) + (reps,), -np.inf)
-    front[(1,) * (len(box) - 1)] = 0.0  # the origin's predecessor
+    front = np.full((k_side + 1, reps), -np.inf)
+    front[1] = 0.0  # the origin's predecessor
     best = np.empty((k_side, reps))
     step = max(l_side - 1, 1)
-    strides = [math.prod(box[a + 1 :]) for a in range(len(heads))]
-    prefixes = list(itertools.product(*(range(s - 1, -1, -1) for s in heads)))
-    for plane in range(sum(box) - len(box) + 1):
-        for prefix in prefixes:
-            t = plane - sum(prefix)  # k + l along the run
-            lo, hi = max(0, t - l_side + 1), min(k_side - 1, t)
-            if lo > hi:
-                continue
-            row = front[tuple(i + 1 for i in prefix)]
-            acc = best[: hi - lo + 1]
-            np.maximum(row[lo : hi + 1], row[lo + 1 : hi + 2], out=acc)
-            for a in range(len(heads)):
-                lower = tuple(i + (b != a) for b, i in enumerate(prefix))
-                np.maximum(acc, front[lower][lo + 1 : hi + 2], out=acc)
-            first = sum(i * st for i, st in zip(prefix, strides)) + t + lo * (l_side - 1)
-            cells = field[first : first + (hi - lo) * step + 1 : step]
-            np.add(cells, acc, out=row[lo + 1 : hi + 2])
-    return front[(-1,) * (len(box) - 1)]
+    for t in range(k_side + l_side - 1):
+        lo, hi = max(0, t - l_side + 1), min(k_side - 1, t)
+        acc = best[: hi - lo + 1]
+        np.maximum(front[lo : hi + 1], front[lo + 1 : hi + 2], out=acc)
+        first = t + lo * (l_side - 1)
+        np.add(field[first : first + (hi - lo) * step + 1 : step], acc, out=front[lo + 1 : hi + 2])
+    return front[-1]
 
 
 def estimate_g(alpha: float, v, n: int, replicas: int, seed: int):
@@ -188,20 +174,19 @@ def additive_g(v) -> float:
 
 
 class CachedShape:
-    """Limit shape cached on a direction grid with multilinear interpolation.
+    """Limit shape cached on a direction grid with bilinear interpolation.
 
     The deterministic-equivalent DP evaluates g at every lattice gap of the
     box, so Monte Carlo estimates are taken once per grid direction and
     interpolated.
     """
 
-    def __init__(self, alpha: float, d: int, n_mc: int, replicas: int, seed: int, grid_points: int = 9):
+    def __init__(self, alpha: float, n_mc: int, replicas: int, seed: int, grid_points: int = 9):
         self.alpha = alpha
-        self.d = d
         qs = np.linspace(0.0, 1.0, grid_points)
         self.qs = qs
-        table = np.zeros((grid_points,) * d)
-        for idx in itertools.product(range(grid_points), repeat=d):
+        table = np.zeros((grid_points, grid_points))
+        for idx in itertools.product(range(grid_points), repeat=2):
             direction = tuple(qs[i] for i in idx)
             if all(c == 0 for c in direction):
                 continue
@@ -212,12 +197,12 @@ class CachedShape:
     def __call__(self, v) -> float:
         v = np.asarray(v, dtype=float)
         if np.any(v < 0) or np.any(v > 1.0 + 1e-12):
-            raise DomainError("cached shape covers directions in [0, 1]^d")
+            raise DomainError("cached shape covers directions in [0, 1]^2")
         pos = np.clip(v, 0.0, 1.0) * (len(self.qs) - 1)
         lo = np.minimum(pos.astype(int), len(self.qs) - 2)
         frac = pos - lo
         total = 0.0
-        for corner in itertools.product((0, 1), repeat=self.d):
+        for corner in itertools.product((0, 1), repeat=2):
             weight = 1.0
             idx = []
             for axis, bit in enumerate(corner):
@@ -234,11 +219,10 @@ def deterministic_equivalent_T(h: WeightField, g_eval) -> float:
     chains implicitly starting at 0 and ending at (n,...,n), both collecting
     their H^+, with n = h.n.  Always at least g(1,...,1).
 
-    One window recursion serves d = 2 and 3.  g is tabulated once per
-    lattice gap, gtab[k] = g(k/n); then, in row-major order, which reaches
-    every coordinatewise-smaller u before v, the candidates M(u) + g((v-u)/n)
-    for all u <= v are the box m[:v+1] plus gtab reversed along every axis,
-    with u = v masked out.  Each candidate is one addition and the max is
+    g is tabulated once per lattice gap, gtab[k] = g(k/n); then, in
+    row-major order, which reaches every coordinatewise-smaller u before v,
+    the candidates M(u) + g((v-u)/n) for all u <= v are the box m[:v+1] plus
+    gtab reversed along every axis, with u = v masked out.  Each candidate is one addition and the max is
     exact, so M does not depend on the order in which candidates are met.
     """
     n = h.n

@@ -158,12 +158,6 @@ class HermitianMatrix:
             raise DomainError("lp_norm needs p > 0")
         return float(np.sum(np.abs(self.mat) ** p) ** (1.0 / p))
 
-    def schatten(self, q: float) -> float:
-        """Eigenvalue norm (tr |A|^q)^(1/q) via the spectrum."""
-        if q <= 0:
-            raise DomainError("schatten needs q > 0")
-        return float(np.sum(np.abs(self.spectrum()) ** q) ** (1.0 / q))
-
 
 @lru_cache(maxsize=8)
 def _strict_upper(n: int) -> np.ndarray:

@@ -139,17 +139,13 @@ def default_contour() -> StieltjesContour:
     return StieltjesContour(np.linspace(0.0, 1.0, 64) + 2.0j)
 
 
-def stieltjes(mu: Measure1D, z, derivative: bool = False):
-    """g_mu(z) = sum_i w_i / (z - x_i) for Im z > 0.
-
-    With ``derivative`` returns the pair (g_mu(z), g_mu'(z)), where
-    g_mu'(z) = -sum_i w_i / (z - x_i)^2 comes from the same differences.
-    """
+def stieltjes(mu: Measure1D, z):
+    """g_mu(z) = sum_i w_i / (z - x_i) for Im z > 0."""
     z = np.asarray(z, dtype=complex)
     shape = (z.size, mu.atoms.size)
-    out = _stieltjes_rows(mu.atoms, mu.weights, z.reshape(-1), np.empty(shape, complex),
-                          np.empty(shape, complex), derivative)
-    return tuple(v.reshape(z.shape) for v in out) if derivative else out.reshape(z.shape)
+    g = _stieltjes_rows(mu.atoms, mu.weights, z.reshape(-1), np.empty(shape, complex),
+                        np.empty(shape, complex), False)
+    return g.reshape(z.shape)
 
 
 def _stieltjes_rows(atoms: np.ndarray, weights: np.ndarray, z: np.ndarray, gaps: np.ndarray,
@@ -157,7 +153,9 @@ def _stieltjes_rows(atoms: np.ndarray, weights: np.ndarray, z: np.ndarray, gaps:
     """`stieltjes` at the nodes of the 1-d array z, with the (z.size, atoms)
     differences and terms written into the buffers ``gaps`` and ``terms``.
 
-    ``atoms`` and ``weights`` are one measure's, or one row per node."""
+    ``atoms`` and ``weights`` are one measure's, or one row per node.  With
+    ``derivative`` returns the pair (g(z), g'(z)), where
+    g'(z) = -sum_i w_i / (z - x_i)^2 comes from the same differences."""
     if np.any(z.imag <= 0):
         raise DomainError("Stieltjes transform needs Im z > 0")
     np.subtract(z[:, None], atoms, out=gaps)
@@ -382,25 +380,6 @@ def cp_constant(p: float) -> float:
     if not 0.0 < p <= 1.0:
         raise DomainError("cp_constant needs p in (0, 1]")
     return math.sqrt(math.pi) * (p + 1.0) * math.gamma((p + 1.0) / 2.0) / math.gamma(1.0 + p / 2.0)
-
-
-def frac_integral(sigma: Measure1D, alpha: float, t: float, side: str) -> float:
-    """Fractional integral of order alpha+1 of an atomic measure.
-
-    side "+": (1/Gamma(alpha+1)) sum_{x_i <= t} w_i (t - x_i)^alpha;
-    side "-": same with (x_i - t)^alpha over x_i >= t.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError("frac_integral needs alpha in (0, 1)")
-    if side == "+":
-        mask = sigma.atoms <= t
-        gaps = t - sigma.atoms[mask]
-    elif side == "-":
-        mask = sigma.atoms >= t
-        gaps = sigma.atoms[mask] - t
-    else:
-        raise DomainError("side must be '+' or '-'")
-    return float(np.sum(sigma.weights[mask] * gaps**alpha) / math.gamma(alpha + 1.0))
 
 
 def _semicircle_cdf(x: np.ndarray) -> np.ndarray:

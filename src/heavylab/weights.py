@@ -1,20 +1,18 @@
-"""Weight families and inf-convolution machinery for concentration checks.
+"""The corexp weight and the inf-convolution behind the tau-property check.
 
-Three weight families drive the transport-cost concentration inequalities:
-the smooth Talagrand family ``c_lam``, the piecewise quadratic-then-linear
-family ``w_delta`` for the symmetric exponential law, and a truncated
-family ``w_{alpha,eps}^{(m)}`` whose linear-branch exponent is alpha.  All
-are even, vanish at 0, and are non-negative.
+The product's weight is the piecewise quadratic-then-linear family w_delta
+for the symmetric exponential law (`corexp`): even, zero at 0 and
+non-negative.
 
 The tau-property product check integrates exp(f [] w) and exp(-f) against
-a one-dimensional law (or a small tensor product of it) with composite
-Simpson quadrature; [] denotes the inf-convolution, computed exactly as a
-discrete min over grid nodes.  On a cached weight table each 64-row block
-reads only the columns whose f value, plus the block's smallest weight in
-that column, is at most an upper bound on the block's row minima; no
-other column can hold a minimum, so the result is the full min's to the
-bit (`inf_convolution`).  A table equal to its own transpose, as the
-built-in weights' tables are, is read along rows only.
+a one-dimensional law with composite Simpson quadrature; [] denotes the
+inf-convolution, computed exactly as a discrete min over grid nodes.  On a
+cached weight table each 64-row block reads only the columns whose f
+value, plus the block's smallest weight in that column, is at most an
+upper bound on the block's row minima; no other column can hold a minimum,
+so the result is the full min's to the bit (`inf_convolution`).  A table
+equal to its own transpose, as corexp's tables are, is read along rows
+only.
 """
 
 from __future__ import annotations
@@ -27,68 +25,31 @@ import numpy as np
 from .errors import AccuracyError, DomainError
 from .measures import AlphaLaw
 
-# the truncated family's fixed bound eps0: its eps lies in (0, eps0)
-EPS0 = 0.25
-
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """An even, non-negative weight with w(0) = 0.
+    """The corexp weight w_delta, delta in (0, 1/2): delta e^{-1/delta} t^2 / 8
+    for |t| <= 2 / delta^2 and (1 - 2 delta) |t| beyond.
 
-    kind is one of "talagrand" (parameter lam), "corexp" (parameter delta)
-    or "truncated" (parameters alpha, eps, m).
+    Frozen and hashable, so weight tables are cached under it.
     """
 
-    kind: str
-    lam: float = 0.0
-    delta: float = 0.0
-    alpha: float = 0.0
-    eps: float = 0.0
-    m: float = 1.0
+    delta: float
 
     def __post_init__(self):
-        if self.kind == "talagrand":
-            if not 0.0 < self.lam < 1.0:
-                raise DomainError(f"talagrand weight needs lam in (0,1), got {self.lam}")
-        elif self.kind == "corexp":
-            if not 0.0 < self.delta < 0.5:
-                raise DomainError(f"corexp weight needs delta in (0,1/2), got {self.delta}")
-        elif self.kind == "truncated":
-            if not 0.0 < self.eps < EPS0:
-                raise DomainError(f"truncated weight needs eps in (0,{EPS0})")
-            if self.m < 1.0:
-                raise DomainError(f"truncated weight needs m >= 1, got {self.m}")
-            if self.alpha <= 0.0:
-                raise DomainError(f"truncated weight needs alpha > 0, got {self.alpha}")
-        else:
-            raise DomainError(f"unknown weight kind {self.kind!r}")
+        if not 0.0 < self.delta < 0.5:
+            raise DomainError(f"corexp weight needs delta in (0,1/2), got {self.delta}")
 
     def __call__(self, t) -> np.ndarray:
         t = np.abs(np.asarray(t, dtype=float))
-        if self.kind == "talagrand":
-            lam = self.lam
-            return (1.0 / lam - 1.0) * (np.exp(-lam * t) - 1.0 + lam * t)
-        if self.kind == "corexp":
-            d = self.delta
-            quad = d * math.exp(-1.0 / d) * t**2 / 8.0
-            lin = (1.0 - 2.0 * d) * t
-            return np.where(t <= 2.0 / d**2, quad, lin)
-        cut = self.m / self.eps
-        quad = t**2 * math.exp(-((cut) ** (self.alpha / 2.0)))
-        lin = (1.0 - self.eps ** min(self.alpha / 2.0, 1.0)) * t**self.alpha
-        return np.where(t <= cut, quad, lin)
-
-
-def talagrand(lam: float) -> WeightFunction:
-    return WeightFunction("talagrand", lam=lam)
+        d = self.delta
+        quad = d * math.exp(-1.0 / d) * t**2 / 8.0
+        lin = (1.0 - 2.0 * d) * t
+        return np.where(t <= 2.0 / d**2, quad, lin)
 
 
 def corexp(delta: float) -> WeightFunction:
-    return WeightFunction("corexp", delta=delta)
-
-
-def truncated(alpha: float, eps: float, m: float = 1.0) -> WeightFunction:
-    return WeightFunction("truncated", alpha=alpha, eps=eps, m=m)
+    return WeightFunction(delta)
 
 
 # weight tables W[i,j] = w(x_i - x_j), reused across tau-product corpora, each
@@ -134,8 +95,8 @@ def _table_entry(w, grid: np.ndarray):
 
     ``symmetric`` holds when the floors exist, W equals its transpose
     exactly and no entry is -0.0: then W[i,j] and W[j,i] have the same bits
-    and a column of the table can be read as a row.  The built-in weights
-    pass, because x - y = -(y - x) in IEEE arithmetic and w reads |t|.
+    and a column of the table can be read as a row.  corexp's tables pass,
+    because x - y = -(y - x) in IEEE arithmetic and w reads |t|.
     """
     key = (w, grid.tobytes()) if isinstance(w, WeightFunction) else None
     entry = _TABLE_CACHE.get(key)
@@ -226,62 +187,25 @@ def _simpson_weights(n: int, h: float) -> np.ndarray:
     return wts * (h / 3.0)
 
 
-def tau_product(law: AlphaLaw, w, f, grid, dim: int = 1) -> float:
+def tau_product(law: AlphaLaw, w, f, grid) -> float:
     """Product (int e^{f[]w} dnu) (int e^{-f} dnu) via fixed quadrature.
 
     ``grid`` carries the Simpson nodes and ``f`` the tabulated non-negative
-    function.  For dim in {2, 3} the law is tensorized on the same per-axis
-    grid, ``f`` has shape (len(grid),)*dim, and the weight sum
-    W(x) = sum_i w(x_i) is inf-convolved axis by axis (valid because W is
-    separable).  Raises when the grid covers less than 1 - 1e-6 of the mass.
+    function on them.  Raises when the grid covers less than 1 - 1e-6 of
+    the mass.
     """
     grid = np.asarray(grid, dtype=float)
     f = np.asarray(f, dtype=float)
     if np.any(f < 0):
         raise DomainError("tau_product needs a non-negative f")
-    if dim not in (1, 2, 3):
-        raise DomainError("tau_product supports tensor grids of dimension <= 3")
     h = grid[1] - grid[0]
     if not np.allclose(np.diff(grid), h, rtol=1e-9):
         raise DomainError("tau_product needs a uniform Simpson grid")
-    wts = _simpson_weights(grid.size, h)
-    dens = law.density(grid)
-    mass = float(np.sum(wts * dens))
+    wd = _simpson_weights(grid.size, h) * law.density(grid)
+    mass = float(np.sum(wd))
     if mass < 1.0 - 1e-6:
         raise AccuracyError(f"quadrature grid carries only {mass} of the law's mass")
-
-    if f.shape != (grid.size,) * dim:
-        raise DomainError("f must have shape (len(grid),)*dim")
-    fw = f
-    for axis in range(dim):
-        fw = np.apply_along_axis(lambda row: inf_convolution(row, w, grid), axis, fw)
-    wd = wts * dens
-    tensor = wd
-    for _ in range(dim - 1):
-        tensor = np.multiply.outer(tensor, wd)
-    left = float(np.sum(tensor * np.exp(np.minimum(fw, 700.0))))
-    right = float(np.sum(tensor * np.exp(-f)))
+    fw = inf_convolution(f, w, grid)
+    left = float(np.sum(wd * np.exp(np.minimum(fw, 700.0))))
+    right = float(np.sum(wd * np.exp(-f)))
     return left * right
-
-
-def split_enlargement(y, eps: float, m: float):
-    """Split y into small and large coordinates at the threshold m/eps.
-
-    Returns (y1, y2) with y = y1 + y2, disjoint supports, |y1| <= m/eps
-    coordinate-wise and |y2| > m/eps on its support.  When the sum of the
-    truncated weight (alpha, eps, m) over y is below
-    r (1 - eps^{(alpha/2) and 1}), the parts satisfy
-    ||y1||_2 <= k_m(eps) sqrt(r) and ||y2||_alpha^alpha <= r with
-    k_m(eps) = exp((m/eps)^{alpha/2} / 2).
-    """
-    y = np.asarray(y, dtype=float)
-    cut = m / eps
-    small = np.abs(y) <= cut
-    y1 = np.where(small, y, 0.0)
-    y2 = np.where(small, 0.0, y)
-    return y1, y2
-
-
-def split_constant(alpha: float, eps: float, m: float) -> float:
-    """The Euclidean-part constant k_m(eps) of the enlargement split."""
-    return math.exp(0.5 * (m / eps) ** (alpha / 2.0))

@@ -109,7 +109,7 @@ def test_error_curve_lpp():
     cfg = small_config(
         functional="lpp_time", alpha=0.5, n_list=(10, 30), replicas=100
     )
-    shape = lpp.CachedShape(0.5, 2, n_mc=30, replicas=150, seed=99, grid_points=5)
+    shape = lpp.CachedShape(0.5, n_mc=30, replicas=150, seed=99, grid_points=5)
     rows = ex.equivalent_error_curve("lpp", cfg, spike=3.0, g_eval=shape)
     assert rows[-1][1] < rows[0][1]
 

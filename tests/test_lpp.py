@@ -50,19 +50,19 @@ def lpp_times(alpha, n, replicas, seed, chunk=1000):
 
 
 def site_passage(values):
-    """Per-site `last_passage` over a box of any side lengths (oracle)."""
-    side = max(2, *values.shape)  # a WeightField is a cube of side >= 2
-    cube = np.zeros((side,) * values.ndim)
-    cube[tuple(slice(0, s) for s in values.shape)] = values
-    field = lpp.WeightField(values.ndim, side - 1, cube)
-    return lpp.last_passage(field, (0,) * values.ndim, tuple(s - 1 for s in values.shape))
+    """Per-site `last_passage` over a box of any two side lengths (oracle)."""
+    side = max(2, *values.shape)  # a WeightField is a square of side >= 2
+    square = np.zeros((side, side))
+    square[: values.shape[0], : values.shape[1]] = values
+    field = lpp.WeightField(2, side - 1, square)
+    return lpp.last_passage(field, (0, 0), tuple(s - 1 for s in values.shape))
 
 
 def test_field_validation():
-    with pytest.raises(DomainError):
-        lpp.WeightField(4, 2, np.zeros((3, 3, 3, 3)))
-    with pytest.raises(DomainError):
-        lpp.WeightField(2, 2, np.zeros((2, 2)))
+    # LPP is two-dimensional: every other dimension or shape is rejected
+    for d, shape in ((1, (3,)), (3, (3, 3, 3)), (4, (3, 3, 3, 3)), (2, (3, 3, 3)), (2, (2, 2))):
+        with pytest.raises(DomainError):
+            lpp.WeightField(d, 2, np.zeros(shape))
 
 
 def test_last_passage_trivial_cases():
@@ -93,15 +93,6 @@ def test_last_passage_exhaustive_oracle_many():
             )
 
 
-def test_last_passage_3d_oracle():
-    rng = np.random.default_rng(9)
-    for _ in range(5):
-        f = lpp.WeightField(3, 2, rng.normal(size=(3, 3, 3)))
-        assert lpp.last_passage(f, (0, 0, 0), (2, 2, 2)) == pytest.approx(
-            brute_force_T(f, (0, 0, 0), (2, 2, 2))
-        )
-
-
 def test_batch_matches_scalar_dp():
     batch = lpp.passage_times(0.5, (5, 5), 6, seed=10)
     for k in range(6):
@@ -112,9 +103,9 @@ def test_batch_matches_scalar_dp():
 
 def random_boxes():
     rng = np.random.default_rng(20)
-    fixed = [(1, 1), (1, 6), (6, 1), (7, 3), (3, 7), (1, 1, 1), (4, 3, 5), (5, 1, 3), (1, 4, 1)]
+    # one-row and one-column runs, and diagonals longer than 64 cells
+    fixed = [(1, 1), (1, 6), (6, 1), (7, 3), (3, 7), (1, 70), (70, 1), (65, 9)]
     drawn = [tuple(rng.integers(1, 9, size=2).tolist()) for _ in range(6)]
-    drawn += [tuple(rng.integers(1, 6, size=3).tolist()) for _ in range(6)]
     return fixed + drawn
 
 
@@ -161,7 +152,6 @@ def test_outputs_do_not_depend_on_chunking(monkeypatch, budget):
     def outputs():
         return (
             lpp.estimate_g(0.5, (1.0, 0.5), n=12, replicas=101, seed=23),
-            lpp.estimate_g(0.5, (1.0, 1.0, 1.0), n=5, replicas=101, seed=23),
             ex.tail_rate(cfg, 2.5),
             ex.equivalent_error_curve("lpp", cfg, spike=3.0, g_eval=lpp.additive_g),
         )
@@ -172,9 +162,9 @@ def test_outputs_do_not_depend_on_chunking(monkeypatch, budget):
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("box", [(5, 4), (3, 2, 4)], ids=str)
+@pytest.mark.parametrize("box", [(5, 4)], ids=str)
 def test_pool_equals_site_oracle(monkeypatch, workers, box):
-    # 480 cells: 2 to 12 replicas per chunk, none of which divides 23
+    # 480 cells: 4 to 12 replicas per chunk, none of which divides 23
     monkeypatch.setattr(pool, "_WORKERS", workers)
     monkeypatch.setattr(pool, "_CELL_BUDGET", 480)
     assert 1 < pool.plan(2 * math.prod(box))[1] < 23
@@ -233,15 +223,6 @@ def test_pool_tabulates_a_fresh_map_once_outside_the_workers(monkeypatch):
     assert built == [threading.main_thread()]
 
 
-def test_estimate_g_3d_equals_site_oracle_mean():
-    mean, se = lpp.estimate_g(0.5, (1, 1, 1), n=6, replicas=20, seed=24)
-    law = measures.mu(0.5)
-    fields = [measures.sample(law, 343, 24, stream=k).reshape(7, 7, 7) for k in range(20)]
-    times = np.array([site_passage(f) / 6 for f in fields])
-    assert mean == float(times.mean())
-    assert se == float(times.std(ddof=1) / math.sqrt(20))
-
-
 def test_engine_memory_stays_within_the_cell_budget():
     lpp.passage_times(0.5, (3, 3), 2, seed=0)  # the transport map is built outside the trace
     tracemalloc.start()
@@ -255,7 +236,7 @@ def test_engine_memory_stays_within_the_cell_budget():
 
 
 def test_passage_times_rejects_bad_boxes():
-    for box in ((5,), (2, 2, 2, 2), (0, 3)):
+    for box in ((5,), (2, 2, 2), (2, 2, 2, 2), (0, 3)):
         with pytest.raises(DomainError):
             lpp.passage_times(0.5, box, 3, seed=0)
 
@@ -343,21 +324,20 @@ def root_shape(v) -> float:
     return float(np.sum(np.sqrt(np.asarray(v, dtype=float))) ** 2)
 
 
-def sparse_signed_field(rng, d, n):
-    vals = rng.normal(size=(n + 1,) * d)
+def sparse_signed_field(rng, n):
+    vals = rng.normal(size=(n + 1, n + 1))
     keep = rng.random(vals.shape) < 0.2
-    return lpp.WeightField(d, n, np.where(keep, np.abs(vals), -np.abs(vals)))
+    return lpp.WeightField(2, n, np.where(keep, np.abs(vals), -np.abs(vals)))
 
 
 def test_det_equivalent_matches_chain_enumeration():
     rng = np.random.default_rng(12)
-    for d, n, trials in ((2, 3, 100), (3, 2, 20)):
-        for trial in range(trials):
-            h = sparse_signed_field(rng, d, n)
-            for g_eval in (lpp.additive_g, root_shape):
-                mine = lpp.deterministic_equivalent_T(h, g_eval)
-                oracle = brute_force_det_equiv(h, g_eval, n)
-                assert mine == pytest.approx(oracle, abs=1e-12)
+    for trial in range(100):
+        h = sparse_signed_field(rng, 3)
+        for g_eval in (lpp.additive_g, root_shape):
+            mine = lpp.deterministic_equivalent_T(h, g_eval)
+            oracle = brute_force_det_equiv(h, g_eval, 3)
+            assert mine == pytest.approx(oracle, abs=1e-12)
 
 
 def pairwise_det_equiv(h, g_eval, n):
@@ -382,11 +362,11 @@ def pairwise_det_equiv(h, g_eval, n):
     return float(m[tuple(s - 1 for s in shape)])
 
 
-@pytest.mark.parametrize("d, sizes", [(2, (1, 2, 5, 8)), (3, (1, 2, 4))], ids=["d2", "d3"])
+@pytest.mark.parametrize("d, sizes", [(2, (1, 2, 5, 8))], ids=["d2"])
 def test_det_equivalent_equals_pairwise_oracle(d, sizes):
     # the window recursion meets the same candidates as the pairwise loop, so == holds
     rng = np.random.default_rng(20 + d)
-    cached = lpp.CachedShape(0.5, d, n_mc=4, replicas=20, seed=18, grid_points=3)
+    cached = lpp.CachedShape(0.5, n_mc=4, replicas=20, seed=18, grid_points=3)
     for n in sizes:
         for _ in range(3):
             h = lpp.WeightField(d, n, rng.normal(size=(n + 1,) * d))
@@ -421,7 +401,7 @@ def test_rate_consistency_slack():
 
 
 def test_cached_shape_interpolates_table():
-    shape = lpp.CachedShape(0.5, 2, n_mc=8, replicas=40, seed=15, grid_points=5)
+    shape = lpp.CachedShape(0.5, n_mc=8, replicas=40, seed=15, grid_points=5)
     qs = shape.qs
     for i, j in itertools.product(range(5), repeat=2):
         if i == j == 0:
@@ -435,7 +415,7 @@ def test_cached_shape_interpolates_table():
 def test_uniform_equivalent_echo_median_shrinks():
     # |T(X + nH)^+/n - T_det(H)| median decreasing from n=20 to n=80
     alpha, spike_height = 0.5, 3.0
-    shape = lpp.CachedShape(alpha, 2, n_mc=40, replicas=300, seed=16, grid_points=5)
+    shape = lpp.CachedShape(alpha, n_mc=40, replicas=300, seed=16, grid_points=5)
     medians = {}
     for n in (20, 80):
         hvals = np.zeros((n + 1, n + 1))

@@ -9,6 +9,64 @@ from hypothesis import strategies as st
 from heavylab import measures, weights
 from heavylab.errors import AccuracyError, DomainError
 
+# The paper's two other weight families and its enlargement split.  No
+# product path reads them; they are checked here as statements of the paper.
+
+# the truncated family's fixed bound eps0: its eps lies in (0, eps0)
+EPS0 = 0.25
+
+
+def talagrand(lam):
+    """The smooth Talagrand weight c_lam(t) = (1/lam - 1)(e^{-lam|t|} - 1 + lam|t|)."""
+    if not 0.0 < lam < 1.0:
+        raise DomainError(f"talagrand weight needs lam in (0,1), got {lam}")
+
+    def w(t):
+        t = np.abs(np.asarray(t, dtype=float))
+        return (1.0 / lam - 1.0) * (np.exp(-lam * t) - 1.0 + lam * t)
+
+    return w
+
+
+def truncated(alpha, eps, m=1.0):
+    """The truncated weight w_{alpha,eps}^{(m)}: quadratic up to m/eps, then
+    (1 - eps^{(alpha/2) and 1}) |t|^alpha."""
+    if not 0.0 < eps < EPS0:
+        raise DomainError(f"truncated weight needs eps in (0,{EPS0})")
+    if m < 1.0:
+        raise DomainError(f"truncated weight needs m >= 1, got {m}")
+    if alpha <= 0.0:
+        raise DomainError(f"truncated weight needs alpha > 0, got {alpha}")
+    cut = m / eps
+
+    def w(t):
+        t = np.abs(np.asarray(t, dtype=float))
+        quad = t**2 * math.exp(-(cut ** (alpha / 2.0)))
+        lin = (1.0 - eps ** min(alpha / 2.0, 1.0)) * t**alpha
+        return np.where(t <= cut, quad, lin)
+
+    return w
+
+
+def split_enlargement(y, eps, m):
+    """Split y into small and large coordinates at the threshold m/eps.
+
+    Returns (y1, y2) with y = y1 + y2, disjoint supports, |y1| <= m/eps
+    coordinate-wise and |y2| > m/eps on its support.  When the sum of the
+    truncated weight (alpha, eps, m) over y is below
+    r (1 - eps^{(alpha/2) and 1}), the parts satisfy
+    ||y1||_2 <= k_m(eps) sqrt(r) and ||y2||_alpha^alpha <= r with
+    k_m(eps) = `split_constant`.
+    """
+    y = np.asarray(y, dtype=float)
+    small = np.abs(y) <= m / eps
+    return np.where(small, y, 0.0), np.where(small, 0.0, y)
+
+
+def split_constant(alpha, eps, m):
+    """The Euclidean-part constant k_m(eps) = exp((m/eps)^{alpha/2} / 2) of the split."""
+    return math.exp(0.5 * (m / eps) ** (alpha / 2.0))
+
 
 def brute_inf_conv(f, w, grid, at=None):
     """min_j f_j + w(x - y_j) at the nodes x of ``at`` (all of ``grid`` by default).
@@ -35,7 +93,7 @@ def brute_inf_conv(f, w, grid, at=None):
 
 @pytest.mark.parametrize(
     "w",
-    [weights.talagrand(0.3), weights.corexp(0.25), weights.truncated(1.5, 0.1, m=2.0)],
+    [talagrand(0.3), weights.corexp(0.25), truncated(1.5, 0.1, m=2.0)],
 )
 def test_weight_even_zero_nonneg(w):
     t = np.linspace(-50, 50, 1001)
@@ -47,14 +105,14 @@ def test_weight_even_zero_nonneg(w):
 
 def test_talagrand_closed_form_value():
     # (1/lam - 1)(exp(-lam|x|) - 1 + lam|x|) at lam=1/2, x=2
-    assert float(weights.talagrand(0.5)(2.0)) == pytest.approx(
+    assert float(talagrand(0.5)(2.0)) == pytest.approx(
         math.exp(-1.0), rel=1e-12
     )
 
 
 def test_talagrand_convex_and_asymptotically_linear():
     lam = 0.3
-    w = weights.talagrand(lam)
+    w = talagrand(lam)
     t = np.linspace(-40, 40, 2001)
     v = w(t)
     assert np.all(v[:-2] + v[2:] - 2 * v[1:-1] >= -1e-12)
@@ -75,7 +133,7 @@ def test_corexp_branches():
 
 def test_truncated_branches():
     alpha, eps, m, kappa = 1.5, 0.1, 2.0, 1.0
-    w = weights.truncated(alpha, eps, m=m)
+    w = truncated(alpha, eps, m=m)
     cut = m / eps
     t = cut + 1.0
     expected = (1 - kappa * eps ** min(alpha / 2, 1.0)) * t**alpha
@@ -89,15 +147,14 @@ def test_truncated_branches():
 def test_weight_parameter_validation():
     for bad in (0.0, 1.0, -0.2):
         with pytest.raises(DomainError):
-            weights.talagrand(bad)
+            talagrand(bad)
+    for bad in (0.0, 0.5, math.nan):
+        with pytest.raises(DomainError):
+            weights.corexp(bad)
     with pytest.raises(DomainError):
-        weights.corexp(0.5)
+        truncated(1.0, 0.3)  # eps beyond default eps0
     with pytest.raises(DomainError):
-        weights.truncated(1.0, 0.3)  # eps beyond default eps0
-    with pytest.raises(DomainError):
-        weights.truncated(1.0, 0.1, m=0.5)
-    with pytest.raises(DomainError):
-        weights.WeightFunction("mystery")
+        truncated(1.0, 0.1, m=0.5)
 
 
 def test_sum_weight_basics():
@@ -112,7 +169,7 @@ def test_sum_weight_basics():
 
 def test_sum_weight_truncated_branch_arithmetic():
     alpha, eps, m, kappa = 0.5, 0.05, 1.0, 1.0
-    w = weights.truncated(alpha, eps, m=m)
+    w = truncated(alpha, eps, m=m)
     t = m / eps + 1.0
     for k in (1, 3, 6):
         h = np.full(k, t)
@@ -133,7 +190,7 @@ def test_inf_convolution_zero_and_identity():
 
 def test_inf_convolution_upper_bound_and_monotone():
     grid = np.linspace(-8, 8, 101)
-    w = weights.talagrand(0.4)
+    w = talagrand(0.4)
     rng = np.random.default_rng(3)
     f = rng.uniform(0, 5, size=grid.size)
     g = f + rng.uniform(0, 1, size=grid.size)
@@ -164,7 +221,7 @@ def test_inf_convolution_brute_force_201_nodes():
     grid = np.linspace(-12, 12, 201)
     rng = np.random.default_rng(11)
     f = rng.uniform(0, 4, size=201)
-    w = weights.talagrand(0.25)
+    w = talagrand(0.25)
     assert np.array_equal(
         weights.inf_convolution(f, w, grid), brute_inf_conv(f, w, grid)
     )
@@ -196,7 +253,7 @@ def _matches_brute_force_on_rows(f, w):
     return np.array_equal(fw[PRUNE_ROWS], brute, equal_nan=True)
 
 
-@pytest.mark.parametrize("w", [weights.corexp(0.25), weights.talagrand(0.3)])
+@pytest.mark.parametrize("w", [weights.corexp(0.25), talagrand(0.3)], ids=["w0", "w1"])
 @pytest.mark.parametrize("special", [np.inf, -np.inf, np.nan])
 def test_pruned_inf_convolution_with_non_finite_f(w, special):
     rng = np.random.default_rng(31)
@@ -270,7 +327,7 @@ def test_pruned_inf_convolution_matches_brute_force(top, delta, seed):
         assert _matches_brute_force_on_rows(f, weights.corexp(delta))
 
 
-TABLE_WEIGHTS = [weights.talagrand(0.4), weights.corexp(0.45), weights.truncated(0.7, 0.2)]
+TABLE_WEIGHTS = [talagrand(0.4), weights.corexp(0.45), truncated(0.7, 0.2)]
 
 
 def test_weight_table_blocks_equal_whole_table():
@@ -356,13 +413,27 @@ def test_tau_product_rejects_negative_f():
         weights.tau_product(law, weights.corexp(0.25), np.full_like(grid, -1.0), grid)
 
 
-def test_tau_product_tensor_dim2():
+def test_tau_product_equals_explicit_simpson_sum():
+    # on the 1201-node corpus grid; every other f lies near 700, so f [] w
+    # passes 700 at some nodes and exp(f [] w) is clipped there
     law = measures.nu(1.0)
-    grid = _simpson_grid(-30, 30, 121)
-    rng = np.random.default_rng(5)
-    f = rng.uniform(0, 2, size=(grid.size, grid.size))
-    prod = weights.tau_product(law, weights.corexp(0.25), f, grid, dim=2)
-    assert prod <= 1.0 + 1e-6
+    grid = _simpson_grid(-30, 30, 1201)
+    h = grid[1] - grid[0]
+    simpson = np.ones(grid.size)
+    simpson[1:-1:2] = 4.0
+    simpson[2:-1:2] = 2.0
+    mass = simpson * (h / 3.0) * law.density(grid)
+    w = weights.corexp(0.25)
+    rng = np.random.default_rng(2027)
+    clipped = 0
+    for k in range(20):
+        f = rng.uniform(0, 4, size=grid.size) + (rng.uniform(690, 710) if k % 2 else 0.0)
+        fw = weights.inf_convolution(f, w, grid)
+        clipped += int(np.sum(fw > 700.0))
+        left = float(np.sum(mass * np.exp(np.minimum(fw, 700.0))))
+        right = float(np.sum(mass * np.exp(-f)))
+        assert weights.tau_product(law, w, f, grid) == left * right
+    assert clipped > 0
 
 
 def test_corexp_dominated_by_talagrand_comparison():
@@ -370,7 +441,7 @@ def test_corexp_dominated_by_talagrand_comparison():
     t = np.linspace(-500, 500, 20001)
     for delta in (0.05, 0.1, 0.25, 0.4, 0.45):
         wd = weights.corexp(delta)(t)
-        cd = 2.0 * weights.talagrand(delta)(t / 2.0)
+        cd = 2.0 * talagrand(delta)(t / 2.0)
         assert np.all(wd <= cd + 1e-12)
 
 
@@ -380,11 +451,11 @@ def test_corexp_dominated_by_talagrand_comparison():
 def test_split_enlargement_postconditions(alpha, m, eps):
     kappa = 1.0
     rng = np.random.default_rng(int(alpha * 10 + m * 100 + eps * 1000))
-    w = weights.truncated(alpha, eps, m=m)
-    km = weights.split_constant(alpha, eps, m)
+    w = truncated(alpha, eps, m=m)
+    km = split_constant(alpha, eps, m)
     for _ in range(125):  # 8 parameter combinations x 125 = 1000 inputs
         y = rng.standard_cauchy(100) * rng.uniform(0.1, 30)
-        y1, y2 = weights.split_enlargement(y, eps, m)
+        y1, y2 = split_enlargement(y, eps, m)
         assert np.allclose(y1 + y2, y)
         assert np.all(y1 * y2 == 0.0)
         assert np.all(np.abs(y1) <= m / eps)
@@ -398,10 +469,10 @@ def test_split_enlargement_postconditions(alpha, m, eps):
 
 def test_split_enlargement_trivial_cases():
     y_small = np.array([0.1, -0.2, 0.05])
-    y1, y2 = weights.split_enlargement(y_small, 0.2, 1.0)
+    y1, y2 = split_enlargement(y_small, 0.2, 1.0)
     assert np.array_equal(y1, y_small) and not y2.any()
     y_big = np.array([100.0, -200.0])
-    y1, y2 = weights.split_enlargement(y_big, 0.2, 1.0)
+    y1, y2 = split_enlargement(y_big, 0.2, 1.0)
     assert np.array_equal(y2, y_big) and not y1.any()
 
 
