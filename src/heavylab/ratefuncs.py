@@ -259,24 +259,46 @@ def rate_I_variational(
     built per candidate, and each row's transform has the bits of its
     measure's own solve.  Each restart walks the path it would walk alone,
     and the result is the least final cost over the restarts.
+
+    Feasibility is decided in two stages.  Every node's solve is the one it
+    would take alone, so a candidate is first solved at the contour's two
+    end nodes only, and only the candidates within delta there are solved
+    at the other 62 nodes; each decision, each restart's path and the
+    estimate are those of one solve on the whole contour.  Stage 1 sees
+    every candidate, so a non-finite one still raises `DomainError`.  A
+    `ConvergenceError` or `AccuracyError` comes only from a node that is
+    solved: a candidate rejected at an end node no longer solves the other
+    62, which cannot change a decision.  ``alpha`` must equal ``ens.alpha``.
     """
     from . import rng
 
     if not 1 <= n <= 64:
         raise DomainError("n must lie in 1..64 (desk-scale search)")
-    if delta <= 0:
-        raise DomainError("delta must be positive")
+    if not delta > 0:
+        raise DomainError(f"delta must be positive, got {delta}")
+    if alpha != ens.alpha:
+        raise DomainError(f"alpha {alpha} differs from the ensemble's {ens.alpha}")
     nodes = default_contour().nodes
     tvals = np.asarray(target, dtype=complex)
     if tvals.shape != nodes.shape:
         raise DomainError(f"target needs one value per contour node, shape {nodes.shape}")
+    if not np.isfinite(tvals).all():
+        raise DomainError("target values must be finite")
     if init is not None and np.shape(init) != (n,):
         raise DomainError(f"init needs n = {n} entries, got shape {np.shape(init)}")
     scale = n ** (1.0 / alpha)
+    ends = np.zeros(nodes.shape, dtype=bool)
+    ends[[0, -1]] = True
+
+    def within(points, at) -> np.ndarray:
+        g = _freeconv_rows(points, nodes[at])
+        return (np.abs(g - tvals[at]) < delta).all(axis=1)
 
     def feasible(hs) -> np.ndarray:
-        g = _freeconv_rows(scale * np.reshape(hs, (-1, n)), nodes)
-        return np.max(np.abs(g - tvals), axis=1) < delta
+        points = scale * np.reshape(hs, (-1, n))
+        ok = within(points, ends)
+        ok[ok] = within(points[ok], ~ends)
+        return ok
 
     def cost(h) -> float:
         return ens.b * float(np.sum(np.abs(h) ** alpha))

@@ -57,6 +57,9 @@ def corexp(delta: float) -> WeightFunction:
 # (`_table_entry`)
 _TABLE_CACHE: dict[tuple, tuple] = {}
 
+# Simpson weights times the law's density, per law and grid (`_quadrature`)
+_QUAD_CACHE: dict[tuple, np.ndarray] = {}
+
 # a block whose kept columns exceed this share of the row takes the dense
 # add-and-min, which is faster there (read as row segments or as columns,
 # the kept columns cost the same as the dense block near 0.4 at 1201 nodes)
@@ -187,6 +190,26 @@ def _simpson_weights(n: int, h: float) -> np.ndarray:
     return wts * (h / 3.0)
 
 
+def _quadrature(law: AlphaLaw, grid: np.ndarray) -> np.ndarray:
+    """Simpson weights times law's density on grid, built once per AlphaLaw
+    and grid.  A grid that is not uniform or carries less than 1 - 1e-6 of
+    the mass raises and is not cached, so it raises on every call."""
+    key = law, grid.tobytes()
+    wd = _QUAD_CACHE.get(key)
+    if wd is None:
+        h = grid[1] - grid[0]
+        if not np.allclose(np.diff(grid), h, rtol=1e-9):
+            raise DomainError("tau_product needs a uniform Simpson grid")
+        wd = _simpson_weights(grid.size, h) * law.density(grid)
+        mass = float(np.sum(wd))
+        if mass < 1.0 - 1e-6:
+            raise AccuracyError(f"quadrature grid carries only {mass} of the law's mass")
+        if len(_QUAD_CACHE) > 8:
+            _QUAD_CACHE.clear()
+        _QUAD_CACHE[key] = wd
+    return wd
+
+
 def tau_product(law: AlphaLaw, w, f, grid) -> float:
     """Product (int e^{f[]w} dnu) (int e^{-f} dnu) via fixed quadrature.
 
@@ -198,13 +221,7 @@ def tau_product(law: AlphaLaw, w, f, grid) -> float:
     f = np.asarray(f, dtype=float)
     if np.any(f < 0):
         raise DomainError("tau_product needs a non-negative f")
-    h = grid[1] - grid[0]
-    if not np.allclose(np.diff(grid), h, rtol=1e-9):
-        raise DomainError("tau_product needs a uniform Simpson grid")
-    wd = _simpson_weights(grid.size, h) * law.density(grid)
-    mass = float(np.sum(wd))
-    if mass < 1.0 - 1e-6:
-        raise AccuracyError(f"quadrature grid carries only {mass} of the law's mass")
+    wd = _quadrature(law, grid)
     fw = inf_convolution(f, w, grid)
     left = float(np.sum(wd * np.exp(np.minimum(fw, 700.0))))
     right = float(np.sum(wd * np.exp(-f)))

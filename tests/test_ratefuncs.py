@@ -157,6 +157,30 @@ def test_variational_rejects_an_init_of_another_length(size):
                               init=np.full(size, 0.1))
 
 
+def test_variational_rejects_a_nan_delta():
+    # delta <= 0 let NaN through, and every candidate then read infeasible
+    ens = ml.WignerEnsemble(1.0, b=1.0, a1=2.0)
+    target = sm.g_semicircle(sm.default_contour().nodes)
+    with pytest.raises(DomainError, match="delta must be positive"):
+        rf.rate_I_variational(target, 1.0, ens, n=8, delta=math.nan, restarts=1, iters=1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_variational_rejects_a_non_finite_target(bad):
+    ens = ml.WignerEnsemble(1.0, b=1.0, a1=2.0)
+    target = sm.g_semicircle(sm.default_contour().nodes)
+    target[17] = bad
+    with pytest.raises(DomainError, match="target values must be finite"):
+        rf.rate_I_variational(target, 1.0, ens, n=8, delta=0.05, restarts=1, iters=1)
+
+
+def test_variational_rejects_an_alpha_other_than_the_ensembles():
+    ens = ml.WignerEnsemble(1.0, b=1.0, a1=2.0)
+    target = sm.g_semicircle(sm.default_contour().nodes)
+    with pytest.raises(DomainError, match="differs from the ensemble"):
+        rf.rate_I_variational(target, 0.5, ens, n=8, delta=0.05, restarts=1, iters=1)
+
+
 def test_variational_large_delta_everything_feasible():
     ens = ml.WignerEnsemble(1.0, b=1.0, a1=2.0)
     nu = sm.Measure1D(np.array([-2.0, 2.0]), np.array([0.5, 0.5]))
@@ -259,6 +283,9 @@ def split_init(n, theta):
     return np.concatenate([np.full(n // 2, theta), np.full(n // 2, -theta)]) / n
 
 
+# the interior contour node at which the departing lockstep case moves its target
+INTERIOR = 31
+
 # (theta, alpha, n, delta, restarts, iters, with init, feasible starts):
 # criterion 11 first; its zero start is infeasible, so restart 0 drops out
 LOCKSTEP_CASES = [
@@ -272,21 +299,70 @@ LOCKSTEP_CASES = [
     (2.0, 1.0, 8, 10.0, 4, 20, False, "all"),
     (1.0, 1.0, 8, 0.01, 8, 40, False, "none"),
     (2.0, 1.5, 16, 0.05, 4, 20, True, "none"),
+    # theta as (theta, shift): the two-atom target moved by shift = delta at
+    # the node INTERIOR alone, so a candidate can pass both end nodes and
+    # still fail there
+    pytest.param((1.0, 0.05), 1.0, 16, 0.05, 8, 40, True, "some", id="interior-departure"),
 ]
+
+
+def count_solves(monkeypatch, target, delta):
+    """Wrap the search's `_freeconv_rows` with counters: candidates solved at
+    the first contour node, node solves, and candidates rejected by a solve
+    at interior nodes only."""
+    nodes = sm.default_contour().nodes
+    solve = rf._freeconv_rows
+    counts = {"screened": 0, "node_solves": 0, "interior_rejects": 0}
+
+    def counted(points, z):
+        g = solve(points, z)
+        at = np.isin(nodes, z)
+        assert np.array_equal(nodes[at], z)
+        counts["node_solves"] += g.size
+        if at[0]:
+            counts["screened"] += len(points)
+        elif not at[-1]:
+            counts["interior_rejects"] += int(np.count_nonzero(
+                ~(np.abs(g - target[at]) < delta).all(axis=1)))
+        return g
+
+    monkeypatch.setattr(rf, "_freeconv_rows", counted)
+    return counts
 
 
 @pytest.mark.parametrize("theta, alpha, n, delta, restarts, iters, with_init, starts", LOCKSTEP_CASES)
 def test_variational_lockstep_matches_serial_search(theta, alpha, n, delta, restarts, iters,
-                                                    with_init, starts):
+                                                    with_init, starts, monkeypatch):
     # the restarts advance together and share each step's solve, but every
     # restart draws and accepts as it would alone, so the estimate is the
     # serial search's bit for bit
     ens = ml.WignerEnsemble(alpha, b=1.0, a1=2.0)
+    theta, shift = theta if isinstance(theta, tuple) else (theta, 0.0)
     target = two_atom_target(theta)
+    if shift:
+        target[INTERIOR] += shift
     init = split_init(n, theta) if with_init else None
     want, started = serial_rate_I_variational(target, alpha, ens, n, delta, restarts, iters, init)
     assert {"none": started == 0, "some": 0 < started < restarts, "all": started == restarts}[starts]
+    counts = count_solves(monkeypatch, target, delta)
     got = rf.rate_I_variational(target, alpha, ens, n=n, delta=delta, restarts=restarts,
                                 iters=iters, init=init)
     assert got == want
     assert (got == math.inf) == (starts == "none")
+    if shift:
+        # the end-node screen passed these, and only the interior solve rejected them
+        assert counts["interior_rejects"] > 0
+
+
+def test_criterion_11_search_solves_at_most_a_quarter_of_its_nodes(monkeypatch):
+    # unscreened, criterion 11's search solves its 2 917 candidates at all 64
+    # nodes; the end-node screen leaves the other 62 to the few it passes
+    # (32 370 node solves, 17 %); a work count, not a timing
+    theta, alpha, n = 2.0, 1.0, 32
+    target = two_atom_target(theta)
+    counts = count_solves(monkeypatch, target, 0.01)
+    est = rf.rate_I_variational(target, alpha, ml.WignerEnsemble(alpha, b=1.0, a1=2.0), n=n,
+                                delta=0.01, restarts=50, iters=120, init=split_init(n, theta))
+    assert est == 1.9095724902146265
+    assert counts["screened"] == 2917
+    assert counts["node_solves"] <= 2917 * 64 / 4

@@ -733,6 +733,16 @@ def test_freeconv_rows_match_single_solves():
         got = sm._freeconv_rows(rows, z)
         for row, g in zip(rows, got):
             assert g.tobytes() == sm.freeconv_transform(sm.Measure1D.from_atoms(row), z).tobytes()
+        # each node solves as it would alone, so rows solved at some of the
+        # contour's nodes (the search's end-node screen, then the rest) carry
+        # the full contour solve's bits there, whichever rows share the call
+        ends = np.zeros(64, dtype=bool)
+        ends[[0, -1]] = True
+        interior = np.zeros(64, dtype=bool)
+        interior[37] = True
+        for at in (ends, interior, ~ends):
+            assert sm._freeconv_rows(rows, z[:64][at]).tobytes() == got[:, :64][:, at].tobytes()
+            assert sm._freeconv_rows(rows[1::3], z[:64][at]).tobytes() == got[1::3, :64][:, at].tobytes()
 
 
 def test_freeconv_rows_keep_the_checks(monkeypatch):

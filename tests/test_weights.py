@@ -413,6 +413,32 @@ def test_tau_product_rejects_negative_f():
         weights.tau_product(law, weights.corexp(0.25), np.full_like(grid, -1.0), grid)
 
 
+def test_tau_product_checks_hold_on_every_call():
+    # the Simpson weights are cached per law and grid; a grid that fails a
+    # check is not, so it fails again, and f is checked on each call
+    law, w = measures.nu(1.0), weights.corexp(0.25)
+    uneven = np.concatenate([np.linspace(-30, 0, 600, endpoint=False), np.linspace(0, 30, 401)])
+    short = _simpson_grid(-2, 2, 101)
+    grid = _simpson_grid(-30, 30, 1201)
+    zero = np.zeros_like(grid)
+    weights._QUAD_CACHE.clear()
+    cold = {law: weights.tau_product(law, w, zero, grid)}
+    for _ in range(2):
+        with pytest.raises(DomainError, match="uniform Simpson grid"):
+            weights.tau_product(law, w, np.zeros_like(uneven), uneven)
+        with pytest.raises(AccuracyError):
+            weights.tau_product(law, w, np.zeros_like(short), short)
+        with pytest.raises(DomainError, match="non-negative f"):
+            weights.tau_product(law, w, np.full_like(grid, -1.0), grid)
+        assert weights.tau_product(law, w, zero, grid) == cold[law]
+    # another law on the same grid reads its own density
+    one_sided = measures.mu(1.0)
+    cold[one_sided] = weights.tau_product(one_sided, w, zero, grid)
+    assert cold[one_sided] != cold[law]
+    weights._QUAD_CACHE.clear()
+    assert weights.tau_product(one_sided, w, zero, grid) == cold[one_sided]
+
+
 def test_tau_product_equals_explicit_simpson_sum():
     # on the 1201-node corpus grid; every other f lies near 700, so f [] w
     # passes 700 at some nodes and exp(f [] w) is clipped there
