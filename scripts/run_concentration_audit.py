@@ -35,15 +35,10 @@ def main() -> None:
             seed=args.seed,
             t_grid=t_grid,
         )
-        rows, c_hat = ex.concentration_audit(config)
-        records = [{"t": t, "exceedance": e, "bound": b, "c_hat": c_hat} for t, e, b in rows]
-        (args.out_dir / f"audit_{functional}.jsonl").write_text(ex.emit_jsonl(config, records))
-        (args.out_dir / f"audit_{functional}.csv").write_text(
-            ex.emit_csv(config, ("t", "exceedance", "bound"), rows)
-        )
-        print(f"{functional}: fitted c_hat = {c_hat:.4g}")
-        for t, e, b in rows:
-            print(f"  t={t:<6g} exceedance={e:<8g} bound={b:.4g}")
+        records, summary = ex.audit_outputs(config)
+        (args.out_dir / f"audit_{functional}.jsonl").write_text(records)
+        (args.out_dir / f"audit_{functional}.csv").write_text(summary)
+        print(records, end="")
 
 
 if __name__ == "__main__":

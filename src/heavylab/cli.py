@@ -292,11 +292,10 @@ def cmd_audit(args) -> int:
         t_grid=t_grid,
         beta=args.beta,
     )
-    rows, c_hat = ex.concentration_audit(config)
-    records = [{"t": t, "exceedance": e, "bound": b, "c_hat": c_hat} for t, e, b in rows]
-    _write(args.out, ex.emit_jsonl(config, records))
+    records, summary = ex.audit_outputs(config)
+    _write(args.out, records)
     if args.summary_out:
-        _write(args.summary_out, ex.emit_csv(config, ("t", "exceedance", "bound"), rows))
+        _write(args.summary_out, summary)
     return 0
 
 

@@ -79,8 +79,11 @@ def csv_text(conf: dict, cols, rows) -> str:
     """CSV text: the header line for conf, the column line, then one line per row.
 
     Floats, numpy's included, are written as ``repr(float(v))``; other cells as ``str(v)``.
+    A row whose length is not the column count raises ValueError.
     """
     lines = [csv_header(conf), ",".join(cols)]
     for row in rows:
+        if len(row) != len(cols):
+            raise ValueError(f"a row of {len(row)} cells under {len(cols)} columns")
         lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row))
     return "\n".join(lines) + "\n"

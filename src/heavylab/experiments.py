@@ -20,9 +20,10 @@ beta = 1, n >= 648 for beta = 2) run serially on the process's BLAS
 threads: numpy's default in a library caller, one thread in a CLI process
 unless its caller set the thread count (`cli`).
 
-Every output goes through one of the two emitters of `emit`, `jsonl_text`
-and `csv_text`; `emit_jsonl` and `emit_csv` apply them to an
-`ExperimentConfig`.
+Every output goes through `emit`'s `jsonl_text` or `csv_text`, applied by
+`emit_jsonl(config, fields, rows)` and `emit_csv(config, fields, rows)` with
+each experiment's fields named once (`AUDIT_FIELDS`, `CURVE_FIELDS`,
+`TAIL_FIELDS`).  A preset is one `PRESETS` and one `_PRESET_OUTPUTS` entry.
 """
 
 from __future__ import annotations
@@ -168,23 +169,16 @@ def equivalent_error_curve(kind: str, config: ExperimentConfig, spike: float = 2
     "lpp" the normalized passage time with the shape DP.  Deformations are rank-one
     (or corner) spikes of height ``spike``.
     """
+    if kind not in _CURVE_ERRORS:
+        raise DomainError(f"unknown curve kind {kind!r}")
     out = []
     for n in config.n_list:
-        if kind == "esm":
-            errs = _esm_errors(config, n, spike)
-        elif kind == "eig":
-            errs = _eig_errors(config, n, spike)
-        elif kind == "poly":
-            errs = _poly_errors(config, n, spike)
-        elif kind == "lpp":
-            errs = _lpp_errors(config, n, spike, g_eval)
-        else:
-            raise DomainError(f"unknown curve kind {kind!r}")
+        errs = _CURVE_ERRORS[kind](config, n, spike, g_eval)
         out.append((n, float(np.mean(errs)), float(np.std(errs, ddof=1) / math.sqrt(len(errs)))))
     return out
 
 
-def _esm_errors(config, n, spike):
+def _esm_errors(config, n, spike, g_eval):
     nodes = sm.default_contour().nodes
     if spike == 0.0:
         target = sm.g_semicircle(nodes)
@@ -197,12 +191,12 @@ def _esm_errors(config, n, spike):
     return _wigner_replicas(config, n, err, spike)
 
 
-def _eig_errors(config, n, spike):
+def _eig_errors(config, n, spike, g_eval):
     target = ml.rho(spike)
     return _wigner_replicas(config, n, lambda x: abs(x.largest_eig() - target), spike)
 
 
-def _poly_errors(config, n, spike):
+def _poly_errors(config, n, spike, g_eval):
     poly = NCPolynomial.word_power(1, 3)
     d = poly.total_degree
     limit = deterministic_equivalent_poly(poly, (ml.spike_matrix(n, spike),), n)
@@ -224,6 +218,9 @@ def _lpp_errors(config, n, spike, g_eval):
         config.alpha, hvals.shape, config.replicas, config.seed, shift=n * hvals
     )
     return np.abs(times / n - t_det)
+
+
+_CURVE_ERRORS = {"esm": _esm_errors, "eig": _eig_errors, "poly": _poly_errors, "lpp": _lpp_errors}
 
 
 def _power_fit(n: np.ndarray, means: np.ndarray):
@@ -315,16 +312,44 @@ def _wilson(p: float, n: int):
 
 # ------------------------------------------------------------------ emission
 
+# a row zipped with its fields is a record; the audit's and the tail's last
+# field is a per-run scalar (c_hat, g11_hat) repeated on every row
+AUDIT_FIELDS = ("t", "exceedance", "bound", "c_hat")
+CURVE_FIELDS = ("n", "mean_error", "stderr")
+TAIL_FIELDS = ("n", "p_hat", "estimate", "ci_lo", "ci_hi", "hits", "g11_hat")
 
-def emit_jsonl(config: ExperimentConfig, records) -> str:
-    """`jsonl_text` for a config; every record carries its seed and config hash."""
+
+def emit_jsonl(config: ExperimentConfig, fields, rows) -> str:
+    """`jsonl_text` of one record per row; every record carries its seed and config hash."""
     stamp = {"seed": config.seed, "config_hash": config.config_hash()}
-    return jsonl_text(asdict(config), ({**stamp, **rec} for rec in records))
+    records = ({**stamp, **dict(zip(fields, row, strict=True))} for row in rows)
+    return jsonl_text(asdict(config), records)
 
 
-def emit_csv(config: ExperimentConfig, cols, rows) -> str:
+def emit_csv(config: ExperimentConfig, fields, rows) -> str:
     """`csv_text` for a config."""
-    return csv_text(asdict(config), cols, rows)
+    return csv_text(asdict(config), fields, rows)
+
+
+def _audit_rows(config: ExperimentConfig):
+    rows, c_hat = concentration_audit(config)
+    return [(*row, c_hat) for row in rows]
+
+
+def audit_outputs(config: ExperimentConfig) -> tuple[str, str]:
+    """The audit's JSON-lines records and its CSV summary, which leaves out c_hat."""
+    rows = _audit_rows(config)
+    summary = emit_csv(config, AUDIT_FIELDS[:-1], [row[:-1] for row in rows])
+    return emit_jsonl(config, AUDIT_FIELDS, rows), summary
+
+
+def _tail_trend_rows(config: ExperimentConfig):
+    # limit reference from a stable extrapolation: two extra doublings
+    # beyond the largest tail size (the shorter fit has ~2 units of
+    # seed-to-seed spread, enough to flip the diagnostic)
+    sizes = config.n_list + (2 * max(config.n_list), 4 * max(config.n_list))
+    g_hat, _ = estimate_g_limit(config.alpha, sizes, 3000, config.seed + 1)
+    return [(*row, g_hat) for row in tail_rate(config, g_hat + 1.0)]
 
 
 # shipped presets; every preset is deterministic from its embedded seed
@@ -353,37 +378,20 @@ PRESETS: dict[str, ExperimentConfig] = {
     ),
 }
 
+# each preset's record fields and rows builder.  `run_preset` reads the config
+# from PRESETS and the builders look this module's functions up when they run,
+# so a config swapped into PRESETS or a wrapper set on the module takes effect
+_PRESET_OUTPUTS = {
+    "eig-concentration-small": (AUDIT_FIELDS, _audit_rows),
+    "esm-error-curve": (CURVE_FIELDS, lambda c: equivalent_error_curve("esm", c, spike=0.0)),
+    "lpp-tail-trend": (TAIL_FIELDS, _tail_trend_rows),
+}
+
 
 def run_preset(name: str) -> str:
     """Run a shipped preset and return its JSON-lines output."""
     if name not in PRESETS:
         raise DomainError(f"unknown preset {name!r}; known: {sorted(PRESETS)}")
     config = PRESETS[name]
-    if name == "eig-concentration-small":
-        rows, c_hat = concentration_audit(config)
-        records = [
-            {"t": t, "exceedance": e, "bound": b, "c_hat": c_hat} for t, e, b in rows
-        ]
-    elif name == "esm-error-curve":
-        rows = equivalent_error_curve("esm", config, spike=0.0)
-        records = [{"n": n, "mean_error": m, "stderr": s} for n, m, s in rows]
-    else:
-        # limit reference from a stable extrapolation: two extra doublings
-        # beyond the largest tail size (the shorter fit has ~2 units of
-        # seed-to-seed spread, enough to flip the diagnostic)
-        sizes = config.n_list + (2 * max(config.n_list), 4 * max(config.n_list))
-        g_hat, diag = estimate_g_limit(config.alpha, sizes, 3000, config.seed + 1)
-        rows = tail_rate(config, g_hat + 1.0)
-        records = [
-            {
-                "n": n,
-                "p_hat": p,
-                "estimate": est,
-                "ci_lo": lo,
-                "ci_hi": hi,
-                "hits": hits,
-                "g11_hat": g_hat,
-            }
-            for n, p, est, lo, hi, hits in rows
-        ]
-    return emit_jsonl(config, records)
+    fields, build_rows = _PRESET_OUTPUTS[name]
+    return emit_jsonl(config, fields, build_rows(config))

@@ -192,11 +192,14 @@ def _simpson_weights(n: int, h: float) -> np.ndarray:
 
 def _quadrature(law: AlphaLaw, grid: np.ndarray) -> np.ndarray:
     """Simpson weights times law's density on grid, built once per AlphaLaw
-    and grid.  A grid that is not uniform or carries less than 1 - 1e-6 of
-    the mass raises and is not cached, so it raises on every call."""
+    and grid.  A grid of fewer than 3 nodes, not uniform or carrying less
+    than 1 - 1e-6 of the mass raises and is not cached, so it raises on
+    every call."""
     key = law, grid.tobytes()
     wd = _QUAD_CACHE.get(key)
     if wd is None:
+        if grid.size < 3:
+            raise DomainError("tau_product needs a Simpson grid of at least 3 nodes")
         h = grid[1] - grid[0]
         if not np.allclose(np.diff(grid), h, rtol=1e-9):
             raise DomainError("tau_product needs a uniform Simpson grid")

@@ -1,10 +1,16 @@
+import dataclasses
+import hashlib
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from heavylab import emit
+from heavylab import cli, emit
 from heavylab import experiments as ex
 from heavylab import nets
 from heavylab.errors import DomainError
@@ -112,6 +118,10 @@ def test_error_curve_lpp():
     shape = lpp.CachedShape(0.5, n_mc=30, replicas=150, seed=99, grid_points=5)
     rows = ex.equivalent_error_curve("lpp", cfg, spike=3.0, g_eval=shape)
     assert rows[-1][1] < rows[0][1]
+    with pytest.raises(DomainError, match="g_eval"):
+        ex.equivalent_error_curve("lpp", cfg, spike=3.0)
+    with pytest.raises(DomainError, match="unknown curve kind"):
+        ex.equivalent_error_curve("nope", cfg)
 
 
 def test_tail_rate_low_threshold_near_zero():
@@ -181,19 +191,23 @@ def test_greedy_net_slope_positive():
 
 def test_emission_headers_and_determinism():
     cfg = small_config(replicas=120)
-    text = ex.emit_jsonl(cfg, [{"value": 1.5}])
+    text = ex.emit_jsonl(cfg, ("value",), [(1.5,)])
     lines = text.strip().splitlines()
     head = json.loads(lines[0])
     assert head["version"] == emit.VERSION
     assert head["config_hash"] == cfg.config_hash()
     rec = json.loads(lines[1])
     assert rec["seed"] == cfg.seed and rec["config_hash"] == cfg.config_hash()
+    with pytest.raises(ValueError):
+        ex.emit_jsonl(cfg, ("value", "extra"), [(1.5,)])
     csv_text = ex.emit_csv(cfg, ("a", "b"), [(1, 2.5)])
     head = csv_text.splitlines()[0]
     assert head.startswith(f"# heavylab {emit.VERSION} ")
     assert f"config_hash={cfg.config_hash()}" in head.split()
     assert f"seed={cfg.seed}" in head.split()
     assert csv_text.splitlines()[1:] == ["a,b", "1,2.5"]
+    with pytest.raises(ValueError):
+        ex.emit_csv(cfg, ("a",), [(1, 2.5)])
 
 
 def test_preset_rerun_byte_identical():
@@ -202,6 +216,71 @@ def test_preset_rerun_byte_identical():
     assert out1 == out2
     with pytest.raises(DomainError):
         ex.run_preset("nope")
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("eig-concentration-small", "49ad91c72f513094717ed4242568a66c38d56cf769192c8dc06d9e3ca87c08c0"),
+        ("esm-error-curve", "366eda4606fd97b52f3fc40ee422624e70dfcd4942845ef5221a2f6d277af860"),
+        ("lpp-tail-trend", "910c3f083a0ec084c24f4682f4177674c398a81cec2865c8ae85e4bec5830f8c"),
+    ],
+)
+def test_preset_output_bytes_pinned(name, digest):
+    # the two spectral presets solve n <= 200 eigenproblems; their bytes read
+    # the same on one and on two BLAS threads of this numpy build
+    assert hashlib.sha256(ex.run_preset(name).encode()).hexdigest() == digest
+
+
+def test_presets_reach_their_entry_points_through_the_module(monkeypatch):
+    # the preset table looks these four functions up when it runs, so a
+    # wrapper set on the module (a tracer's span) sees every preset's calls
+    calls = []
+
+    def fake(name, result):
+        def run(*args, **kwargs):
+            calls.append(name)
+            return result
+
+        monkeypatch.setattr(ex, name, run)
+
+    fake("concentration_audit", ([(0.1, 0.5, 0.25)], 2.0))
+    fake("equivalent_error_curve", [(50, 0.125, 0.5)])
+    fake("estimate_g_limit", (1.5, {}))
+    fake("tail_rate", [(10, 0.5, 1.0, 0.75, 1.25, 6000)])
+    expected = {
+        "eig-concentration-small": (["concentration_audit"], {"t": 0.1, "c_hat": 2.0}),
+        "esm-error-curve": (["equivalent_error_curve"], {"n": 50, "stderr": 0.5}),
+        "lpp-tail-trend": (["estimate_g_limit", "tail_rate"], {"hits": 6000, "g11_hat": 1.5}),
+    }
+    assert set(ex._PRESET_OUTPUTS) == set(ex.PRESETS) == set(expected)
+    for name, (entry_points, fields) in expected.items():
+        # the config is read from PRESETS when the preset runs
+        config = ex.PRESETS[name]
+        monkeypatch.setitem(ex.PRESETS, name, dataclasses.replace(config, seed=config.seed + 1))
+        calls.clear()
+        records = [json.loads(line) for line in ex.run_preset(name).splitlines()]
+        assert calls == entry_points
+        assert records[0]["config"]["seed"] == config.seed + 1
+        assert records[1].items() >= {**fields, "seed": config.seed + 1}.items()
+
+
+def test_audit_script_writes_the_cli_audit_bytes(capsys, tmp_path):
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    argv = ("--n", "20", "--replicas", "60", "--seed", "3")
+    subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_concentration_audit.py"), *argv,
+         "--out-dir", str(tmp_path / "script")],
+        env=env, check=True, capture_output=True,
+    )
+    out, summary = tmp_path / "cli.jsonl", tmp_path / "cli.csv"
+    code = cli.main(["audit", "--functional", "largest_eig", *argv,
+                     "--out", str(out), "--summary-out", str(summary)])
+    capsys.readouterr()
+    assert code == 0
+    assert (tmp_path / "script" / "audit_largest_eig.jsonl").read_bytes() == out.read_bytes()
+    assert (tmp_path / "script" / "audit_largest_eig.csv").read_bytes() == summary.read_bytes()
 
 
 def test_csv_header_splits_back_into_every_pair():

@@ -430,6 +430,9 @@ def test_tau_product_checks_hold_on_every_call():
             weights.tau_product(law, w, np.zeros_like(short), short)
         with pytest.raises(DomainError, match="non-negative f"):
             weights.tau_product(law, w, np.full_like(grid, -1.0), grid)
+        for tiny in (np.zeros(0), np.zeros(1)):
+            with pytest.raises(DomainError, match="at least 3 nodes"):
+                weights.tau_product(law, w, np.zeros_like(tiny), tiny)
         assert weights.tau_product(law, w, zero, grid) == cold[law]
     # another law on the same grid reads its own density
     one_sided = measures.mu(1.0)
