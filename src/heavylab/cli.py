@@ -262,7 +262,7 @@ def cmd_lpp(args) -> int:
     if not args.spike >= 0.0:
         raise ConfigError("lpp needs --spike >= 0 (0 is no spike)")
     n = args.n
-    times = lpp.passage_times(args.alpha, (n + 1, n + 1), args.replicas, args.seed) / n
+    times = lpp.passage_times(args.alpha, [(n + 1, n + 1)], args.replicas, args.seed)[0] / n
     g11_hat = float(times.mean())
     t_det = None
     if args.spike > 0.0:

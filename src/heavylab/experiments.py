@@ -74,6 +74,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.functional not in FUNCTIONALS:
             raise DomainError(f"unknown functional {self.functional!r}")
+        if not self.n_list:
+            raise DomainError("n_list must name at least one size")
         if self.replicas < 1:
             raise DomainError(f"replicas must be at least 1, got {self.replicas}")
         if self.t_grid and (np.any(np.diff(self.t_grid) <= 0) or min(self.t_grid) <= 0):
@@ -215,8 +217,8 @@ def _lpp_errors(config, n, spike, g_eval):
     h = lpp.WeightField(2, n, hvals)
     t_det = lpp.deterministic_equivalent_T(h, g_eval)
     times = lpp.passage_times(
-        config.alpha, hvals.shape, config.replicas, config.seed, shift=n * hvals
-    )
+        config.alpha, [hvals.shape], config.replicas, config.seed, shift=n * hvals
+    )[0]
     return np.abs(times / n - t_det)
 
 
@@ -268,9 +270,8 @@ def estimate_g_limit(alpha: float, n_list, replicas: int, seed: int):
     n_arr = np.array(sorted(n_list), dtype=float)
     if n_arr.size < 3:
         raise DomainError("extrapolation needs at least three lattice sizes")
-    means = np.empty(n_arr.size)
-    for k, n in enumerate(n_arr.astype(int)):
-        means[k] = (lpp.passage_times(alpha, (n + 1, n + 1), replicas, seed) / n).mean()
+    boxes = [(n + 1, n + 1) for n in n_arr.astype(int)]
+    means = (lpp.passage_times(alpha, boxes, replicas, seed) / n_arr[:, None]).mean(axis=1)
     g_hat, c_fit, gamma, at_end = _power_fit(n_arr, means)
     diag = {"means": means.tolist(), "c": c_fit, "gamma": gamma, "gamma_at_grid_end": at_end}
     return g_hat, diag
@@ -285,10 +286,11 @@ def tail_rate(config: ExperimentConfig, x: float):
     """
     if config.functional != "lpp_time":
         raise DomainError("tail_rate currently audits the last-passage functional")
+    boxes = [(n + 1, n + 1) for n in config.n_list]
+    times = lpp.passage_times(config.alpha, boxes, config.replicas, config.seed)
     rows = []
-    for n in config.n_list:
-        times = lpp.passage_times(config.alpha, (n + 1, n + 1), config.replicas, config.seed) / n
-        hits = int(np.sum(times > x))
+    for n, row in zip(config.n_list, times):
+        hits = int(np.sum(row / n > x))
         v = speed("lpp_time", config.alpha, n)
         p_hat = hits / config.replicas
         if hits == 0:

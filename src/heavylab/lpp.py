@@ -4,19 +4,21 @@ Directed paths increase one coordinate per step; a path is identified with
 its vertex set, endpoints included.  Monte Carlo passage times come from
 one engine, `passage_times`: it hands the replicas to the replica pool
 (`pool.run`), which runs chunks of them on one thread per usable CPU.  A
-chunk fills its replicas from their (seed, stream) draws, lays them out
-with replicas last, and runs the dynamic program as a wavefront over
-diagonals of constant coordinate sum, each step one vector operation across
-the replicas.  The draws and replicas-last copies of all chunks in flight
-together stay within the pool's 2^22-cell budget (32 MB).  The max is
-exact and every cell keeps its single addition, so the times equal the
-per-site `last_passage` bit for bit, whatever the chunking, the thread
-count or the scheduling; `last_passage` and `enumerate_paths` serve as
-test oracles.  The deterministic equivalent replaces random fluctuation
-with the limit shape g between chain vertices, collecting the positive
-part of the deformation at every chain vertex (including both endpoints).
-Chains are ordered coordinatewise so every increment stays in the closed
-positive orthant where g lives.
+chunk draws its (seed, stream) draws once, for the largest of the call's
+boxes, lays them out with replicas last, and runs the dynamic program on
+each box's prefix of them as a wavefront over diagonals of constant
+coordinate sum, each step one vector operation across the replicas.  A
+stream's first draws do not depend on how many follow, so every box gets
+the draws a call for it alone would.  The draws and replicas-last copies of
+all chunks in flight together stay within the pool's 2^22-cell budget
+(32 MB).  The max is exact and every cell keeps its single addition, so the
+times equal the per-site `last_passage` bit for bit, whatever the chunking,
+the thread count or the scheduling; `last_passage` and `enumerate_paths`
+serve as test oracles.  The deterministic equivalent replaces random
+fluctuation with the limit shape g between chain vertices, collecting the
+positive part of the deformation at every chain vertex (including both
+endpoints).  Chains are ordered coordinatewise so every increment stays in
+the closed positive orthant where g lives.
 """
 
 from __future__ import annotations
@@ -87,38 +89,50 @@ def enumerate_paths(v1, v2):
                 yield [v1] + tail
 
 
-def passage_times(alpha: float, box, replicas: int, seed: int, shift=None) -> np.ndarray:
-    """Corner-to-corner passage times of ``replicas`` i.i.d. weight boxes.
+def passage_times(alpha: float, boxes, replicas: int, seed: int, shift=None) -> np.ndarray:
+    """Corner-to-corner passage times of ``replicas`` i.i.d. weight boxes, one row per box.
 
-    ``box`` gives the two side lengths.  Replica k takes
-    the one-sided draws of stream k in C order of the box; with ``shift``
-    (an array of the box's shape) its weights are (draws + shift)^+.  The
-    raw times come back in stream order, identical to `last_passage` on
-    each replica's field, whatever the chunking or the thread count.
+    Each of ``boxes`` gives two side lengths; one box given alone counts as
+    a list of one.  Replica k of a box takes the first prod(box) one-sided
+    draws of stream k, in C order of that box.  With ``shift`` (an array of
+    the largest box's size, read in C order) the weights are
+    (draws + shift)^+: the shift is added to the largest box's draws before
+    any box reads its prefix of them.  The raw times come back in stream
+    order, shape (len(boxes), replicas), each row identical to `last_passage`
+    on each replica's field and to a call for that box alone, whatever the
+    chunking or the thread count.
 
     Chunks of replicas run on the replica pool (`pool.run`; numpy
     releases the interpreter lock in the draws, the map and the wavefront)
-    and write disjoint slices of the result.  A chunk holds its draws and
-    their replicas-last copy, two cells per site and replica.
+    and write disjoint slices of the result.  A chunk draws each stream
+    once, for the largest box, and holds those draws and their
+    replicas-last copy, two cells per site of the largest box and replica.
     """
-    box = tuple(int(s) for s in box)
-    if len(box) != 2 or min(box) < 1:
-        raise DomainError(f"box must have two positive sides, got {box}")
+    boxes = list(boxes)
+    if not boxes:
+        raise DomainError("passage_times needs at least one box")
+    if np.ndim(boxes[0]) == 0:  # one box given as its two sides
+        boxes = [boxes]
+    boxes = [tuple(int(s) for s in box) for box in boxes]
+    for box in boxes:
+        if len(box) != 2 or min(box) < 1:
+            raise DomainError(f"box must have two positive sides, got {box}")
     if replicas < 0:
         raise DomainError(f"replicas must be non-negative, got {replicas}")
     law = measures.mu(alpha)
     measures.rearrangement_map(law.alpha)  # tabulated here, not by two workers at once
-    cells = math.prod(box)
+    cells = max(math.prod(box) for box in boxes)
     if shift is not None:
         shift = np.asarray(shift, dtype=float).reshape(cells, 1)
-    out = np.empty(replicas)
+    out = np.empty((len(boxes), replicas))
 
     def run_chunk(streams: range) -> None:
         field = measures.sample(law, cells, seed, streams).T.copy()  # replicas last
         if shift is not None:
             field += shift
             np.maximum(field, 0.0, out=field)
-        out[streams.start : streams.stop] = _wavefront(field, box)
+        for row, box in zip(out, boxes):
+            row[streams.start : streams.stop] = _wavefront(field[: math.prod(box)], box)
 
     pool.run(run_chunk, replicas, 2 * cells)
     return out
@@ -149,23 +163,22 @@ def _wavefront(field: np.ndarray, box) -> np.ndarray:
     return front[-1]
 
 
-def estimate_g(alpha: float, v, n: int, replicas: int, seed: int):
-    """Monte Carlo estimate of E T_{0, floor(n v)} / n with standard error.
+def estimate_g(alpha: float, directions, n: int, replicas: int, seed: int):
+    """Monte Carlo estimates of E T_{0, floor(n v)} / n, with standard errors.
 
-    Weights are i.i.d. one-sided draws with exponent alpha in (0, 1).
+    Weights are i.i.d. one-sided draws with exponent alpha in (0, 1).  All
+    directions v share one `passage_times` call; returns arrays of the
+    means and of their standard errors, one entry per direction.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError("the last-passage regime needs alpha in (0, 1)")
     if replicas < 2:
         raise DomainError("need at least two replicas")
-    v = tuple(float(c) for c in v)
-    corner = tuple(int(math.floor(n * c)) for c in v)
-    if any(c < 0 for c in corner):
+    boxes = [tuple(int(math.floor(n * float(c))) + 1 for c in v) for v in directions]
+    if any(side < 1 for box in boxes for side in box):
         raise DomainError("direction must be non-negative")
-    times = passage_times(alpha, tuple(c + 1 for c in corner), replicas, seed) / n
-    mean = float(times.mean())
-    stderr = float(times.std(ddof=1) / math.sqrt(replicas))
-    return mean, stderr
+    times = passage_times(alpha, boxes, replicas, seed) / n
+    return times.mean(axis=1), times.std(axis=1, ddof=1) / math.sqrt(replicas)
 
 
 def additive_g(v) -> float:
@@ -177,22 +190,18 @@ class CachedShape:
     """Limit shape cached on a direction grid with bilinear interpolation.
 
     The deterministic-equivalent DP evaluates g at every lattice gap of the
-    box, so Monte Carlo estimates are taken once per grid direction and
-    interpolated.
+    box, so Monte Carlo estimates are taken once for the whole direction
+    grid, in one `estimate_g` call, and interpolated.
     """
 
     def __init__(self, alpha: float, n_mc: int, replicas: int, seed: int, grid_points: int = 9):
         self.alpha = alpha
         qs = np.linspace(0.0, 1.0, grid_points)
         self.qs = qs
-        table = np.zeros((grid_points, grid_points))
-        for idx in itertools.product(range(grid_points), repeat=2):
-            direction = tuple(qs[i] for i in idx)
-            if all(c == 0 for c in direction):
-                continue
-            mean, _ = estimate_g(alpha, direction, n_mc, replicas, seed)
-            table[idx] = mean
-        self.table = table
+        directions = list(itertools.product(qs, repeat=2))[1:]  # row-major, the origin left out
+        means, _ = estimate_g(alpha, directions, n_mc, replicas, seed)
+        self.table = np.zeros((grid_points, grid_points))
+        self.table.flat[1:] = means
 
     def __call__(self, v) -> float:
         v = np.asarray(v, dtype=float)

@@ -192,9 +192,9 @@ def _simpson_weights(n: int, h: float) -> np.ndarray:
 
 def _quadrature(law: AlphaLaw, grid: np.ndarray) -> np.ndarray:
     """Simpson weights times law's density on grid, built once per AlphaLaw
-    and grid.  A grid of fewer than 3 nodes, not uniform or carrying less
-    than 1 - 1e-6 of the mass raises and is not cached, so it raises on
-    every call."""
+    and grid.  A grid of fewer than 3 nodes, not uniform or whose weights
+    sum to a mass off 1 by more than 1e-6 raises and is not cached, so it
+    raises on every call."""
     key = law, grid.tobytes()
     wd = _QUAD_CACHE.get(key)
     if wd is None:
@@ -205,8 +205,8 @@ def _quadrature(law: AlphaLaw, grid: np.ndarray) -> np.ndarray:
             raise DomainError("tau_product needs a uniform Simpson grid")
         wd = _simpson_weights(grid.size, h) * law.density(grid)
         mass = float(np.sum(wd))
-        if mass < 1.0 - 1e-6:
-            raise AccuracyError(f"quadrature grid carries only {mass} of the law's mass")
+        if abs(mass - 1.0) > 1e-6:
+            raise AccuracyError(f"quadrature weights sum to {mass}, not the law's mass 1")
         if len(_QUAD_CACHE) > 8:
             _QUAD_CACHE.clear()
         _QUAD_CACHE[key] = wd
@@ -217,8 +217,8 @@ def tau_product(law: AlphaLaw, w, f, grid) -> float:
     """Product (int e^{f[]w} dnu) (int e^{-f} dnu) via fixed quadrature.
 
     ``grid`` carries the Simpson nodes and ``f`` the tabulated non-negative
-    function on them.  Raises when the grid covers less than 1 - 1e-6 of
-    the mass.
+    function on them.  Raises `AccuracyError` when the grid's Simpson
+    weights times the density sum to a mass off 1 by more than 1e-6.
     """
     grid = np.asarray(grid, dtype=float)
     f = np.asarray(f, dtype=float)

@@ -47,6 +47,9 @@ def test_config_validation_and_hash():
         small_config(replicas=0)
     with pytest.raises(DomainError):
         small_config(t_grid=(0.5, 0.25))
+    for functional in ex.FUNCTIONALS:  # the audits read n_list[-1], the lpp-tail rows max(n_list)
+        with pytest.raises(DomainError, match="n_list"):
+            small_config(functional=functional, n_list=())
     a, b = small_config(), small_config()
     assert a.config_hash() == b.config_hash()
     assert small_config(seed=8).config_hash() != a.config_hash()

@@ -94,7 +94,7 @@ def test_last_passage_exhaustive_oracle_many():
 
 
 def test_batch_matches_scalar_dp():
-    batch = lpp.passage_times(0.5, (5, 5), 6, seed=10)
+    (batch,) = lpp.passage_times(0.5, [(5, 5)], 6, seed=10)
     for k in range(6):
         draws = measures.sample(measures.mu(0.5), 25, 10, stream=k)
         f = lpp.WeightField(2, 4, draws.reshape(5, 5))
@@ -114,7 +114,7 @@ def test_engine_equals_site_oracle(box):
     law = measures.mu(0.5)
     shift = np.random.default_rng(sum(box)).normal(scale=2.0, size=box)
     for sh in (None, shift):
-        times = lpp.passage_times(0.5, box, 4, seed=21, shift=sh)
+        (times,) = lpp.passage_times(0.5, [box], 4, seed=21, shift=sh)
         for k in range(4):
             vals = measures.sample(law, math.prod(box), 21, stream=k).reshape(box)
             if sh is not None:
@@ -137,7 +137,7 @@ def test_engine_equals_replaced_lpp_times(monkeypatch, n, budget):
     # one full chunk per thread, then one more replica: a second round of chunks
     workers, most = pool.plan(2 * (n + 1) ** 2)
     for replicas in (workers * most, workers * most + 1):
-        times = lpp.passage_times(0.5, (n + 1, n + 1), replicas, seed=22) / n
+        (times,) = lpp.passage_times(0.5, [(n + 1, n + 1)], replicas, seed=22) / n
         assert np.array_equal(times, lpp_times(0.5, n, replicas, seed=22))
 
 
@@ -151,7 +151,7 @@ def test_outputs_do_not_depend_on_chunking(monkeypatch, budget):
 
     def outputs():
         return (
-            lpp.estimate_g(0.5, (1.0, 0.5), n=12, replicas=101, seed=23),
+            [a.tolist() for a in lpp.estimate_g(0.5, [(1.0, 0.5)], n=12, replicas=101, seed=23)],
             ex.tail_rate(cfg, 2.5),
             ex.equivalent_error_curve("lpp", cfg, spike=3.0, g_eval=lpp.additive_g),
         )
@@ -174,7 +174,7 @@ def test_pool_equals_site_oracle(monkeypatch, workers, box):
     for sh in (None, shift):
         sys.setswitchinterval(1e-6)  # hand the interpreter lock between chunks often
         try:
-            times = lpp.passage_times(0.5, box, 23, seed=26, shift=sh)
+            (times,) = lpp.passage_times(0.5, [box], 23, seed=26, shift=sh)
         finally:
             sys.setswitchinterval(interval)
         oracle = []
@@ -184,6 +184,63 @@ def test_pool_equals_site_oracle(monkeypatch, workers, box):
                 vals = np.maximum(vals + sh, 0.0)
             oracle.append(site_passage(vals))
         assert times.tolist() == oracle
+
+
+# mixed shapes (one row, one column, diagonals longer than 64 cells), a
+# duplicate and no order by size, with room for 4 replicas of the largest
+# box (1 to 4 per chunk); then small boxes under a 480-cell budget (3 to 11)
+MULTI_BOX_CASES = {
+    "mixed": ([(7, 3), (65, 9), (1, 70), (70, 1), (7, 3)], 4 * 2 * 65 * 9),
+    "small": ([(5, 4), (1, 6), (3, 7), (6, 1), (5, 4)], 480),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("case", sorted(MULTI_BOX_CASES))
+def test_multi_box_call_equals_per_box_calls(monkeypatch, workers, case):
+    boxes, budget = MULTI_BOX_CASES[case]
+    monkeypatch.setattr(pool, "_WORKERS", workers)
+    monkeypatch.setattr(pool, "_CELL_BUDGET", budget)
+    cells = max(math.prod(box) for box in boxes)
+    assert pool.plan(2 * cells)[1] < 23  # more than one chunk
+    shift = np.random.default_rng(workers).normal(scale=2.0, size=cells)
+    interval = sys.getswitchinterval()
+    for sh in (None, shift):
+        sys.setswitchinterval(1e-6)  # hand the interpreter lock between chunks often
+        try:
+            times = lpp.passage_times(0.5, boxes, 23, seed=29, shift=sh)
+        finally:
+            sys.setswitchinterval(interval)
+        assert times.shape == (len(boxes), 23)
+        for row, box in zip(times, boxes):
+            own = None if sh is None else sh[: math.prod(box)].reshape(box)
+            assert row.tolist() == lpp.passage_times(0.5, [box], 23, seed=29, shift=own)[0].tolist()
+
+
+def test_each_chunk_draws_its_streams_once_for_the_largest_box(monkeypatch):
+    monkeypatch.setattr(pool, "_WORKERS", 2)
+    monkeypatch.setattr(pool, "_CELL_BUDGET", 2 * 2 * 30 * 4)  # 4 replicas per chunk
+    sample = measures.sample
+    calls = []
+
+    def counting_sample(law, count, seed, streams):
+        calls.append((count, streams))  # list.append is atomic
+        return sample(law, count, seed, streams)
+
+    monkeypatch.setattr(measures, "sample", counting_sample)
+    lpp.passage_times(0.5, [(3, 4), (6, 5), (2, 2), (6, 5)], 23, seed=30)
+    assert len(calls) > 1
+    assert {count for count, _ in calls} == {30}
+    drawn = sorted(s for _, streams in calls for s in streams)
+    assert drawn == list(range(23))  # each stream once
+
+
+def test_estimate_g_over_directions_equals_one_direction_at_a_time():
+    directions = [(1.0, 0.5), (0.25, 1.0), (0.0, 0.0), (1.0, 0.5)]
+    means, stderrs = lpp.estimate_g(0.5, directions, n=12, replicas=50, seed=31)
+    for k, v in enumerate(directions):
+        (mean,), (se,) = lpp.estimate_g(0.5, [v], n=12, replicas=50, seed=31)
+        assert (means[k], stderrs[k]) == (mean, se)
 
 
 def test_pool_cancels_chunks_after_a_failure(monkeypatch):
@@ -236,9 +293,11 @@ def test_engine_memory_stays_within_the_cell_budget():
 
 
 def test_passage_times_rejects_bad_boxes():
-    for box in ((5,), (2, 2, 2), (2, 2, 2, 2), (0, 3)):
+    for box in ((5,), (2, 2, 2), (2, 2, 2, 2), (0, 3), [], [(3, 3), (0, 3)], [(3, 3), (2, 2, 2)]):
         with pytest.raises(DomainError):
             lpp.passage_times(0.5, box, 3, seed=0)
+    with pytest.raises(DomainError):
+        lpp.estimate_g(0.5, [], n=4, replicas=3, seed=0)
 
 
 def test_passage_times_rejects_negative_replicas():
@@ -247,22 +306,23 @@ def test_passage_times_rejects_negative_replicas():
 
 
 def test_estimate_g_monotone_in_direction():
-    m_diag, se_diag = lpp.estimate_g(0.5, (1.0, 1.0), n=12, replicas=200, seed=3)
-    m_axis, se_axis = lpp.estimate_g(0.5, (1.0, 0.0), n=12, replicas=200, seed=3)
+    (m_diag, m_axis), (se_diag, se_axis) = lpp.estimate_g(
+        0.5, [(1.0, 1.0), (1.0, 0.0)], n=12, replicas=200, seed=3
+    )
     assert m_diag >= m_axis
     assert se_diag > 0
 
 
 def test_estimate_g_degenerate_direction_mean():
     # single-site box: T = X_0, so the estimate is the first moment
-    mean, se = lpp.estimate_g(0.5, (0.0, 0.0), n=8, replicas=4000, seed=4)
+    (mean,), (se,) = lpp.estimate_g(0.5, [(0.0, 0.0)], n=8, replicas=4000, seed=4)
     exact = measures.moment(measures.mu(0.5), 1) / 8.0
     assert abs(mean - exact) < 4 * se
 
 
 def test_estimate_g_superadditivity():
-    m2, se2 = lpp.estimate_g(0.5, (1.0, 1.0), n=24, replicas=400, seed=5)
-    m1, se1 = lpp.estimate_g(0.5, (1.0, 1.0), n=12, replicas=400, seed=6)
+    (m2,), (se2,) = lpp.estimate_g(0.5, [(1.0, 1.0)], n=24, replicas=400, seed=5)
+    (m1,), (se1,) = lpp.estimate_g(0.5, [(1.0, 1.0)], n=12, replicas=400, seed=6)
     assert m2 >= m1 - 3 * (se1 + se2)
 
 
@@ -423,6 +483,6 @@ def test_uniform_equivalent_echo_median_shrinks():
         h = lpp.WeightField(2, n, hvals)
         t_det = lpp.deterministic_equivalent_T(h, shape)
         reps = 60
-        times = lpp.passage_times(alpha, (n + 1, n + 1), reps, 17, shift=n * hvals) / n
+        (times,) = lpp.passage_times(alpha, [(n + 1, n + 1)], reps, 17, shift=n * hvals) / n
         medians[n] = float(np.median(np.abs(times - t_det)))
     assert medians[80] < medians[20]

@@ -419,6 +419,7 @@ def test_tau_product_checks_hold_on_every_call():
     law, w = measures.nu(1.0), weights.corexp(0.25)
     uneven = np.concatenate([np.linspace(-30, 0, 600, endpoint=False), np.linspace(0, 30, 401)])
     short = _simpson_grid(-2, 2, 101)
+    coarse = np.array([-30.0, 0.0, 30.0])  # weights sum to 20: f = 0 would read 400
     grid = _simpson_grid(-30, 30, 1201)
     zero = np.zeros_like(grid)
     weights._QUAD_CACHE.clear()
@@ -428,6 +429,8 @@ def test_tau_product_checks_hold_on_every_call():
             weights.tau_product(law, w, np.zeros_like(uneven), uneven)
         with pytest.raises(AccuracyError):
             weights.tau_product(law, w, np.zeros_like(short), short)
+        with pytest.raises(AccuracyError, match="sum to 20"):
+            weights.tau_product(law, w, np.zeros_like(coarse), coarse)
         with pytest.raises(DomainError, match="non-negative f"):
             weights.tau_product(law, w, np.full_like(grid, -1.0), grid)
         for tiny in (np.zeros(0), np.zeros(1)):
@@ -435,11 +438,15 @@ def test_tau_product_checks_hold_on_every_call():
                 weights.tau_product(law, w, np.zeros_like(tiny), tiny)
         assert weights.tau_product(law, w, zero, grid) == cold[law]
     # another law on the same grid reads its own density
-    one_sided = measures.mu(1.0)
-    cold[one_sided] = weights.tau_product(one_sided, w, zero, grid)
-    assert cold[one_sided] != cold[law]
+    other = measures.nu(2.0)
+    cold[other] = weights.tau_product(other, w, zero, grid)
+    assert cold[other] != cold[law]
     weights._QUAD_CACHE.clear()
-    assert weights.tau_product(one_sided, w, zero, grid) == cold[one_sided]
+    assert weights.tau_product(other, w, zero, grid) == cold[other]
+    # too much mass fails as too little does: the one-sided density jumps at
+    # 0, a node of this grid, and Simpson's rule gives it a mass of 1.0167
+    with pytest.raises(AccuracyError, match="sum to 1.01"):
+        weights.tau_product(measures.mu(1.0), w, zero, grid)
 
 
 def test_tau_product_equals_explicit_simpson_sum():
