@@ -1,6 +1,8 @@
 """Command-line front end.
 
-Subcommands: sample, spectrum, freeconv, rate, lpp, audit, net.  Each
+Subcommands: sample, spectrum, freeconv, rate, lpp, audit, net, preset.
+`preset NAME` writes a shipped preset's output (`experiments.run_preset`),
+whose header carries the preset's configuration.  Each command
 takes only the flags it reads, plus --out: of the shared flags (`_SHARED`:
 --alpha --beta --n --replicas --seed) it names its own, and any other flag,
 on the command line or as a config-file line, is a usage error.  Config
@@ -34,7 +36,7 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREAD
 if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_VARS):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-SUBCOMMANDS = ("sample", "spectrum", "freeconv", "rate", "lpp", "audit", "net")
+SUBCOMMANDS = ("sample", "spectrum", "freeconv", "rate", "lpp", "audit", "net", "preset")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -170,6 +172,9 @@ def build_parser() -> _Parser:
     p_net.add_argument("--m", type=int, default=16)
     p_net.add_argument("--trials", type=int, default=120)
 
+    p_preset = command("preset", cmd_preset, "", "run a shipped preset, JSON-lines records")
+    p_preset.add_argument("name", help="preset name, e.g. lpp-tail-trend")
+
     return parser
 
 
@@ -216,6 +221,8 @@ def cmd_freeconv(args) -> int:
         nu = sm.Measure1D(np.array([-t, t]), np.array([0.5, 0.5]))
     lo = args.grid_lo if args.grid_lo is not None else float(nu.atoms.min() - 3.5)
     hi = args.grid_hi if args.grid_hi is not None else float(nu.atoms.max() + 3.5)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError("freeconv needs finite --grid-lo and --grid-hi")
     if args.grid_count < 2:
         raise ConfigError("freeconv needs --grid-count >= 2")
     grid = np.linspace(lo, hi, args.grid_count)
@@ -305,6 +312,13 @@ def cmd_net(args) -> int:
     eps_list = _floats(args.eps, "eps")
     profile = nets.greedy_net_profile(args.p, args.q, eps_list, args.m, args.trials, args.seed)
     _write(args.out, csv_text(_resolved_config(args), ("eps", "size"), profile))
+    return 0
+
+
+def cmd_preset(args) -> int:
+    from . import experiments as ex
+
+    _write(args.out, ex.run_preset(args.name))
     return 0
 
 

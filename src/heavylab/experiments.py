@@ -23,7 +23,10 @@ unless its caller set the thread count (`cli`).
 Every output goes through `emit`'s `jsonl_text` or `csv_text`, applied by
 `emit_jsonl(config, fields, rows)` and `emit_csv(config, fields, rows)` with
 each experiment's fields named once (`AUDIT_FIELDS`, `CURVE_FIELDS`,
-`TAIL_FIELDS`).  A preset is one `PRESETS` and one `_PRESET_OUTPUTS` entry.
+`TAIL_FIELDS`).  A preset is one `PRESETS` and one `_PRESET_OUTPUTS` entry,
+and `heavylab preset NAME` writes its `run_preset` output.  The presets are
+the small eig audit, the four families' error curves (esm, eig, poly, lpp)
+and the lpp tail trend of acceptance criterion 12.
 """
 
 from __future__ import annotations
@@ -78,8 +81,12 @@ class ExperimentConfig:
             raise DomainError("n_list must name at least one size")
         if self.replicas < 1:
             raise DomainError(f"replicas must be at least 1, got {self.replicas}")
-        if self.t_grid and (np.any(np.diff(self.t_grid) <= 0) or min(self.t_grid) <= 0):
-            raise DomainError("t_grid must be positive and increasing")
+        if self.t_grid and not (
+            np.all(np.isfinite(self.t_grid))
+            and np.all(np.diff(self.t_grid) > 0)
+            and min(self.t_grid) > 0
+        ):
+            raise DomainError("t_grid must be finite, positive and increasing")
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
         object.__setattr__(self, "t_grid", tuple(float(t) for t in self.t_grid))
 
@@ -354,6 +361,14 @@ def _tail_trend_rows(config: ExperimentConfig):
     return [(*row, g_hat) for row in tail_rate(config, g_hat + 1.0)]
 
 
+def _lpp_curve_rows(config: ExperimentConfig):
+    # the limit shape the curve compares with, estimated when the preset runs
+    shape = lpp.CachedShape(
+        config.alpha, n_mc=40, replicas=300, seed=config.seed + 7, grid_points=5
+    )
+    return equivalent_error_curve("lpp", config, spike=3.0, g_eval=shape)
+
+
 # shipped presets; every preset is deterministic from its embedded seed
 PRESETS: dict[str, ExperimentConfig] = {
     "eig-concentration-small": ExperimentConfig(
@@ -378,6 +393,28 @@ PRESETS: dict[str, ExperimentConfig] = {
         replicas=12000,
         seed=1003,
     ),
+    "eig-error-curve": ExperimentConfig(
+        functional="largest_eig",
+        alpha=1.0,
+        n_list=(100, 300, 1000),
+        replicas=100,
+        seed=1002,
+    ),
+    "poly-error-curve": ExperimentConfig(
+        functional="trace_poly",
+        alpha=1.0,
+        n_list=(50, 150, 500),
+        replicas=100,
+        seed=1002,
+        d=3,
+    ),
+    "lpp-error-curve": ExperimentConfig(
+        functional="lpp_time",
+        alpha=0.5,
+        n_list=(10, 20, 40),
+        replicas=100,
+        seed=1002,
+    ),
 }
 
 # each preset's record fields and rows builder.  `run_preset` reads the config
@@ -387,6 +424,9 @@ _PRESET_OUTPUTS = {
     "eig-concentration-small": (AUDIT_FIELDS, _audit_rows),
     "esm-error-curve": (CURVE_FIELDS, lambda c: equivalent_error_curve("esm", c, spike=0.0)),
     "lpp-tail-trend": (TAIL_FIELDS, _tail_trend_rows),
+    "eig-error-curve": (CURVE_FIELDS, lambda c: equivalent_error_curve("eig", c, spike=2.0)),
+    "poly-error-curve": (CURVE_FIELDS, lambda c: equivalent_error_curve("poly", c, spike=1.0)),
+    "lpp-error-curve": (CURVE_FIELDS, _lpp_curve_rows),
 }
 
 

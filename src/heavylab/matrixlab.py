@@ -52,6 +52,8 @@ class WignerEnsemble:
             raise DomainError(f"alpha must lie in (0, 2], got {self.alpha}")
         if self.beta not in (BETA_SYMMETRIC, BETA_HERMITIAN):
             raise DomainError(f"beta must be 1 or 2, got {self.beta}")
+        if not all(math.isfinite(c) for c in (self.b, self.a1, self.a2)):
+            raise DomainError(f"b, a1 and a2 must be finite, got {self.b}, {self.a1}, {self.a2}")
         if self.b <= 0 or self.a1 <= 0:
             raise DomainError("b and a1 must be positive")
         if self.beta == BETA_HERMITIAN and self.a2 <= 0:

@@ -62,8 +62,8 @@ def greedy_net_centers(p: float, q: float, eps: float, m: int, trials: int, seed
     """
     if not 0.0 < p < q:
         raise DomainError("need 0 < p < q")
-    if eps <= 0:
-        raise DomainError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise DomainError(f"eps must be positive and finite, got {eps}")
     if not 0.0 < p <= 2.0:
         raise DomainError("probe sampling covers p in (0, 2]")
     if m < 1 or trials < 1:

@@ -50,6 +50,10 @@ class RateParams:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 2.0:
             raise DomainError(f"alpha must lie in (0, 2], got {self.alpha}")
+        for name in ("b", "a1", "constant_c", "c1", "c_minus1", "tauP", "g11"):
+            val = getattr(self, name)
+            if val is not None and not math.isfinite(val):
+                raise DomainError(f"{name} must be finite, got {val}")
         for name in ("constant_c", "c1", "c_minus1"):
             val = getattr(self, name)
             if val is not None and val < 0:
@@ -58,10 +62,16 @@ class RateParams:
             raise DomainError(f"d must be at least 1, got {self.d}")
 
 
+def _finite_x(x: float) -> None:
+    if not math.isfinite(x):
+        raise DomainError(f"rate functions are evaluated at a finite x, got {x}")
+
+
 def rate_J(x: float, params: RateParams) -> float:
     """Largest-eigenvalue rate: c g_sc(x)^(-alpha) above 2, 0 at 2, inf below."""
     if params.constant_c is None:
         raise DomainError("rate_J needs constant_c")
+    _finite_x(x)
     if x < 2.0:
         return INF
     if x == 2.0:
@@ -74,6 +84,7 @@ def rate_K(x: float, params: RateParams) -> float:
     """Polynomial-trace rate with one-sided constants c1 / c_minus1."""
     if params.c1 is None or params.c_minus1 is None or params.tauP is None or params.d is None:
         raise DomainError("rate_K needs c1, c_minus1, tauP and d")
+    _finite_x(x)
     gap = x - params.tauP
     if gap == 0.0:
         return 0.0
@@ -87,6 +98,7 @@ def rate_L(x: float, params: RateParams) -> float:
     """Last-passage rate: (x - g(1,...,1))^alpha on the right of g(1,...,1)."""
     if params.g11 is None:
         raise DomainError("rate_L needs g11")
+    _finite_x(x)
     if x < params.g11:
         return INF
     return (x - params.g11) ** params.alpha

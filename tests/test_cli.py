@@ -83,6 +83,7 @@ def test_unknown_flag_exits_one(capsys, tmp_path):
         *unread,
         ("lpp", "--alpha", "0.5", "--n", "2", "--replicas", "2", "--dim", "2"),
         ("freeconv", "--grid-count", "5", "--config", str(seed_cfg)),
+        ("preset", "lpp-error-curve", "--seed", "1"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 1
@@ -538,17 +539,35 @@ def test_small_alpha_spectrum_and_audit_run(capsys, argv):
         (("rate", "--kind", "K", "--c1", "1", "--cm1", "1", "--taup", "0", "--d", "0", "--x", "1"),
          None),
         (("lpp", "--alpha", "0.5", "--n", "3", "--replicas", "2", "--spike", "-1"), None),
+        (("audit", "--n", "10", "--replicas", "10", "--t-grid", "0.1,nan"), None),
+        (("audit", "--n", "10", "--replicas", "10", "--t-grid", "0.1,inf"), None),
+        (("net", "--m", "4", "--eps", "inf"), None),
+        (("net", "--m", "4", "--eps", "nan"), None),
+        (("rate", "--kind", "J", "--c", "1", "--x", "nan"), None),
+        (("rate", "--kind", "J", "--c", "1", "--x", "inf"), None),
+        (("rate", "--kind", "L", "--g11", "nan", "--x", "3"), None),
+        (("rate", "--kind", "K", "--c1", "1", "--cm1", "1", "--taup", "nan", "--d", "2", "--x", "1"),
+         None),
+        (("spectrum", "--n", "3", "--b", "nan"), None),
+        (("spectrum", "--n", "3", "--b", "inf"), None),
+        (("freeconv", "--grid-lo", "nan"), None),
+        (("freeconv", "--grid-hi", "inf"), None),
     ],
     ids=["rate-x", "audit-t-grid", "net-eps", "measure-semicolon", "measure-text", "measure-nan",
          "audit-replicas0", "grid-count0", "grid-count-1", "net-m0", "net-trials0", "rate-d0",
-         "lpp-spike-1"],
+         "lpp-spike-1", "audit-t-grid-nan", "audit-t-grid-inf", "net-eps-inf", "net-eps-nan",
+         "rate-x-nan", "rate-x-inf", "rate-g11-nan", "rate-taup-nan", "spectrum-b-nan",
+         "spectrum-b-inf", "grid-lo-nan", "grid-hi-inf"],
 )
 def test_malformed_input_exits_one(capsys, tmp_path, argv, measure):
     # each of these once ended in a traceback (ValueError; ZeroDivisionError
-    # for rate-d0), in a RuntimeWarning and a fixed point that never
-    # converged, exit 2 (measure-nan), or in exit 0 with records of NaN
-    # exceedances (audit-replicas0), nets of size 0 (net-trials0) or an
-    # unread spike (lpp-spike-1)
+    # for rate-d0; LinAlgError for spectrum-b-nan), in a RuntimeWarning and a
+    # fixed point that never converged, exit 2 (measure-nan, grid-lo-nan,
+    # grid-hi-inf), or in exit 0 with records of NaN exceedances
+    # (audit-replicas0) or thresholds (audit-t-grid-nan), nets of size 0
+    # (net-trials0, net-eps-inf, net-eps-nan), a NaN rate (rate-x-nan and the
+    # other rate cases), a zeroed diagonal (spectrum-b-inf) or an unread spike
+    # (lpp-spike-1)
     if measure is not None:
         path = tmp_path / "measure.csv"
         path.write_text(measure)
@@ -637,6 +656,22 @@ def test_net_command(capsys, tmp_path):
     assert lines[1] == "eps,size"
     sizes = {float(r.split(",")[0]): int(r.split(",")[1]) for r in lines[2:]}
     assert sizes[0.9] <= sizes[0.5]
+
+
+def test_preset_command_writes_the_pinned_preset_bytes(capsys, tmp_path):
+    # digests pinned by tests/test_experiments.py::test_preset_output_bytes_pinned
+    pins = {
+        "lpp-error-curve": "441a598b072b52ef8717fb2028285ed838d3d84514198467313b1f6843643360",
+        "eig-concentration-small":
+            "49ad91c72f513094717ed4242568a66c38d56cf769192c8dc06d9e3ca87c08c0",
+    }
+    for name, digest in pins.items():
+        out = tmp_path / f"{name}.jsonl"
+        assert run(capsys, "preset", name, "--out", str(out)) == (0, "", "")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    code, out, err = run(capsys, "preset", "nope")
+    assert (code, out) == (1, "")
+    assert "heavylab: error: unknown preset 'nope'" in err
 
 
 def test_config_file_defaults_and_override(capsys, tmp_path):

@@ -126,6 +126,16 @@ def test_unit_variance_coefficient_where_the_variance_overflows(alpha):
         assert ml.unit_variance_ensemble(alpha).b == pytest.approx(math.exp(5.25), rel=1e-3)
 
 
+@pytest.mark.parametrize("coefficient", ["b", "a1", "a2"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_ensemble_rejects_non_finite_coefficients(coefficient, bad):
+    # b = nan once ended in a LinAlgError from the eigensolve, and b = inf
+    # in a zero diagonal
+    for beta in (1, 2):
+        with pytest.raises(DomainError, match="must be finite"):
+            ml.WignerEnsemble(1.0, beta=beta, **{coefficient: bad})
+
+
 def test_scalar_matrix_law_matches_scaled_base_law():
     # n=1 draws follow the diagonal law: b^(-1/alpha) times the base law
     ens = ml.WignerEnsemble(0.5, b=2.0, a1=1.0)

@@ -60,6 +60,20 @@ def test_rate_missing_constants_raise():
         rf.RateParams(alpha=1.0, constant_c=-1.0)
 
 
+def test_rate_evaluators_reject_non_finite_input():
+    # each of these once returned nan (x = nan or inf in rate_J, a NaN g11
+    # or tauP) or passed the constant's sign check (a NaN c)
+    for field in ("b", "a1", "constant_c", "c1", "c_minus1", "tauP", "g11"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError, match=f"{field} must be finite"):
+                rf.RateParams(alpha=1.0, **{field: bad})
+    params = rf.RateParams(alpha=1.0, constant_c=1.0, c1=1.0, c_minus1=1.0, tauP=0.0, d=2, g11=2.0)
+    for rate in (rf.rate_J, rf.rate_K, rf.rate_L):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="finite x"):
+                rate(bad, params)
+
+
 def test_rate_I_symmetric_values_and_scaling():
     p = rf.RateParams(alpha=1.0, b=1.0, a1=3.0)
     dirac0 = sm.Measure1D.dirac(0.0)

@@ -1,6 +1,6 @@
 """Every definition in src/ has a caller in the product, or a stated reason.
 
-The product is the package itself, the scripts and the benchmark.  A
+The product is the package itself and the benchmark.  A
 module-level function or class, or a public method of a public class, that
 none of them names is test-only code: it should go, or earn an allowlist
 entry below.
@@ -25,7 +25,7 @@ import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-PRODUCT = ("src/heavylab", "scripts", "perfbench")
+PRODUCT = ("src/heavylab", "perfbench")
 
 # name -> reason it stays without a product caller:
 #   acceptance: an acceptance-checklist entry point
