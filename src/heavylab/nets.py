@@ -58,7 +58,7 @@ def greedy_net_centers(p: float, q: float, eps: float, m: int, trials: int, seed
     Random probes not covered by an existing center are promoted to
     centers; the construction stops after ``trials`` consecutive covered
     probes.  Passing previous centers enforces nesting across decreasing
-    eps.  Returns the center list.
+    eps.  Returns the centers as the rows of one (size, m) array.
     """
     if not 0.0 < p < q:
         raise DomainError("need 0 < p < q")
@@ -68,7 +68,7 @@ def greedy_net_centers(p: float, q: float, eps: float, m: int, trials: int, seed
         raise DomainError("probe sampling covers p in (0, 2]")
     if m < 1 or trials < 1:
         raise DomainError(f"need m >= 1 and trials >= 1, got m={m}, trials={trials}")
-    centers = [] if centers is None else [np.asarray(c) for c in centers]
+    centers = np.asarray([] if centers is None else centers, dtype=float).reshape(-1, m)
     covered_run = 0
     gen = rng.philox(seed, 2**34)
     while covered_run < trials:
@@ -76,13 +76,11 @@ def greedy_net_centers(p: float, q: float, eps: float, m: int, trials: int, seed
         if not np.isfinite(probe).all():
             # a NaN distance compares as covered and would end the net early
             raise DomainError(f"a probe of the l^p ball at p={p} is not finite")
-        dist = (
-            min(float(np.sum(np.abs(probe - c) ** q) ** (1.0 / q)) for c in centers)
-            if centers
-            else math.inf
-        )
+        # the root of the least sum is the least distance, with its own bits
+        sums = np.sum(np.abs(probe - centers) ** q, axis=1)
+        dist = float(np.min(sums) ** (1.0 / q)) if len(centers) else math.inf
         if dist > eps:
-            centers.append(probe)
+            centers = np.concatenate([centers, probe[None]])
             covered_run = 0
         else:
             covered_run += 1

@@ -2,10 +2,11 @@
 
 The closed-form evaluators (`rate_J`, `rate_K`, `rate_L`, and the symmetric
 special case of the spectral-measure rate) are exact piecewise formulas.
-The constants entering them are variational infima over matrices; the
-optimizers below produce *upper bound estimates* by projected local search
-with restarts, never certified minima, and nothing is hardcoded from
-external sources.
+The constants entering them are variational infima over matrices.  One
+search, `optimize_constant`, gives c and c_sigma as infima of the energy
+W_alpha over one homogeneous constraint; it and `rate_I_variational` give
+*upper bound estimates* by projected local search with restarts, never
+certified minima, and nothing is hardcoded from external sources.
 """
 
 from __future__ import annotations
@@ -115,84 +116,24 @@ def rate_I_symmetric(nu: Measure1D, params: RateParams) -> float:
     return min(params.b, params.a1 / 2.0) * nu.moment(params.alpha)
 
 
-def _perturbed(mat: np.ndarray, gen, step: float, beta: int) -> np.ndarray:
-    n = mat.shape[0]
-    if beta == 2:
-        noise = gen.normal(size=(n, n)) + 1j * gen.normal(size=(n, n))
-    else:
-        noise = gen.normal(size=(n, n))
-    return mat + step * noise
+def _noise(gen, n: int, beta: int) -> np.ndarray:
+    """An n x n array of standard normal draws, complex for beta = 2."""
+    z = gen.normal(size=(n, n))
+    return z + 1j * gen.normal(size=(n, n)) if beta == 2 else z
 
 
-def optimize_constant_c(
-    ens: WignerEnsemble,
-    n_max: int = 4,
-    restarts: int = 50,
-    iters: int = 200,
-):
-    """Upper bound estimate of inf{W_alpha(A): lambda_A = 1} over n <= n_max.
+def optimize_constant(ens: WignerEnsemble, poly: NCPolynomial | None = None, sigma: int = 1,
+                      n_max: int = 3, restarts: int = 50, iters: int = 150):
+    """Upper bound estimate of inf{W_alpha(H): sigma s(H) = 1} over sizes n <= n_max.
 
-    Projected local search: each candidate is renormalized by its largest
-    eigenvalue after every move.  The rank-one diagonal witness guarantees
-    the estimate never exceeds b.  Restart r draws from Philox key (0, r).
-    """
-    from . import matrixlab as ml
-    from . import rng
-
-    if n_max > 8:
-        raise DomainError("n_max is capped at 8 (desk-scale search)")
-    best_val, best_mat = INF, None
-    for n in range(1, n_max + 1):
-        # deterministic witness: the first-coordinate projector
-        witness = np.zeros((n, n))
-        witness[0, 0] = 1.0
-        for restart in range(restarts + 1):
-            gen = rng.philox(0, restart)
-            if restart == 0:
-                cur = witness.copy()
-            else:
-                cur = _perturbed(np.zeros((n, n)), gen, 1.0, ens.beta)
-            hm = ml.HermitianMatrix(cur)
-            lam = hm.largest_eig()
-            if lam <= 1e-9:
-                continue
-            cur = hm.mat / lam
-            cur_val = ml.w_alpha_energy(ml.HermitianMatrix(cur), ens)
-            step = 0.5
-            for _ in range(iters):
-                cand = _perturbed(cur, gen, step, ens.beta)
-                hm = ml.HermitianMatrix(cand)
-                lam = hm.largest_eig()
-                if lam <= 1e-9:
-                    step *= 0.7
-                    continue
-                cand = hm.mat / lam
-                val = ml.w_alpha_energy(ml.HermitianMatrix(cand), ens)
-                if val < cur_val:
-                    cur, cur_val = cand, val
-                else:
-                    step *= 0.95
-                if step < 1e-6:
-                    break
-            if cur_val < best_val:
-                best_val, best_mat = cur_val, ml.HermitianMatrix(cur)
-    return best_val, best_mat
-
-
-def optimize_constant_csigma(
-    ens: WignerEnsemble,
-    poly_d: NCPolynomial,
-    sigma: int,
-    n_max: int = 3,
-    restarts: int = 50,
-    iters: int = 150,
-) -> float:
-    """Upper bound estimate of inf{W_alpha(H): tr P_d(H) = sigma}, alpha = ens.alpha.
-
-    Exploits tr P_d(tH) = t^d tr P_d(H): any candidate whose trace sign
-    matches sigma is rescaled onto the constraint, so the objective is
-    W_alpha(H) (sigma/s)^(alpha/d).  Returns +inf when no tested candidate
-    ever achieves the requested sign.  Restart r draws from Philox key (1, r).
+    s is lambda_max of one matrix without ``poly`` (c of `rate_J`, k = 1),
+    or tr P(H_1, ..., H_p) for a homogeneous ``poly`` of degree k (c_sigma
+    of `rate_K`).  As s(tH) = t^k s(H) for t > 0, each start and each
+    accepted move is rescaled onto sigma s = 1, and a candidate with
+    sigma s <= 1e-9 is rejected.  Restart 0 is the witness sigma e_1 e_1^T
+    in every letter, which keeps c <= b; restart r draws from Philox key
+    (0, r).  Returns (value, minimizer tuple), or (inf, None) when no
+    candidate was feasible.
     """
     from . import freeprob as fp
     from . import matrixlab as ml
@@ -200,45 +141,53 @@ def optimize_constant_csigma(
 
     if sigma not in (-1, 1):
         raise DomainError("sigma must be -1 or +1")
-    if n_max > 6:
-        raise DomainError("n_max is capped at 6 (desk-scale search)")
-    degrees = {len(w) for _, w in poly_d.monomials}
-    if len(degrees) != 1:
-        raise DomainError("optimize_constant_csigma needs a homogeneous polynomial")
-    d = degrees.pop()
-    p = poly_d.p
-    best = INF
+    if n_max > 8:
+        raise DomainError("n_max is capped at 8 (desk-scale search)")
+    k, p = 1, 1
+    if poly is not None:
+        degrees = {len(w) for _, w in poly.monomials}
+        if len(degrees) != 1 or 0 in degrees:
+            raise DomainError("optimize_constant needs a homogeneous polynomial of degree >= 1")
+        k, p = degrees.pop(), poly.p
 
-    def cost(mats) -> float:
-        s = fp.eval_trace(poly_d, mats, normalize=False)
-        if not isinstance(s, float):
-            s = s.real
-        if s == 0.0 or math.copysign(1.0, s) != float(sigma):
-            return INF
-        w = sum(ml.w_alpha_energy(m, ens) for m in mats)
-        return w * (abs(1.0 / s)) ** (ens.alpha / d)
+    def ratio(mats):
+        """(W_alpha(H) (sigma s)^(-alpha/k), sigma s), the ratio inf where sigma s <= 1e-9."""
+        s = sigma * (mats[0].largest_eig() if poly is None else complex(fp.eval_trace(poly, mats)).real)
+        if not s > 1e-9:
+            return INF, s
+        return sum(ml.w_alpha_energy(m, ens) for m in mats) * s ** (-ens.alpha / k), s
 
+    def onto(mats, s):
+        # s ** 1.0 is s, so a lambda_max candidate is divided by lambda_max itself
+        return tuple(ml.HermitianMatrix(m.mat / s ** (1.0 / k)) for m in mats)
+
+    best_val, best = INF, None
     for n in range(1, n_max + 1):
-        for restart in range(restarts):
-            gen = rng.philox(1, restart)
-            cur = [_perturbed(np.zeros((n, n)), gen, 1.0, ens.beta) for _ in range(p)]
-            cur_mats = tuple(ml.HermitianMatrix(m) for m in cur)
-            cur_val = cost(cur_mats)
+        witness = np.zeros((n, n))
+        witness[0, 0] = sigma
+        for restart in range(restarts + 1):
+            gen = rng.philox(0, restart)
+            starts = [witness] * p if restart == 0 else [_noise(gen, n, ens.beta) for _ in range(p)]
+            cur = tuple(ml.HermitianMatrix(a) for a in starts)
+            cur_val, s = ratio(cur)
+            if cur_val == INF:
+                continue
+            cur = onto(cur, s)
             step = 0.5
             for _ in range(iters):
-                k = int(gen.integers(p))
-                cand = list(cur)
-                cand[k] = _perturbed(cand[k], gen, step, ens.beta)
-                cand_mats = tuple(ml.HermitianMatrix(m) for m in cand)
-                val = cost(cand_mats)
+                j = int(gen.integers(p))
+                cand = tuple(ml.HermitianMatrix(m.mat + step * _noise(gen, n, ens.beta)) if i == j else m
+                             for i, m in enumerate(cur))
+                val, s = ratio(cand)
                 if val < cur_val:
-                    cur, cur_mats, cur_val = cand, cand_mats, val
+                    cur, cur_val = onto(cand, s), val
                 else:
                     step *= 0.95
                 if step < 1e-6:
                     break
-            best = min(best, cur_val)
-    return best
+            if cur_val < best_val:
+                best_val, best = cur_val, cur
+    return best_val, best
 
 
 def rate_I_variational(

@@ -96,10 +96,10 @@ def test_rate_I_symmetric_rejects_asymmetric():
 
 def test_optimize_constant_c_upper_bound_and_n1():
     ens = ml.WignerEnsemble(1.0, b=0.8, a1=1.0)
-    val1, mat1 = rf.optimize_constant_c(ens, n_max=1, restarts=5, iters=50)
+    val1, mats1 = rf.optimize_constant(ens, n_max=1, restarts=5, iters=50)
     assert val1 == pytest.approx(0.8, abs=1e-9)
-    assert mat1.n == 1
-    val3, _ = rf.optimize_constant_c(ens, n_max=3, restarts=10, iters=80)
+    assert mats1[0].n == 1
+    val3, _ = rf.optimize_constant(ens, n_max=3, restarts=10, iters=80)
     assert val3 <= 0.8 + 1e-9
     assert val3 <= val1 + 1e-9  # monotone in n_max
 
@@ -107,33 +107,61 @@ def test_optimize_constant_c_upper_bound_and_n1():
 def test_optimize_constant_c_witness_bound():
     for alpha in (0.5, 1.5):
         ens = ml.WignerEnsemble(alpha, b=1.2, a1=2.0)
-        val, mat = rf.optimize_constant_c(ens, n_max=2, restarts=8, iters=60)
+        val, mats = rf.optimize_constant(ens, n_max=2, restarts=8, iters=60)
         assert val <= 1.2 + 1e-9
-        assert mat.largest_eig() == pytest.approx(1.0, abs=1e-9)
+        assert mats[0].largest_eig() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_optimize_csigma_scalar_and_infeasible():
     ens = ml.WignerEnsemble(1.0, b=1.0, a1=1.0)
     for d in (3, 4):
         pd = NCPolynomial.word_power(1, d)
-        val = rf.optimize_constant_csigma(ens, pd, sigma=1, n_max=1, restarts=6, iters=60)
+        val = rf.optimize_constant(ens, pd, sigma=1, n_max=1, restarts=6, iters=60)[0]
         assert val == pytest.approx(1.0, rel=1e-4)  # scalar h with h^d = 1 costs b
     # at any alpha, so the cost's exponent alpha/d must be the ensemble's
     for alpha in (0.5, 1.5):
         ens_alpha = ml.WignerEnsemble(alpha, b=1.3, a1=1.0)
         for d in (3, 4):
             pd = NCPolynomial.word_power(1, d)
-            val = rf.optimize_constant_csigma(ens_alpha, pd, sigma=1, n_max=1, restarts=6, iters=60)
+            val = rf.optimize_constant(ens_alpha, pd, sigma=1, n_max=1, restarts=6, iters=60)[0]
             assert val == pytest.approx(1.3, rel=1e-4)
     square = NCPolynomial.word_power(1, 2)
-    assert rf.optimize_constant_csigma(ens, square, sigma=-1, n_max=2, restarts=4, iters=40) == math.inf
+    assert rf.optimize_constant(ens, square, sigma=-1, n_max=2, restarts=4, iters=40)[0] == math.inf
 
 
 def test_optimize_csigma_requires_homogeneous():
     ens = ml.WignerEnsemble(1.0)
     mixed = NCPolynomial(((1.0, (1,)), (1.0, (1, 1))), 1)
     with pytest.raises(DomainError):
-        rf.optimize_constant_csigma(ens, mixed, sigma=1)
+        rf.optimize_constant(ens, mixed, sigma=1)
+
+
+@pytest.mark.parametrize("poly, sigma, n_max, match", [
+    # a constant has degree 0, and its rescaling t^(-1/0) divided by zero
+    (NCPolynomial(((1.0, ()),), 1), 1, 3, "degree >= 1"),
+    (None, 0, 3, "sigma must be"),
+    (None, 1, 9, "capped at 8"),
+], ids=["degree-0", "sigma-0", "n_max-9"])
+def test_optimize_constant_rejects_bad_settings(poly, sigma, n_max, match):
+    with pytest.raises(DomainError, match=match):
+        rf.optimize_constant(ml.WignerEnsemble(1.0), poly, sigma=sigma, n_max=n_max)
+
+
+def test_optimize_constant_minimizers_lie_on_their_constraints():
+    # above alpha = 1 the minimizer of W_alpha on lambda_max = 1 is a block,
+    # not one entry (c / b = 0.894 at alpha = 1.5)
+    ens = ml.WignerEnsemble(1.5, b=1.0, a1=1.0)
+    val, mats = rf.optimize_constant(ens, n_max=3, restarts=20)
+    assert mats[0].n == 2
+    assert val <= 0.9
+    assert mats[0].largest_eig() == pytest.approx(1.0, abs=1e-9)
+    # the c_{-1} search for x^3 keeps its minimizer on tr H^3 = -1; at alpha = 1
+    # that minimizer is one diagonal entry, so c_{-1} = b
+    cube = NCPolynomial.word_power(1, 3)
+    val, mats = rf.optimize_constant(ml.WignerEnsemble(1.0, b=1.0, a1=1.0), cube, sigma=-1,
+                                     n_max=3, restarts=20)
+    assert np.trace(np.linalg.matrix_power(mats[0].mat, 3)) == pytest.approx(-1.0, abs=1e-9)
+    assert val == pytest.approx(1.0, rel=1e-6)
 
 
 def test_variational_semicircle_target_is_zero():

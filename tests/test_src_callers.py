@@ -47,8 +47,7 @@ ALLOWED = {
     "specmeasures.fixed_point_residual": "oracle",
     "specmeasures.Measure1D.dirac": "oracle",
     "ratefuncs.rate_I_symmetric": "paper",
-    "ratefuncs.optimize_constant_c": "paper",
-    "ratefuncs.optimize_constant_csigma": "paper",
+    "ratefuncs.optimize_constant": "paper",
 }
 
 # optional parameter -> reason it stays though no product call sets it
