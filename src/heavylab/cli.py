@@ -275,7 +275,7 @@ def cmd_lpp(args) -> int:
     if args.spike > 0.0:
         hvals = np.zeros((n + 1, n + 1))
         hvals[n, n] = args.spike
-        h = lpp.WeightField(2, n, hvals)
+        h = lpp.WeightField(n, hvals)
         t_det = lpp.deterministic_equivalent_T(h, lpp.additive_g)
     records = [
         {"n": n, "alpha": args.alpha, "seed": args.seed, "stream": rep, "T": float(t),

@@ -221,7 +221,7 @@ def _lpp_errors(config, n, spike, g_eval):
         raise DomainError("lpp curves need a shape estimate g_eval")
     hvals = np.zeros((n + 1, n + 1))
     hvals[n, n] = spike
-    h = lpp.WeightField(2, n, hvals)
+    h = lpp.WeightField(n, hvals)
     t_det = lpp.deterministic_equivalent_T(h, g_eval)
     times = lpp.passage_times(
         config.alpha, [hvals.shape], config.replicas, config.seed, shift=n * hvals

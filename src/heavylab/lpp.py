@@ -35,22 +35,19 @@ from .errors import DomainError
 
 @dataclass(frozen=True)
 class WeightField:
-    """Weights indexed by the square {0,...,n}^2 (d = 2 is the only dimension)."""
+    """Weights indexed by the square {0,...,n}^2."""
 
-    d: int
     n: int
     values: np.ndarray
 
     def __post_init__(self):
-        if self.d != 2:
-            raise DomainError(f"dimension must be 2, got {self.d}")
         if self.n < 1:
             raise DomainError(f"lattice size must be >= 1, got {self.n}")
         if self.n > 200:
             raise DomainError("n is capped at 200")
         vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.n + 1,) * self.d:
-            raise DomainError(f"values must have shape {(self.n + 1,) * self.d}")
+        if vals.shape != (self.n + 1, self.n + 1):
+            raise DomainError(f"values must have shape {(self.n + 1, self.n + 1)}")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -59,8 +56,8 @@ def last_passage(field: WeightField, v1, v2) -> float:
     """Maximal directed-path weight sum from v1 to v2, endpoints included."""
     v1 = tuple(int(c) for c in v1)
     v2 = tuple(int(c) for c in v2)
-    if len(v1) != field.d or len(v2) != field.d:
-        raise DomainError("endpoints must match the field dimension")
+    if len(v1) != 2 or len(v2) != 2:
+        raise DomainError("endpoints must be lattice points of the square")
     if any(a > b for a, b in zip(v1, v2)):
         raise DomainError("endpoints must be coordinatewise ordered")
     x = field.values
@@ -68,7 +65,7 @@ def last_passage(field: WeightField, v1, v2) -> float:
     m = np.full(sub.shape, -np.inf)
     for idx in itertools.product(*(range(s) for s in sub.shape)):
         best = 0.0 if all(i == 0 for i in idx) else -np.inf
-        for axis in range(field.d):
+        for axis in range(2):
             if idx[axis] > 0:
                 prev = idx[:axis] + (idx[axis] - 1,) + idx[axis + 1 :]
                 best = max(best, m[prev])
@@ -256,7 +253,7 @@ def rate_L_consistency(h: WeightField, g_eval, alpha: float) -> float:
     single corner spike.
     """
     t_det = deterministic_equivalent_T(h, g_eval)
-    g11 = g_eval((1.0,) * h.d)
+    g11 = g_eval((1.0, 1.0))
     hp = np.maximum(h.values, 0.0)
     norm = float(np.sum(hp**alpha))
     return norm - max(t_det - g11, 0.0) ** alpha

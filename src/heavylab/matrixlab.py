@@ -102,7 +102,7 @@ class HermitianMatrix:
     rate-function search, a test) and builds the stored matrix from its
     upper triangle: the strict lower triangle is replaced by the mirrored
     (conjugated) upper one and the diagonal by its real part.  Matrices
-    made here -- `sample_wigner`, `scale`, `+` -- are exactly self-adjoint
+    made here -- `sample_wigner`, `scale` -- are exactly self-adjoint
     already and are wrapped as they are, with no second build.
     """
 
@@ -131,9 +131,6 @@ class HermitianMatrix:
         self.mat = full
         self.n = full.shape[0]
         self.beta = BETA_HERMITIAN if np.iscomplexobj(full) else BETA_SYMMETRIC
-
-    def __add__(self, other: "HermitianMatrix") -> "HermitianMatrix":
-        return HermitianMatrix._wrap(self.mat + other.mat)
 
     def scale(self, t: float) -> "HermitianMatrix":
         """The matrix times the real number t."""

@@ -6,13 +6,13 @@ non-negative.
 
 The tau-property product check integrates exp(f [] w) and exp(-f) against
 a one-dimensional law with composite Simpson quadrature; [] denotes the
-inf-convolution, computed exactly as a discrete min over grid nodes.  On a
-cached weight table each 64-row block reads only the columns whose f
-value, plus the block's smallest weight in that column, is at most an
-upper bound on the block's row minima; no other column can hold a minimum,
-so the result is the full min's to the bit (`inf_convolution`).  A table
-equal to its own transpose, as corexp's tables are, is read along rows
-only.
+inf-convolution, computed exactly as a discrete min over grid nodes
+(`inf_convolution`).  Up to 1600 nodes the weight table is cached, and
+each 64-row block reads, along the table's rows, only the columns whose f
+value plus the block's smallest weight in that column is at most an upper
+bound on the block's row minima; no other column can hold a minimum, so
+the result is the full min's to the bit.  Above 1600 nodes each block's
+weight rows are computed and read in full.
 """
 
 from __future__ import annotations
@@ -45,7 +45,9 @@ class WeightFunction:
         d = self.delta
         quad = d * math.exp(-1.0 / d) * t**2 / 8.0
         lin = (1.0 - 2.0 * d) * t
-        return np.where(t <= 2.0 / d**2, quad, lin)
+        # where delta^2 underflows to 0, 2 / delta^2 lies beyond every double
+        cut = 2.0 / d**2 if d**2 > 0.0 else math.inf
+        return np.where(t <= cut, quad, lin)
 
 
 def corexp(delta: float) -> WeightFunction:
@@ -53,17 +55,11 @@ def corexp(delta: float) -> WeightFunction:
 
 
 # weight tables W[i,j] = w(x_i - x_j), reused across tau-product corpora, each
-# kept beside its block floors and whether it reads as its own transpose
-# (`_table_entry`)
+# kept beside its block floors (`_table_entry`)
 _TABLE_CACHE: dict[tuple, tuple] = {}
 
 # Simpson weights times the law's density, per law and grid (`_quadrature`)
 _QUAD_CACHE: dict[tuple, np.ndarray] = {}
-
-# a block whose kept columns exceed this share of the row takes the dense
-# add-and-min, which is faster there (read as row segments or as columns,
-# the kept columns cost the same as the dense block near 0.4 at 1201 nodes)
-_DENSE_SHARE = 0.4
 
 
 def _weight_table(w, grid: np.ndarray) -> np.ndarray:
@@ -80,104 +76,86 @@ def _weight_table(w, grid: np.ndarray) -> np.ndarray:
     return table
 
 
-def _block_floors(table: np.ndarray) -> np.ndarray | None:
-    """floors[b, j]: the smallest entry of column j over the 64-row block b.
+def _table_entry(w: WeightFunction, grid: np.ndarray):
+    """(table, floors) of w on grid, built once per weight and grid: the
+    table W[i,j] = w(x_i - x_j), and floors[b, j], the smallest entry of
+    column j over the 64-row block b.
 
-    None when some entry of the table is not finite.  Read 64 rows at a time.
+    W equals its transpose bit for bit and holds no -0.0, because
+    x - y = -(y - x) in IEEE arithmetic, w reads |t| and w(+0) = +0.  A
+    non-finite entry raises `DomainError`.
     """
-    floors = np.array([table[start : start + 64].min(axis=0) for start in range(0, len(table), 64)])
-    # max and min propagate NaN, so a NaN entry fails both tests
-    if not (table.max() < math.inf and floors.min() > -math.inf):
-        return None
-    return floors
-
-
-def _table_entry(w, grid: np.ndarray):
-    """(table, floors, symmetric) of w on grid, built once per WeightFunction
-    and grid and looked up under one key.
-
-    ``symmetric`` holds when the floors exist, W equals its transpose
-    exactly and no entry is -0.0: then W[i,j] and W[j,i] have the same bits
-    and a column of the table can be read as a row.  corexp's tables pass,
-    because x - y = -(y - x) in IEEE arithmetic and w reads |t|.
-    """
-    key = (w, grid.tobytes()) if isinstance(w, WeightFunction) else None
+    key = w, grid.tobytes()
     entry = _TABLE_CACHE.get(key)
     if entry is None:
         table = _weight_table(w, grid)
-        floors = _block_floors(table)
-        symmetric = (floors is not None and np.array_equal(table, table.T)
-                     and not np.signbit(table[table == 0.0]).any())
-        entry = table, floors, symmetric
-        if key is not None:
-            if len(_TABLE_CACHE) > 8:
-                _TABLE_CACHE.clear()
-            _TABLE_CACHE[key] = entry
+        if not np.isfinite(table).all():
+            raise DomainError(f"{w} has a non-finite entry on this grid")
+        floors = np.array([table[start : start + 64].min(axis=0) for start in range(0, len(table), 64)])
+        entry = table, floors
+        if len(_TABLE_CACHE) > 8:
+            _TABLE_CACHE.clear()
+        _TABLE_CACHE[key] = entry
     return entry
 
 
-def inf_convolution(f, w, grid) -> np.ndarray:
-    """Discrete inf-convolution of a tabulated f with weight w on a grid.
+def inf_convolution(f, w: WeightFunction, grid) -> np.ndarray:
+    """Discrete inf-convolution of a tabulated f with the corexp weight w on a grid.
 
     (f [] w)(x_i) = min_j f(x_j) + w(x_i - x_j), exact over grid nodes.
-    f may contain +inf and -inf entries, and a NaN entry makes every value
-    NaN; w may be any callable weight.
+    f may contain +inf and -inf entries; a NaN entry, a weight that is not a
+    `WeightFunction`, and a grid that is not finite and strictly increasing
+    or whose span overflows raise `DomainError`.
 
-    Up to 1600 nodes the table W[i,j] = w(x_i - x_j) is cached, and when it
-    is finite and f holds no NaN each 64-row block b reads only the columns
-    that can hold a row's minimum.  One anchor per 64-column chunk, the
-    chunk's smallest f, gives each row i an upper bound ub_i on its minimum
-    (a candidate value f_a + W[i,a]); with t_b the largest ub_i of the
-    block, column j is kept when f_j + floors[b,j] <= t_b.  A dropped column
-    has f_j + W[i,j] >= f_j + floors[b,j] > t_b >= ub_i for every row of
-    the block, because rounded addition is monotone, so it holds no row's
-    minimum.  The kept columns give each row the same single addition of
-    the same table entry, and min selects without rounding, so the result
-    is the dense add-and-min's to the bit.  On a symmetric table
-    (`_table_entry`) the anchor bounds and each block's kept columns are
-    read as contiguous row segments W[j, block] in place of column gathers
-    W[block, j]; the entries have the same bits, and with no -0.0 among
-    the sums each row's minimum is the same double.  Above 1600 nodes the
-    rows are computed per block and read in full.
+    Above 1600 nodes, where no n x n table fits, each 64-row block computes
+    its weight rows and reads them in full.  Up to 1600 nodes the table
+    W[i,j] = w(x_i - x_j) is cached (`_table_entry`), and each 64-row block
+    b reads only the columns that can hold a row's minimum.  One anchor per
+    64-column chunk, the chunk's smallest f, gives each row i an upper bound
+    ub_i on its minimum (a candidate value f_a + W[i,a]); with t_b the
+    largest ub_i of the block, column j is kept when f_j + floors[b,j] <=
+    t_b.  A dropped column has f_j + W[i,j] >= f_j + floors[b,j] > t_b >=
+    ub_i for every row of the block, because rounded addition is monotone,
+    so it holds no row's minimum.  The anchor bounds and each block's kept
+    columns are read as contiguous row segments W[j, block]: W is its own
+    transpose, so these are the entries W[block, j] to the bit; with no NaN
+    and, since W holds no -0.0, no -0.0 among the sums, each row's minimum
+    is the dense add-and-min's to the bit.
     """
+    if not isinstance(w, WeightFunction):
+        raise DomainError(f"inf_convolution needs a WeightFunction weight, got {type(w).__name__}")
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise DomainError("inf_convolution needs a non-empty grid")
-    if np.any(np.diff(grid) <= 0):
-        raise DomainError("grid must be strictly increasing")
+    # NaN fails both tests; a strictly increasing grid with a finite span is finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not ((np.diff(grid) > 0).all() and np.isfinite(grid[-1] - grid[0])):
+            raise DomainError("grid must be finite and strictly increasing, with a finite span")
     f = np.asarray(f, dtype=float)
     if f.shape != grid.shape:
         raise DomainError("tabulated f must match the grid")
+    if np.isnan(f).any():
+        raise DomainError("inf_convolution needs f without NaN entries")
     n = grid.size
-    # cached table rows up to 1600 nodes, rows computed per block above;
-    # 64-row blocks keep every temporary in cache
-    table, floors, symmetric = _table_entry(w, grid) if n <= 1600 else (None, None, False)
-    keep = None
-    if floors is not None and not np.isnan(f).any():
-        starts = np.arange(0, n, 64)
-        padded = np.full(starts.size * 64, np.inf)
-        padded[:n] = f
-        anchors = starts + padded.reshape(-1, 64).argmin(axis=1)
-        if symmetric:
-            ub = np.min(f[anchors, None] + table[anchors], axis=0)
-        else:
-            ub = np.min(f[anchors] + table[:, anchors], axis=1)
-        keep = f + floors <= np.maximum.reduceat(ub, starts)[:, None]
-        # each block's kept columns, from one pass over the mask
-        kept = np.flatnonzero(keep)
-        bounds = np.searchsorted(kept, np.arange(starts.size + 1) * n)
     out = np.empty(n)
-    for b, start in enumerate(range(0, n, 64)):
-        block = slice(start, start + 64)
-        if keep is not None and bounds[b + 1] - bounds[b] <= _DENSE_SHARE * n:
-            cols = kept[bounds[b] : bounds[b + 1]] - b * n
-            if symmetric:
-                out[block] = np.min(f[cols, None] + table[cols, block], axis=0)
-            else:
-                out[block] = np.min(f[cols] + table[block, cols], axis=1)
-        else:
-            rows = w(grid[block, None] - grid[None, :]) if table is None else table[block]
-            out[block] = np.min(f[None, :] + rows, axis=1)
+    if n > 1600:
+        for start in range(0, n, 64):
+            block = slice(start, start + 64)
+            out[block] = np.min(f[None, :] + w(grid[block, None] - grid[None, :]), axis=1)
+        return out
+    table, floors = _table_entry(w, grid)
+    starts = np.arange(0, n, 64)
+    padded = np.full(starts.size * 64, np.inf)
+    padded[:n] = f
+    anchors = starts + padded.reshape(-1, 64).argmin(axis=1)
+    ub = np.min(f[anchors, None] + table[anchors], axis=0)
+    keep = f + floors <= np.maximum.reduceat(ub, starts)[:, None]
+    # each block's kept columns, from one pass over the mask
+    kept = np.flatnonzero(keep)
+    bounds = np.searchsorted(kept, np.arange(starts.size + 1) * n)
+    for b, start in enumerate(starts):
+        cols = kept[bounds[b] : bounds[b + 1]] - b * n
+        out[start : start + 64] = np.min(f[cols, None] + table[cols, start : start + 64], axis=0)
     return out
 
 
@@ -222,7 +200,7 @@ def tau_product(law: AlphaLaw, w, f, grid) -> float:
     """
     grid = np.asarray(grid, dtype=float)
     f = np.asarray(f, dtype=float)
-    if np.any(f < 0):
+    if not (f >= 0).all():
         raise DomainError("tau_product needs a non-negative f")
     wd = _quadrature(law, grid)
     fw = inf_convolution(f, w, grid)

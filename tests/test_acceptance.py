@@ -194,13 +194,13 @@ def test_criterion_10_lpp_oracles():
     def brute(field, end):
         return max(
             sum(field.values[v] for v in path)
-            for path in lpp.enumerate_paths((0,) * field.d, end)
+            for path in lpp.enumerate_paths((0, 0), end)
         )
 
     dp_ok = True
     for trial in range(100):
         n = int(rng.integers(1, 5))
-        f = lpp.WeightField(2, n, rng.normal(size=(n + 1, n + 1)))
+        f = lpp.WeightField(n, rng.normal(size=(n + 1, n + 1)))
         if not math.isclose(lpp.last_passage(f, (0, 0), (n, n)), brute(f, (n, n)), abs_tol=1e-10):
             dp_ok = False
     det_ok = True
@@ -208,11 +208,11 @@ def test_criterion_10_lpp_oracles():
 
     for trial in range(100):
         vals = rng.normal(size=(4, 4))
-        h = lpp.WeightField(2, 3, vals)
+        h = lpp.WeightField(3, vals)
         mine = lpp.deterministic_equivalent_T(h, lpp.additive_g)
         if not math.isclose(mine, brute_force_det_equiv(h, lpp.additive_g, 3), abs_tol=1e-10):
             det_ok = False
-    zero = lpp.WeightField(2, 5, np.zeros((6, 6)))
+    zero = lpp.WeightField(5, np.zeros((6, 6)))
     zero_ok = abs(lpp.deterministic_equivalent_T(zero, lpp.additive_g) - 2.0) < 1e-12
     ok = dp_ok and det_ok and zero_ok
     report(10, ok, f"dp-oracle={dp_ok}, chain-oracle={det_ok}, zero-field exact={zero_ok}")
@@ -226,7 +226,7 @@ def test_criterion_11_rate_function_ledger():
 
     spike = np.zeros((5, 5))
     spike[4, 4] = 2.7
-    h = lpp.WeightField(2, 4, spike)
+    h = lpp.WeightField(4, spike)
     slack = lpp.rate_L_consistency(h, lpp.additive_g, alpha=0.5)
     slack_ok = abs(slack) < 1e-12
 

@@ -54,21 +54,21 @@ def site_passage(values):
     side = max(2, *values.shape)  # a WeightField is a square of side >= 2
     square = np.zeros((side, side))
     square[: values.shape[0], : values.shape[1]] = values
-    field = lpp.WeightField(2, side - 1, square)
+    field = lpp.WeightField(side - 1, square)
     return lpp.last_passage(field, (0, 0), tuple(s - 1 for s in values.shape))
 
 
 def test_field_validation():
-    # LPP is two-dimensional: every other dimension or shape is rejected
-    for d, shape in ((1, (3,)), (3, (3, 3, 3)), (4, (3, 3, 3, 3)), (2, (3, 3, 3)), (2, (2, 2))):
+    # LPP is two-dimensional: every shape but the (n + 1) x (n + 1) square is rejected
+    for shape in ((3,), (3, 3, 3), (3, 3, 3, 3), (2, 2), (3, 4)):
         with pytest.raises(DomainError):
-            lpp.WeightField(d, 2, np.zeros(shape))
+            lpp.WeightField(2, np.zeros(shape))
 
 
 def test_last_passage_trivial_cases():
-    f = lpp.WeightField(2, 3, measures.sample(measures.mu(0.5), 16, 2).reshape(4, 4))
+    f = lpp.WeightField(3, measures.sample(measures.mu(0.5), 16, 2).reshape(4, 4))
     assert lpp.last_passage(f, (1, 2), (1, 2)) == f.values[1, 2]
-    ones = lpp.WeightField(2, 1, np.ones((2, 2)))
+    ones = lpp.WeightField(1, np.ones((2, 2)))
     assert lpp.last_passage(ones, (0, 0), (1, 1)) == 3.0
     with pytest.raises(DomainError):
         lpp.last_passage(f, (2, 0), (1, 3))
@@ -77,7 +77,7 @@ def test_last_passage_trivial_cases():
 def test_last_passage_exhaustive_oracle_n2():
     rng = np.random.default_rng(7)
     for _ in range(20):
-        f = lpp.WeightField(2, 2, rng.normal(size=(3, 3)))
+        f = lpp.WeightField(2, rng.normal(size=(3, 3)))
         assert lpp.last_passage(f, (0, 0), (2, 2)) == pytest.approx(
             brute_force_T(f, (0, 0), (2, 2))
         )
@@ -87,7 +87,7 @@ def test_last_passage_exhaustive_oracle_many():
     rng = np.random.default_rng(8)
     for n in (1, 2, 3, 4):
         for _ in range(100 // (n + 1)):
-            f = lpp.WeightField(2, n, rng.normal(size=(n + 1, n + 1)))
+            f = lpp.WeightField(n, rng.normal(size=(n + 1, n + 1)))
             assert lpp.last_passage(f, (0, 0), (n, n)) == pytest.approx(
                 brute_force_T(f, (0, 0), (n, n))
             )
@@ -97,7 +97,7 @@ def test_batch_matches_scalar_dp():
     (batch,) = lpp.passage_times(0.5, [(5, 5)], 6, seed=10)
     for k in range(6):
         draws = measures.sample(measures.mu(0.5), 25, 10, stream=k)
-        f = lpp.WeightField(2, 4, draws.reshape(5, 5))
+        f = lpp.WeightField(4, draws.reshape(5, 5))
         assert batch[k] == pytest.approx(lpp.last_passage(f, (0, 0), (4, 4)))
 
 
@@ -328,7 +328,7 @@ def test_estimate_g_superadditivity():
 
 def test_det_equivalent_zero_field_additive_shape():
     for n in (2, 4, 6):
-        h = lpp.WeightField(2, n, np.zeros((n + 1, n + 1)))
+        h = lpp.WeightField(n, np.zeros((n + 1, n + 1)))
         val = lpp.deterministic_equivalent_T(h, lpp.additive_g)
         assert val == pytest.approx(2.0, abs=1e-12)
 
@@ -336,7 +336,7 @@ def test_det_equivalent_zero_field_additive_shape():
 def test_det_equivalent_nonpositive_field_collapses_to_g11():
     rng = np.random.default_rng(11)
     for n in (2, 4, 6):
-        h = lpp.WeightField(2, n, -np.abs(rng.normal(size=(n + 1, n + 1))))
+        h = lpp.WeightField(n, -np.abs(rng.normal(size=(n + 1, n + 1))))
         val = lpp.deterministic_equivalent_T(h, lpp.additive_g)
         assert val == pytest.approx(2.0, abs=1e-12)
 
@@ -345,15 +345,15 @@ def test_det_equivalent_corner_spike():
     n = 5
     vals = np.zeros((n + 1, n + 1))
     vals[n, n] = 1.3
-    h = lpp.WeightField(2, n, vals)
+    h = lpp.WeightField(n, vals)
     assert lpp.deterministic_equivalent_T(h, lpp.additive_g) == pytest.approx(2.0 + 1.3)
 
 
 def brute_force_det_equiv(h, g_eval, n):
-    box = list(itertools.product(range(n + 1), repeat=h.d))
+    box = list(itertools.product(range(n + 1), repeat=2))
     hp = np.maximum(h.values, 0.0)
-    start = (0,) * h.d
-    end = (n,) * h.d
+    start = (0, 0)
+    end = (n, n)
     interior = [v for v in box if v != start and v != end]
     best = -math.inf
 
@@ -387,7 +387,7 @@ def root_shape(v) -> float:
 def sparse_signed_field(rng, n):
     vals = rng.normal(size=(n + 1, n + 1))
     keep = rng.random(vals.shape) < 0.2
-    return lpp.WeightField(2, n, np.where(keep, np.abs(vals), -np.abs(vals)))
+    return lpp.WeightField(n, np.where(keep, np.abs(vals), -np.abs(vals)))
 
 
 def test_det_equivalent_matches_chain_enumeration():
@@ -422,14 +422,14 @@ def pairwise_det_equiv(h, g_eval, n):
     return float(m[tuple(s - 1 for s in shape)])
 
 
-@pytest.mark.parametrize("d, sizes", [(2, (1, 2, 5, 8))], ids=["d2"])
-def test_det_equivalent_equals_pairwise_oracle(d, sizes):
+@pytest.mark.parametrize("sizes", [(1, 2, 5, 8)], ids=["d2"])
+def test_det_equivalent_equals_pairwise_oracle(sizes):
     # the window recursion meets the same candidates as the pairwise loop, so == holds
-    rng = np.random.default_rng(20 + d)
+    rng = np.random.default_rng(22)
     cached = lpp.CachedShape(0.5, n_mc=4, replicas=20, seed=18, grid_points=3)
     for n in sizes:
         for _ in range(3):
-            h = lpp.WeightField(d, n, rng.normal(size=(n + 1,) * d))
+            h = lpp.WeightField(n, rng.normal(size=(n + 1, n + 1)))
             for g_eval in (lpp.additive_g, cached):
                 assert lpp.deterministic_equivalent_T(h, g_eval) == pairwise_det_equiv(h, g_eval, n)
 
@@ -438,9 +438,9 @@ def test_det_equivalent_monotone_in_h():
     rng = np.random.default_rng(13)
     n = 4
     base = rng.normal(size=(n + 1, n + 1))
-    h = lpp.WeightField(2, n, base)
-    bumped = lpp.WeightField(2, n, base + np.abs(rng.normal(size=(n + 1, n + 1))))
-    lowered = lpp.WeightField(2, n, np.where(base < 0, base - 1.0, base))
+    h = lpp.WeightField(n, base)
+    bumped = lpp.WeightField(n, base + np.abs(rng.normal(size=(n + 1, n + 1))))
+    lowered = lpp.WeightField(n, np.where(base < 0, base - 1.0, base))
     v0 = lpp.deterministic_equivalent_T(h, lpp.additive_g)
     assert lpp.deterministic_equivalent_T(bumped, lpp.additive_g) >= v0
     assert lpp.deterministic_equivalent_T(lowered, lpp.additive_g) == pytest.approx(v0)
@@ -450,13 +450,13 @@ def test_rate_consistency_slack():
     n, alpha = 4, 0.5
     spike = np.zeros((n + 1, n + 1))
     spike[n, n] = 2.7
-    h = lpp.WeightField(2, n, spike)
+    h = lpp.WeightField(n, spike)
     assert lpp.rate_L_consistency(h, lpp.additive_g, alpha) == pytest.approx(0.0, abs=1e-12)
-    zero = lpp.WeightField(2, n, np.zeros((n + 1, n + 1)))
+    zero = lpp.WeightField(n, np.zeros((n + 1, n + 1)))
     assert lpp.rate_L_consistency(zero, lpp.additive_g, alpha) == pytest.approx(0.0, abs=1e-12)
     rng = np.random.default_rng(14)
     for _ in range(50):
-        h = lpp.WeightField(2, n, rng.normal(size=(n + 1, n + 1)))
+        h = lpp.WeightField(n, rng.normal(size=(n + 1, n + 1)))
         assert lpp.rate_L_consistency(h, lpp.additive_g, alpha) >= -1e-9
 
 
@@ -480,7 +480,7 @@ def test_uniform_equivalent_echo_median_shrinks():
     for n in (20, 80):
         hvals = np.zeros((n + 1, n + 1))
         hvals[n, n] = spike_height
-        h = lpp.WeightField(2, n, hvals)
+        h = lpp.WeightField(n, hvals)
         t_det = lpp.deterministic_equivalent_T(h, shape)
         reps = 60
         (times,) = lpp.passage_times(alpha, [(n + 1, n + 1)], reps, 17, shift=n * hvals) / n

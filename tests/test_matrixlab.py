@@ -68,13 +68,11 @@ def test_sample_hermitian_adjoint():
 def test_built_matrices_are_read_only_with_n_and_beta(beta):
     ens = ml.unit_variance_ensemble(1.0, beta=beta)
     x = ml.sample_wigner(ens, 6, seed=3)
-    y = ml.sample_wigner(ens, 6, seed=3, stream=1)
-    for m in (x, x.scale(0.5), x + y, ml.HermitianMatrix(np.array(x.mat))):
+    for m in (x, x.scale(0.5), ml.HermitianMatrix(np.array(x.mat))):
         assert not m.mat.flags.writeable
         assert (m.n, m.beta) == (6, beta)
         with pytest.raises(ValueError):
             m.mat[0, 0] = 1.0
-    assert np.array_equal((x + y).mat, x.mat + y.mat)
     assert np.array_equal(x.scale(0.5).mat, x.mat * 0.5)
 
 
@@ -318,7 +316,7 @@ def test_weyl_stability():
         n = int(rng.integers(2, 20))
         a = ml.HermitianMatrix(rng.normal(size=(n, n)))
         e = ml.HermitianMatrix(0.1 * rng.normal(size=(n, n)))
-        assert abs((a + e).largest_eig() - a.largest_eig()) <= e.lp_norm(2.0) + 1e-12
+        assert abs(ml.HermitianMatrix(a.mat + e.mat).largest_eig() - a.largest_eig()) <= e.lp_norm(2.0) + 1e-12
 
 
 # -------------------------------------------------- free convolution MC audit
