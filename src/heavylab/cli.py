@@ -155,9 +155,7 @@ def build_parser() -> _Parser:
     p_rate.add_argument("--g11", type=float, default=None)
     p_rate.add_argument("--d", type=int, default=None)
 
-    p_lpp = command("lpp", cmd_lpp, "alpha n replicas seed",
-                    "last-passage Monte Carlo, JSON-lines records")
-    p_lpp.add_argument("--spike", type=float, default=0.0)
+    command("lpp", cmd_lpp, "alpha n replicas seed", "last-passage Monte Carlo, JSON-lines records")
 
     p_audit = command("audit", cmd_audit, "alpha beta n replicas seed",
                       "concentration audit, JSON-lines + CSV summary")
@@ -258,28 +256,18 @@ def cmd_rate(args) -> int:
 
 
 def cmd_lpp(args) -> int:
-    import numpy as np
-
     from . import lpp
 
     if not 0.0 < args.alpha < 1.0:
         raise ConfigError("lpp needs alpha in (0, 1)")
     if args.n < 1 or args.replicas < 1:
         raise ConfigError("lpp needs --n >= 1 and --replicas >= 1")
-    if not args.spike >= 0.0:
-        raise ConfigError("lpp needs --spike >= 0 (0 is no spike)")
     n = args.n
     times = lpp.passage_times(args.alpha, [(n + 1, n + 1)], args.replicas, args.seed)[0] / n
     g11_hat = float(times.mean())
-    t_det = None
-    if args.spike > 0.0:
-        hvals = np.zeros((n + 1, n + 1))
-        hvals[n, n] = args.spike
-        h = lpp.WeightField(n, hvals)
-        t_det = lpp.deterministic_equivalent_T(h, lpp.additive_g)
     records = [
         {"n": n, "alpha": args.alpha, "seed": args.seed, "stream": rep, "T": float(t),
-         "T_det": t_det, "g11_hat": g11_hat}
+         "g11_hat": g11_hat}
         for rep, t in enumerate(times)
     ]
     _write(args.out, jsonl_text(_resolved_config(args), records))

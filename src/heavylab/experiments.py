@@ -20,9 +20,9 @@ beta = 1, n >= 648 for beta = 2) run serially on the process's BLAS
 threads: numpy's default in a library caller, one thread in a CLI process
 unless its caller set the thread count (`cli`).
 
-Every output goes through `emit`'s `jsonl_text` or `csv_text`, applied by
-`emit_jsonl(config, fields, rows)` and `emit_csv(config, fields, rows)` with
-each experiment's fields named once (`AUDIT_FIELDS`, `CURVE_FIELDS`,
+Every output goes through `emit`'s `jsonl_text` (records, by
+`emit_jsonl(config, fields, rows)`) or `csv_text` (the audit's summary),
+with each experiment's fields named once (`AUDIT_FIELDS`, `CURVE_FIELDS`,
 `TAIL_FIELDS`).  A preset is one `PRESETS` and one `_PRESET_OUTPUTS` entry,
 and `heavylab preset NAME` writes its `run_preset` output.  The presets are
 the small eig audit, the four families' error curves (esm, eig, poly, lpp)
@@ -96,6 +96,8 @@ class ExperimentConfig:
 
 def k_alpha_shape(functional: str, alpha: float, n: int, t) -> np.ndarray:
     """Concentration bound exponent shape (kappa = 1 normalization)."""
+    if n < 2:
+        raise DomainError(f"concentration audits need n >= 2, where log n > 0; got n = {n}")
     t = np.asarray(t, dtype=float)
     logn = math.log(n)
     if functional == "esm_distance":
@@ -335,11 +337,6 @@ def emit_jsonl(config: ExperimentConfig, fields, rows) -> str:
     return jsonl_text(asdict(config), records)
 
 
-def emit_csv(config: ExperimentConfig, fields, rows) -> str:
-    """`csv_text` for a config."""
-    return csv_text(asdict(config), fields, rows)
-
-
 def _audit_rows(config: ExperimentConfig):
     rows, c_hat = concentration_audit(config)
     return [(*row, c_hat) for row in rows]
@@ -348,7 +345,7 @@ def _audit_rows(config: ExperimentConfig):
 def audit_outputs(config: ExperimentConfig) -> tuple[str, str]:
     """The audit's JSON-lines records and its CSV summary, which leaves out c_hat."""
     rows = _audit_rows(config)
-    summary = emit_csv(config, AUDIT_FIELDS[:-1], [row[:-1] for row in rows])
+    summary = csv_text(asdict(config), AUDIT_FIELDS[:-1], [row[:-1] for row in rows])
     return emit_jsonl(config, AUDIT_FIELDS, rows), summary
 
 

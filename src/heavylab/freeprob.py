@@ -48,25 +48,6 @@ class NCPolynomial:
         """The monomial x_i^k."""
         return NCPolynomial(((1.0, (i,) * k),), i)
 
-    def __add__(self, other: "NCPolynomial") -> "NCPolynomial":
-        p = max(self.p, other.p)
-        return NCPolynomial(self.monomials + other.monomials, p)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NCPolynomial):
-            return NotImplemented
-        return _collect(self.monomials) == _collect(other.monomials)
-
-    def __hash__(self):
-        return hash(frozenset(_collect(self.monomials).items()))
-
-
-def _collect(monomials) -> dict:
-    acc: dict[tuple, complex] = {}
-    for coeff, word in monomials:
-        acc[word] = acc.get(word, 0.0) + coeff
-    return {w: c for w, c in acc.items() if c != 0}
-
 
 @lru_cache(maxsize=100_000)
 def _nc_pairings(word: tuple) -> int:
@@ -93,38 +74,6 @@ def tau_semicircular(poly: NCPolynomial):
     if abs(total.imag) <= 1e-12 * (1.0 + abs(total)):
         return float(total.real)
     return total
-
-
-def all_pairings_count(word: tuple) -> int:
-    """Brute-force oracle: enumerate every pairing, keep letter-respecting
-    non-crossing ones."""
-    n = len(word)
-    if n % 2 == 1:
-        return 0
-
-    def crossings_free(pairs):
-        for (a, b) in pairs:
-            for (c, d) in pairs:
-                if a < c < b < d:
-                    return False
-        return True
-
-    def enumerate_pairings(slots):
-        if not slots:
-            yield []
-            return
-        first = slots[0]
-        for j in range(1, len(slots)):
-            partner = slots[j]
-            rest = slots[1:j] + slots[j + 1 :]
-            for tail in enumerate_pairings(rest):
-                yield [(first, partner)] + tail
-
-    count = 0
-    for pairing in enumerate_pairings(list(range(n))):
-        if all(word[a] == word[b] for a, b in pairing) and crossings_free(pairing):
-            count += 1
-    return count
 
 
 def homogeneous_part(poly: NCPolynomial, k: int) -> NCPolynomial:

@@ -14,11 +14,12 @@ all chunks in flight together stay within the pool's 2^22-cell budget
 (32 MB).  The max is exact and every cell keeps its single addition, so the
 times equal the per-site `last_passage` bit for bit, whatever the chunking,
 the thread count or the scheduling; `last_passage` and `enumerate_paths`
-serve as test oracles.  The deterministic equivalent replaces random
-fluctuation with the limit shape g between chain vertices, collecting the
-positive part of the deformation at every chain vertex (including both
-endpoints).  Chains are ordered coordinatewise so every increment stays in
-the closed positive orthant where g lives.
+are acceptance criterion 10's references.  The deterministic equivalent,
+which the lpp-error-curve preset reads with a `CachedShape` estimate of g,
+replaces random fluctuation with the limit shape g between chain vertices,
+collecting the positive part of the deformation at every chain vertex
+(including both endpoints).  Chains are ordered coordinatewise so every
+increment stays in the closed positive orthant where g lives.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ def last_passage(field: WeightField, v1, v2) -> float:
 
 
 def enumerate_paths(v1, v2):
-    """All directed paths between ordered lattice points (test oracle)."""
+    """All directed paths between ordered lattice points (acceptance criterion 10)."""
     v1, v2 = tuple(v1), tuple(v2)
     if v1 == v2:
         yield [v1]
@@ -178,11 +179,6 @@ def estimate_g(alpha: float, directions, n: int, replicas: int, seed: int):
     return times.mean(axis=1), times.std(axis=1, ddof=1) / math.sqrt(replicas)
 
 
-def additive_g(v) -> float:
-    """Exactly superadditive reference shape g(v) = sum_i v_i."""
-    return float(np.sum(np.asarray(v, dtype=float)))
-
-
 class CachedShape:
     """Limit shape cached on a direction grid with bilinear interpolation.
 
@@ -192,7 +188,6 @@ class CachedShape:
     """
 
     def __init__(self, alpha: float, n_mc: int, replicas: int, seed: int, grid_points: int = 9):
-        self.alpha = alpha
         qs = np.linspace(0.0, 1.0, grid_points)
         self.qs = qs
         directions = list(itertools.product(qs, repeat=2))[1:]  # row-major, the origin left out

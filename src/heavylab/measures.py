@@ -8,12 +8,12 @@ Two families are supported: the symmetric law with density
 ``psi`` for the symmetric law), so every Monte Carlo draw exercises the
 transport map.  phi has a closed form through the inverse regularized
 incomplete Gamma function; draws go through a cubic Hermite table of it.
-A direct inverse-CDF sampler exists only as a test oracle.
+Acceptance criterion 5 checks the draws against a direct inverse-CDF sampler.
 
-The incomplete-Gamma ufuncs are scipy's own, loaded from the compiled
-``scipy.special._special_ufuncs`` extension by file: running
+The two inverse incomplete-Gamma ufuncs are scipy's own, loaded from the
+compiled ``scipy.special._special_ufuncs`` extension by file: running
 ``scipy/special/__init__.py`` would cost every process about a quarter
-second of imports (numpy.f2py and numpy.testing among them) for four
+second of imports (numpy.f2py and numpy.testing among them) for two
 ufuncs that load in about 2 ms.
 """
 
@@ -31,16 +31,16 @@ import numpy as np
 from . import rng
 from .errors import DomainError
 
-_GAMMA_UFUNCS = ("gammainc", "gammaincc", "gammaincinv", "gammainccinv")
+_GAMMA_UFUNCS = ("gammaincinv", "gammainccinv")
 
 
 def _incomplete_gamma_ufuncs() -> list:
-    """scipy's incomplete-Gamma ufuncs, without importing ``scipy.special``.
+    """scipy's inverse incomplete-Gamma ufuncs, without importing ``scipy.special``.
 
     The extension is registered in ``sys.modules`` under its own name, so a
     later ``import scipy.special`` reuses it and exports these very objects
     (and an earlier one is reused here).  Releases that lack the extension,
-    or whose extension lacks the four ufuncs, import them from
+    or whose extension lacks the two ufuncs, import them from
     ``scipy.special``.
     """
     name = "scipy.special._special_ufuncs"
@@ -61,7 +61,7 @@ def _incomplete_gamma_ufuncs() -> list:
     return [getattr(module, f) for f in _GAMMA_UFUNCS]
 
 
-gammainc, gammaincc, gammaincinv, gammainccinv = _incomplete_gamma_ufuncs()
+gammaincinv, gammainccinv = _incomplete_gamma_ufuncs()
 
 # Upper end of the map's domain; exp(-709) is still a nonzero double.
 _X_MAX = 709.0
@@ -82,21 +82,6 @@ def normalizers(alpha: float) -> tuple[float, float]:
         )
     z = math.gamma(1.0 + 1.0 / alpha)
     return 2.0 * z, z
-
-
-def cdf_one_sided(alpha: float, x) -> np.ndarray:
-    """Distribution function of the one-sided law."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    pos = x > 0
-    out[pos] = gammainc(1.0 / alpha, np.power(x[pos], alpha))
-    return out
-
-
-def cdf_two_sided(alpha: float, x) -> np.ndarray:
-    """Distribution function of the symmetric law."""
-    x = np.asarray(x, dtype=float)
-    return 0.5 + 0.5 * np.sign(x) * cdf_one_sided(alpha, np.abs(x))
 
 
 def _phi_pow(alpha: float, x) -> np.ndarray:
@@ -121,22 +106,6 @@ def _phi(alpha: float, x) -> np.ndarray:
     return _phi_pow(alpha, x) ** (1.0 / alpha)
 
 
-def rearrangement(alpha: float, x: float) -> float:
-    """Transport value phi(x) matching exponential and one-sided tails.
-
-    phi solves ``exp(-x) = P(X > phi(x))`` for the one-sided law; the tail
-    is a regularized upper incomplete Gamma function, so phi is its inverse
-    in closed form.
-    """
-    if not 0.0 < alpha <= 2.0:
-        raise DomainError(f"alpha must lie in (0, 2], got {alpha}")
-    if x < 0:
-        raise DomainError(f"x must be non-negative, got {x}")
-    if x > _X_MAX:
-        raise DomainError(f"x beyond tabulated range [0, {_X_MAX}]")
-    return float(_phi(alpha, x))
-
-
 # The table spans t = log x over [log _X_LO, log _X_MAX]; _X_LO lies below
 # 2^-53, the smallest nonzero exponential draw.  The largest draw is
 # -log 2^-53 = 53 log 2.
@@ -154,13 +123,13 @@ _ALPHA_MAP_MIN = 1.0 / 128.9803418798537
 
 @dataclass(frozen=True)
 class RearrangementMap:
-    """Tabulated monotone transport map phi with its exact inverse.
+    """Tabulated monotone transport map phi.
 
     y = log phi is tabulated against t = log x on a uniform grid and
     interpolated by cubic Hermite segments whose slopes come from the
     analytic derivative phi'(x) = Z_alpha * exp(phi(x)^alpha - x).  The grid
     index is found by arithmetic; inputs below the first node are evaluated
-    in closed form.  The inverse is the incomplete Gamma tail itself.
+    in closed form.
     """
 
     alpha: float
@@ -211,23 +180,6 @@ class RearrangementMap:
         small = x < _X_LO
         if small.any():
             out[small] = _phi(self.alpha, x[small])
-        return float(out[0]) if scalar else out
-
-    def inverse(self, v):
-        """phi^{-1}(v) for v >= 0, exact: -log P(X > v) (vectorized)."""
-        v = np.asarray(v, dtype=float)
-        scalar = v.ndim == 0
-        v = np.atleast_1d(v)
-        if np.any(v < 0):
-            raise DomainError("inverse map evaluated at negative value")
-        a = 1.0 / self.alpha
-        w = v**self.alpha
-        out = gammainc(a, w)
-        # -log1p(-P) keeps its digits while P is small, -log Q once Q is
-        lo = out < 0.5
-        out[lo] = -np.log1p(-out[lo])
-        hi = ~lo
-        out[hi] = -np.log(gammaincc(a, w[hi]))
         return float(out[0]) if scalar else out
 
     def odd(self, x) -> np.ndarray:
@@ -333,7 +285,7 @@ def sample(law: AlphaLaw, count: int, seed: int, stream: int | range = 0) -> np.
 
 
 def sample_inverse_cdf(law: AlphaLaw, count: int, seed: int, stream: int = 0) -> np.ndarray:
-    """Direct inverse-CDF sampler.  Test oracle only; not used by callers."""
+    """Direct inverse-CDF sampler, for acceptance criterion 5; no product path calls it."""
     u = rng.uniforms(seed, stream, count)
     a = law.alpha
     if law.sided == "one":

@@ -82,10 +82,6 @@ class Measure1D:
         np.add.at(merged, inverse, weights)
         return Measure1D(uniq, merged)
 
-    @staticmethod
-    def dirac(x: float) -> "Measure1D":
-        return Measure1D(np.array([float(x)]), np.array([1.0]))
-
     def moment(self, p: float) -> float:
         """p-th absolute moment (finite by construction)."""
         return float(np.dot(np.abs(self.atoms) ** p, self.weights))
@@ -551,9 +547,3 @@ def free_conv_semicircle(nu: Measure1D, eta: float, grid):
         raise DomainError("grid must cover the support fattened by 3 per side")
     g = freeconv_transform(nu, grid + 1j * eta)
     return g, -g.imag / math.pi
-
-
-def fixed_point_residual(nu: Measure1D, z_nodes, g) -> float:
-    """max |G - g_nu(z - G)|, the defining-equation residual."""
-    z = np.asarray(z_nodes, dtype=complex)
-    return float(np.max(np.abs(g - stieltjes(nu, z - g))))

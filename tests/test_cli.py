@@ -229,7 +229,7 @@ def test_lpp_command_jsonl(capsys, tmp_path):
     assert head["header"] is True and head["version"] == emit.VERSION
     recs = [json.loads(line) for line in lines[1:]]
     assert len(recs) == 20
-    assert {"n", "alpha", "seed", "T", "T_det", "g11_hat", "stream"} <= set(recs[0])
+    assert {"n", "alpha", "seed", "T", "g11_hat", "stream"} <= set(recs[0])
 
 
 def _assert_output(out, header, digest):
@@ -244,15 +244,11 @@ def _assert_output(out, header, digest):
     "argv, header, digest",
     [
         (("lpp", "--alpha", "0.5", "--n", "8", "--replicas", "20", "--seed", "3"),
-         '{"config":{"alpha":0.5,"command":"lpp","n":8,"replicas":20,"seed":3,"spike":0.0},'
-         '"config_hash":"4d0f412618ba","header":true,"version":"0.1.0"}',
-         "ec26e9b9691c3b3ffb97b1391e0d1278d5b9e2142df66f6165b048b26614b408"),
-        (("lpp", "--alpha", "0.3", "--n", "8", "--replicas", "20", "--seed", "3", "--spike", "2"),
-         '{"config":{"alpha":0.3,"command":"lpp","n":8,"replicas":20,"seed":3,"spike":2.0},'
-         '"config_hash":"ff3dea24122e","header":true,"version":"0.1.0"}',
-         "3ce156319af7a110fe1d559c6954748d4a3e8cc5dd3e422029d81c189014ecf8"),
+         '{"config":{"alpha":0.5,"command":"lpp","n":8,"replicas":20,"seed":3},'
+         '"config_hash":"d91c5b3e4206","header":true,"version":"0.1.0"}',
+         "bfaa360fe418198b8234f16605e74febac6d0ad09825051239a10737d0f7d6f8"),
     ],
-    ids=["alpha0.5", "alpha0.3-spike2"],
+    ids=["alpha0.5"],
 )
 def test_lpp_output_bytes_pinned(capsys, argv, header, digest):
     code, out, _ = run(capsys, *argv)
@@ -538,7 +534,6 @@ def test_small_alpha_spectrum_and_audit_run(capsys, argv):
         (("net", "--trials", "0"), None),
         (("rate", "--kind", "K", "--c1", "1", "--cm1", "1", "--taup", "0", "--d", "0", "--x", "1"),
          None),
-        (("lpp", "--alpha", "0.5", "--n", "3", "--replicas", "2", "--spike", "-1"), None),
         (("audit", "--n", "10", "--replicas", "10", "--t-grid", "0.1,nan"), None),
         (("audit", "--n", "10", "--replicas", "10", "--t-grid", "0.1,inf"), None),
         (("net", "--m", "4", "--eps", "inf"), None),
@@ -552,12 +547,15 @@ def test_small_alpha_spectrum_and_audit_run(capsys, argv):
         (("spectrum", "--n", "3", "--b", "inf"), None),
         (("freeconv", "--grid-lo", "nan"), None),
         (("freeconv", "--grid-hi", "inf"), None),
+        (("audit", "--alpha", "0.5", "--n", "1", "--replicas", "10"), None),
+        (("audit", "--alpha", "0.5", "--n", "1", "--replicas", "10", "--functional", "esm_distance"),
+         None),
     ],
     ids=["rate-x", "audit-t-grid", "net-eps", "measure-semicolon", "measure-text", "measure-nan",
          "audit-replicas0", "grid-count0", "grid-count-1", "net-m0", "net-trials0", "rate-d0",
-         "lpp-spike-1", "audit-t-grid-nan", "audit-t-grid-inf", "net-eps-inf", "net-eps-nan",
+         "audit-t-grid-nan", "audit-t-grid-inf", "net-eps-inf", "net-eps-nan",
          "rate-x-nan", "rate-x-inf", "rate-g11-nan", "rate-taup-nan", "spectrum-b-nan",
-         "spectrum-b-inf", "grid-lo-nan", "grid-hi-inf"],
+         "spectrum-b-inf", "grid-lo-nan", "grid-hi-inf", "audit-n1", "audit-n1-esm"],
 )
 def test_malformed_input_exits_one(capsys, tmp_path, argv, measure):
     # each of these once ended in a traceback (ValueError; ZeroDivisionError
@@ -566,8 +564,8 @@ def test_malformed_input_exits_one(capsys, tmp_path, argv, measure):
     # grid-hi-inf), or in exit 0 with records of NaN exceedances
     # (audit-replicas0) or thresholds (audit-t-grid-nan), nets of size 0
     # (net-trials0, net-eps-inf, net-eps-nan), a NaN rate (rate-x-nan and the
-    # other rate cases), a zeroed diagonal (spectrum-b-inf) or an unread spike
-    # (lpp-spike-1)
+    # other rate cases), a zeroed diagonal (spectrum-b-inf) or a division by
+    # log 1 = 0 (audit-n1, audit-n1-esm)
     if measure is not None:
         path = tmp_path / "measure.csv"
         path.write_text(measure)

@@ -210,14 +210,14 @@ def test_emission_headers_and_determinism():
     assert rec["seed"] == cfg.seed and rec["config_hash"] == cfg.config_hash()
     with pytest.raises(ValueError):
         ex.emit_jsonl(cfg, ("value", "extra"), [(1.5,)])
-    csv_text = ex.emit_csv(cfg, ("a", "b"), [(1, 2.5)])
+    csv_text = emit.csv_text(dataclasses.asdict(cfg), ("a", "b"), [(1, 2.5)])
     head = csv_text.splitlines()[0]
     assert head.startswith(f"# heavylab {emit.VERSION} ")
     assert f"config_hash={cfg.config_hash()}" in head.split()
     assert f"seed={cfg.seed}" in head.split()
     assert csv_text.splitlines()[1:] == ["a,b", "1,2.5"]
     with pytest.raises(ValueError):
-        ex.emit_csv(cfg, ("a",), [(1, 2.5)])
+        emit.csv_text(dataclasses.asdict(cfg), ("a",), [(1, 2.5)])
 
 
 def test_preset_rerun_byte_identical():
@@ -291,7 +291,7 @@ def test_csv_header_splits_back_into_every_pair():
     from dataclasses import asdict
 
     cfg = ex.PRESETS["eig-concentration-small"]
-    head = ex.emit_csv(cfg, ("a",), [(1,)]).splitlines()[0]
+    head = emit.csv_text(asdict(cfg), ("a",), [(1,)]).splitlines()[0]
     tokens = shlex.split(head)
     assert tokens[:4] == ["#", "heavylab", emit.VERSION, f"config_hash={cfg.config_hash()}"]
     pairs = dict(tok.split("=", 1) for tok in tokens[4:])

@@ -12,6 +12,8 @@ from heavylab import experiments as ex
 from heavylab import lpp, measures, pool
 from heavylab.errors import DomainError
 
+from oracles import additive_g
+
 
 def brute_force_T(field, v1, v2):
     best = -math.inf
@@ -153,7 +155,7 @@ def test_outputs_do_not_depend_on_chunking(monkeypatch, budget):
         return (
             [a.tolist() for a in lpp.estimate_g(0.5, [(1.0, 0.5)], n=12, replicas=101, seed=23)],
             ex.tail_rate(cfg, 2.5),
-            ex.equivalent_error_curve("lpp", cfg, spike=3.0, g_eval=lpp.additive_g),
+            ex.equivalent_error_curve("lpp", cfg, spike=3.0, g_eval=additive_g),
         )
 
     default = outputs()
@@ -329,7 +331,7 @@ def test_estimate_g_superadditivity():
 def test_det_equivalent_zero_field_additive_shape():
     for n in (2, 4, 6):
         h = lpp.WeightField(n, np.zeros((n + 1, n + 1)))
-        val = lpp.deterministic_equivalent_T(h, lpp.additive_g)
+        val = lpp.deterministic_equivalent_T(h, additive_g)
         assert val == pytest.approx(2.0, abs=1e-12)
 
 
@@ -337,7 +339,7 @@ def test_det_equivalent_nonpositive_field_collapses_to_g11():
     rng = np.random.default_rng(11)
     for n in (2, 4, 6):
         h = lpp.WeightField(n, -np.abs(rng.normal(size=(n + 1, n + 1))))
-        val = lpp.deterministic_equivalent_T(h, lpp.additive_g)
+        val = lpp.deterministic_equivalent_T(h, additive_g)
         assert val == pytest.approx(2.0, abs=1e-12)
 
 
@@ -346,7 +348,7 @@ def test_det_equivalent_corner_spike():
     vals = np.zeros((n + 1, n + 1))
     vals[n, n] = 1.3
     h = lpp.WeightField(n, vals)
-    assert lpp.deterministic_equivalent_T(h, lpp.additive_g) == pytest.approx(2.0 + 1.3)
+    assert lpp.deterministic_equivalent_T(h, additive_g) == pytest.approx(2.0 + 1.3)
 
 
 def brute_force_det_equiv(h, g_eval, n):
@@ -394,7 +396,7 @@ def test_det_equivalent_matches_chain_enumeration():
     rng = np.random.default_rng(12)
     for trial in range(100):
         h = sparse_signed_field(rng, 3)
-        for g_eval in (lpp.additive_g, root_shape):
+        for g_eval in (additive_g, root_shape):
             mine = lpp.deterministic_equivalent_T(h, g_eval)
             oracle = brute_force_det_equiv(h, g_eval, 3)
             assert mine == pytest.approx(oracle, abs=1e-12)
@@ -430,7 +432,7 @@ def test_det_equivalent_equals_pairwise_oracle(sizes):
     for n in sizes:
         for _ in range(3):
             h = lpp.WeightField(n, rng.normal(size=(n + 1, n + 1)))
-            for g_eval in (lpp.additive_g, cached):
+            for g_eval in (additive_g, cached):
                 assert lpp.deterministic_equivalent_T(h, g_eval) == pairwise_det_equiv(h, g_eval, n)
 
 
@@ -441,9 +443,9 @@ def test_det_equivalent_monotone_in_h():
     h = lpp.WeightField(n, base)
     bumped = lpp.WeightField(n, base + np.abs(rng.normal(size=(n + 1, n + 1))))
     lowered = lpp.WeightField(n, np.where(base < 0, base - 1.0, base))
-    v0 = lpp.deterministic_equivalent_T(h, lpp.additive_g)
-    assert lpp.deterministic_equivalent_T(bumped, lpp.additive_g) >= v0
-    assert lpp.deterministic_equivalent_T(lowered, lpp.additive_g) == pytest.approx(v0)
+    v0 = lpp.deterministic_equivalent_T(h, additive_g)
+    assert lpp.deterministic_equivalent_T(bumped, additive_g) >= v0
+    assert lpp.deterministic_equivalent_T(lowered, additive_g) == pytest.approx(v0)
 
 
 def test_rate_consistency_slack():
@@ -451,13 +453,13 @@ def test_rate_consistency_slack():
     spike = np.zeros((n + 1, n + 1))
     spike[n, n] = 2.7
     h = lpp.WeightField(n, spike)
-    assert lpp.rate_L_consistency(h, lpp.additive_g, alpha) == pytest.approx(0.0, abs=1e-12)
+    assert lpp.rate_L_consistency(h, additive_g, alpha) == pytest.approx(0.0, abs=1e-12)
     zero = lpp.WeightField(n, np.zeros((n + 1, n + 1)))
-    assert lpp.rate_L_consistency(zero, lpp.additive_g, alpha) == pytest.approx(0.0, abs=1e-12)
+    assert lpp.rate_L_consistency(zero, additive_g, alpha) == pytest.approx(0.0, abs=1e-12)
     rng = np.random.default_rng(14)
     for _ in range(50):
         h = lpp.WeightField(n, rng.normal(size=(n + 1, n + 1)))
-        assert lpp.rate_L_consistency(h, lpp.additive_g, alpha) >= -1e-9
+        assert lpp.rate_L_consistency(h, additive_g, alpha) >= -1e-9
 
 
 def test_cached_shape_interpolates_table():

@@ -10,6 +10,8 @@ from heavylab import specmeasures as sm
 from heavylab.errors import DomainError
 from heavylab.freeprob import NCPolynomial
 
+from oracles import dirac
+
 
 def params_J(alpha=1.0, c=1.0):
     return rf.RateParams(alpha=alpha, constant_c=c)
@@ -76,7 +78,7 @@ def test_rate_evaluators_reject_non_finite_input():
 
 def test_rate_I_symmetric_values_and_scaling():
     p = rf.RateParams(alpha=1.0, b=1.0, a1=3.0)
-    dirac0 = sm.Measure1D.dirac(0.0)
+    dirac0 = dirac(0.0)
     assert rf.rate_I_symmetric(dirac0, p) == 0.0
     pair = sm.Measure1D(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
     assert rf.rate_I_symmetric(pair, p) == pytest.approx(min(1.0, 1.5))

@@ -10,6 +10,8 @@ from scipy.optimize import linprog
 from heavylab import specmeasures as sm
 from heavylab.errors import ConvergenceError, DomainError
 
+from oracles import dirac, fixed_point_residual
+
 RNG = np.random.default_rng(314)
 
 
@@ -80,7 +82,7 @@ def test_csv_roundtrip():
 
 def test_stieltjes_dirac_and_two_point():
     z = 2.0j
-    assert complex(sm.stieltjes(sm.Measure1D.dirac(0.0), z)) == pytest.approx(-0.5j)
+    assert complex(sm.stieltjes(dirac(0.0), z)) == pytest.approx(-0.5j)
     two = sm.Measure1D(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
     assert complex(sm.stieltjes(two, z)) == pytest.approx(-0.4j)
 
@@ -101,7 +103,7 @@ def test_stieltjes_linearity_and_sign():
 
 def test_stieltjes_rejects_lower_half_plane():
     with pytest.raises(DomainError):
-        sm.stieltjes(sm.Measure1D.dirac(0.0), 1.0 - 1j)
+        sm.stieltjes(dirac(0.0), 1.0 - 1j)
 
 
 def test_g_semicircle_values():
@@ -157,7 +159,7 @@ def test_contour_invariants():
 def test_distance_d_basic():
     m = random_measure(np.random.default_rng(1))
     assert sm.distance_d(m, m) == 0.0
-    d0, d1 = sm.Measure1D.dirac(0.0), sm.Measure1D.dirac(1.0)
+    d0, d1 = dirac(0.0), dirac(1.0)
     nodes = sm.default_contour().nodes
     oracle = np.max(np.abs(1.0 / nodes - 1.0 / (nodes - 1.0)))
     assert sm.distance_d(d0, d1) == pytest.approx(float(oracle), rel=1e-14)
@@ -175,9 +177,9 @@ def test_distance_d_below_wasserstein_on_random_pairs():
 
 
 def test_wasserstein_diracs_and_split():
-    assert sm.wasserstein_p(sm.Measure1D.dirac(-1.5), sm.Measure1D.dirac(2.0), 1.7) == pytest.approx(3.5)
+    assert sm.wasserstein_p(dirac(-1.5), dirac(2.0), 1.7) == pytest.approx(3.5)
     split = sm.Measure1D(np.array([0.0, 2.0]), np.array([0.5, 0.5]))
-    assert sm.wasserstein_p(split, sm.Measure1D.dirac(1.0), 2.0) == pytest.approx(1.0)
+    assert sm.wasserstein_p(split, dirac(1.0), 2.0) == pytest.approx(1.0)
 
 
 def test_wasserstein_matches_lp_oracle():
@@ -192,13 +194,13 @@ def test_wasserstein_matches_lp_oracle():
 
 
 def test_wasserstein_rejects_small_p():
-    a = sm.Measure1D.dirac(0.0)
+    a = dirac(0.0)
     with pytest.raises(DomainError):
         sm.wasserstein_p(a, a, 0.5)
 
 
 def test_distance_dp_basic():
-    d0, d1 = sm.Measure1D.dirac(0.0), sm.Measure1D.dirac(1.0)
+    d0, d1 = dirac(0.0), dirac(1.0)
     m = random_measure(np.random.default_rng(2))
     for p in (0.25, 0.5, 0.75):
         assert sm.distance_dp(m, m, p) == 0.0
@@ -253,8 +255,8 @@ def test_dp_diff_masked_power_matches_plain_formula(seed):
     # -0.0 - 0.0 is -0.0, which both forms clip to +0
     zero = sm.Measure1D(np.array([-1.0, 0.0]), np.array([0.5, 0.5]))
     t = np.array([-0.0, 0.0, -1.0, 2.0])
-    assert sm._dp_diff(zero, sm.Measure1D.dirac(0.0), 0.5)(t).tobytes() == \
-        scalar_dp_diff(zero, sm.Measure1D.dirac(0.0), 0.5)(t).tobytes()
+    assert sm._dp_diff(zero, dirac(0.0), 0.5)(t).tobytes() == \
+        scalar_dp_diff(zero, dirac(0.0), 0.5)(t).tobytes()
 
 
 def scalar_golden_max(fun, lo, hi, iters=80):
@@ -316,7 +318,7 @@ def dp_oracle_cases():
         span = 10.0 ** rng.uniform(-2.0, 3.0)
         p = float(rng.uniform(0.02, 0.98))
         cases.append((random_measure(rng, span=span), random_measure(rng, span=span), p))
-    d0, d1 = sm.Measure1D.dirac(0.0), sm.Measure1D.dirac(1.5)
+    d0, d1 = dirac(0.0), dirac(1.5)
     m = random_measure(rng)
     cases += [(d0, d1, 0.5), (d1, d0, 0.02), (d0, d0, 0.98), (m, m, 0.5)]
     for span in (1e-2, 1e3):
@@ -371,7 +373,7 @@ def test_distance_dp_pruning_keeps_every_bit():
     rng = np.random.default_rng(43)
     cases = dp_oracle_cases()
     small = sm.semicircle_measure(200)
-    for m in (random_measure(rng), sm.Measure1D.dirac(0.0), small):
+    for m in (random_measure(rng), dirac(0.0), small):
         for p in (0.02, 0.5, 0.98):
             cases += [(m, m, p), (m, m.dilate(1.0 + 1e-12), p), (m.dilate(1.0 + 1e-12), m, p)]
     for p in (0.02, 0.98):
@@ -540,7 +542,7 @@ def frac_integral(sigma, alpha, t, side):
 
 
 def test_frac_integral_single_atom():
-    d0 = sm.Measure1D.dirac(0.0)
+    d0 = dirac(0.0)
     for alpha in (0.25, 0.5, 0.75):
         assert frac_integral(d0, alpha, 1.0, "+") == pytest.approx(
             1.0 / math.gamma(alpha + 1.0)
@@ -622,7 +624,7 @@ def heavy_deformation(alpha=0.5, n=32):
 
 
 FREECONV_MEASURES = {
-    "dirac": lambda: sm.Measure1D.dirac(0.0),
+    "dirac": lambda: dirac(0.0),
     "atoms_pm2": lambda: sm.Measure1D(np.array([-2.0, 2.0]), np.array([0.5, 0.5])),
     "semicircle_2000": lambda: sm.semicircle_measure(2000),
     "spread_101": lambda: sm.Measure1D.from_atoms(np.linspace(-50.0, 50.0, 101)),
@@ -637,7 +639,7 @@ def test_freeconv_newton_matches_damped_oracle(name, eta):
     z = np.linspace(nu.atoms.min() - 3.0, nu.atoms.max() + 3.0, 101) + 1j * eta
     g = sm.freeconv_transform(nu, z)
     assert np.max(np.abs(g - damped_fixed_point(nu, z))) < 1e-10
-    assert sm.fixed_point_residual(nu, z, g) <= 1e-12
+    assert fixed_point_residual(nu, z, g) <= 1e-12
     assert np.all(g.imag < 0)
 
 
@@ -657,7 +659,7 @@ def test_freeconv_safeguard_grid():
     assert np.any(newton(first).imag >= 0)
     g = sm.freeconv_transform(nu, z)
     assert np.max(np.abs(g - damped_fixed_point(nu, z))) < 1e-10
-    assert sm.fixed_point_residual(nu, z, g) <= 1e-12
+    assert fixed_point_residual(nu, z, g) <= 1e-12
     assert np.all(g.imag < 0)
 
 
@@ -696,7 +698,7 @@ def test_freeconv_residual_property(unit_atoms, log_spread, eta, seed):
     nu = sm.Measure1D.from_atoms(atoms, w / w.sum())
     z = gen.uniform(atoms.min() - 3.0, atoms.max() + 3.0, size=16) + 1j * eta
     g = sm.freeconv_transform(nu, z)
-    assert sm.fixed_point_residual(nu, z, g) <= 1e-12
+    assert fixed_point_residual(nu, z, g) <= 1e-12
     assert np.all(g.imag < 0)
 
 
@@ -762,19 +764,19 @@ def test_freeconv_rows_keep_the_checks(monkeypatch):
 
 def test_freeconv_dirac_recovers_semicircle():
     nodes = sm.default_contour().nodes
-    g = sm.freeconv_transform(sm.Measure1D.dirac(0.0), nodes)
+    g = sm.freeconv_transform(dirac(0.0), nodes)
     assert np.max(np.abs(g - sm.g_semicircle(nodes))) < 1e-11
     # node arrays keep their shape
-    grid = sm.freeconv_transform(sm.Measure1D.dirac(0.0), nodes.reshape(8, 8))
+    grid = sm.freeconv_transform(dirac(0.0), nodes.reshape(8, 8))
     assert np.array_equal(grid, g.reshape(8, 8))
-    assert sm.freeconv_transform(sm.Measure1D.dirac(0.0), nodes[3]).shape == ()
+    assert sm.freeconv_transform(dirac(0.0), nodes[3]).shape == ()
 
 
 def test_freeconv_fixed_point_residual():
     nu = sm.Measure1D(np.array([-2.0, 2.0]), np.array([0.5, 0.5]))
     grid = np.linspace(-6, 6, 241)
     g, dens = sm.free_conv_semicircle(nu, eta=1e-2, grid=grid)
-    assert sm.fixed_point_residual(nu, grid + 1e-2j, g) <= 1e-12
+    assert fixed_point_residual(nu, grid + 1e-2j, g) <= 1e-12
     assert np.all(dens >= -1e-15)
     total = np.trapezoid(dens, grid)
     assert total == pytest.approx(1.0, abs=0.05)  # Cauchy-smoothed mass
@@ -790,7 +792,7 @@ def test_freeconv_semicircle_sum_closed_form():
 
 
 def test_freeconv_grid_precondition():
-    nu = sm.Measure1D.dirac(0.0)
+    nu = dirac(0.0)
     with pytest.raises(DomainError):
         sm.free_conv_semicircle(nu, 0.01, np.linspace(-1, 1, 11))
     with pytest.raises(DomainError):

@@ -375,6 +375,17 @@ def test_inf_convolution_rejects_bad_grid():
             weights.inf_convolution(np.zeros(len(grid)), w, np.array(grid))
 
 
+@pytest.mark.parametrize("delta", [0.2, 0.001])
+def test_wide_finite_grid_raises_no_warning(delta):
+    # past |t| of about 1.3e154 the quadratic branch, which np.where discards
+    # there, overflows in t**2, and at delta = 0.001, where e^(-1/delta)
+    # underflows, it is 0 * inf; under the RuntimeWarning filter either once
+    # raised
+    w = weights.corexp(delta)
+    assert np.array_equal(weights.inf_convolution(np.zeros(2), w, np.array([0.0, 1e200])), np.zeros(2))
+    assert float(w(-1e200)) == (1.0 - 2.0 * delta) * 1e200
+
+
 def _simpson_grid(lo, hi, n=1201):
     return np.linspace(lo, hi, n)
 
