@@ -188,6 +188,8 @@ def cmd_sample(args) -> int:
 def cmd_spectrum(args) -> int:
     from . import matrixlab as ml
 
+    if args.a2 is not None and args.beta == ml.BETA_SYMMETRIC:
+        raise ConfigError("spectrum --beta 1 does not read --a2")
     if args.b is None and args.a1 is None and args.a2 is None:
         ens = ml.unit_variance_ensemble(args.alpha, beta=args.beta)
     else:
@@ -233,25 +235,31 @@ def cmd_freeconv(args) -> int:
 def cmd_rate(args) -> int:
     from . import ratefuncs as rf
 
-    # per --kind: the rate function and the RateParams field each of its flags sets
+    # per --kind: the rate function and the keyword each of its flags sets
     rates = {
-        "J": (rf.rate_J, {"c": "constant_c"}),
-        "K": (rf.rate_K, {"c1": "c1", "cm1": "c_minus1", "taup": "tauP", "d": "d"}),
+        "J": (rf.rate_J, {"c": "c"}),
+        "K": (rf.rate_K, {"c1": "c1", "cm1": "c_minus1", "taup": "tau_p", "d": "d"}),
         "L": (rf.rate_L, {"g11": "g11"}),
     }
     xs = _floats(args.x, "x")
-    rate, fields = rates[args.kind]
-    others = (k for _, flags in rates.values() for k in flags if k not in fields)
+    if not xs:
+        raise ConfigError("rate needs at least one --x")
+    rate, keywords = rates[args.kind]
+    others = (k for _, flags in rates.values() for k in flags if k not in keywords)
     stray = [f"--{k}" for k in others if getattr(args, k) is not None]
     if stray:
         raise ConfigError(f"rate --kind {args.kind} does not read {' '.join(stray)}")
-    params = rf.RateParams(alpha=args.alpha, **{f: getattr(args, k) for k, f in fields.items()})
+    missing = [f"--{k}" for k in keywords if getattr(args, k) is None]
+    if missing:
+        raise ConfigError(f"rate --kind {args.kind} needs {' '.join(missing)}")
+    constants = {kw: getattr(args, k) for k, kw in keywords.items()}
+    values = [float(rate(x, args.alpha, **constants)) for x in xs]
     conf = _resolved_config(args)
     if args.out is None and len(xs) == 1:
         # single evaluation: header plus the bare value
-        _write(None, csv_header(conf) + "\n" + repr(float(rate(xs[0], params))) + "\n")
+        _write(None, csv_header(conf) + "\n" + repr(values[0]) + "\n")
         return 0
-    _write(args.out, csv_text(conf, ("x", "rate"), ((x, float(rate(x, params))) for x in xs)))
+    _write(args.out, csv_text(conf, ("x", "rate"), zip(xs, values)))
     return 0
 
 

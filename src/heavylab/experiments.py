@@ -178,18 +178,26 @@ def equivalent_error_curve(kind: str, config: ExperimentConfig, spike: float = 2
     measure with the semicircle free convolution, "eig" the top eigenvalue
     with rho(lambda), "poly" the normalized trace of x^3 with its limit,
     "lpp" the normalized passage time with the shape DP.  Deformations are rank-one
-    (or corner) spikes of height ``spike``.
+    (or corner) spikes of height ``spike``.  The lpp kind alone reads the
+    shape estimate ``g_eval``, and needs it.
     """
     if kind not in _CURVE_ERRORS:
         raise DomainError(f"unknown curve kind {kind!r}")
+    shape = ()
+    if kind == "lpp":
+        if g_eval is None:
+            raise DomainError("lpp curves need a shape estimate g_eval")
+        shape = (g_eval,)
+    elif g_eval is not None:
+        raise DomainError(f"{kind} curves read no g_eval")
     out = []
     for n in config.n_list:
-        errs = _CURVE_ERRORS[kind](config, n, spike, g_eval)
+        errs = _CURVE_ERRORS[kind](config, n, spike, *shape)
         out.append((n, float(np.mean(errs)), float(np.std(errs, ddof=1) / math.sqrt(len(errs)))))
     return out
 
 
-def _esm_errors(config, n, spike, g_eval):
+def _esm_errors(config, n, spike):
     nodes = sm.default_contour().nodes
     if spike == 0.0:
         target = sm.g_semicircle(nodes)
@@ -202,12 +210,12 @@ def _esm_errors(config, n, spike, g_eval):
     return _wigner_replicas(config, n, err, spike)
 
 
-def _eig_errors(config, n, spike, g_eval):
+def _eig_errors(config, n, spike):
     target = ml.rho(spike)
     return _wigner_replicas(config, n, lambda x: abs(x.largest_eig() - target), spike)
 
 
-def _poly_errors(config, n, spike, g_eval):
+def _poly_errors(config, n, spike):
     poly = NCPolynomial.word_power(1, 3)
     d = poly.total_degree
     limit = deterministic_equivalent_poly(poly, (ml.spike_matrix(n, spike),), n)
@@ -219,8 +227,6 @@ def _poly_errors(config, n, spike, g_eval):
 
 
 def _lpp_errors(config, n, spike, g_eval):
-    if g_eval is None:
-        raise DomainError("lpp curves need a shape estimate g_eval")
     hvals = np.zeros((n + 1, n + 1))
     hvals[n, n] = spike
     h = lpp.WeightField(n, hvals)

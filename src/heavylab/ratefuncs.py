@@ -1,7 +1,8 @@
 """Explicit large-deviation rate functions and variational constants.
 
 The closed-form evaluators (`rate_J`, `rate_K`, `rate_L`, and the symmetric
-special case of the spectral-measure rate) are exact piecewise formulas.
+special case of the spectral-measure rate) are exact piecewise formulas,
+each taking only the constants it reads, checked by one helper (`_check`).
 The constants entering them are variational infima over matrices.  One
 search, `optimize_constant`, gives c and c_sigma as infima of the energy
 W_alpha over one homogeneous constraint; it and `rate_I_variational` give
@@ -12,7 +13,6 @@ certified minima, and nothing is hardcoded from external sources.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -29,91 +29,63 @@ if TYPE_CHECKING:
 INF = float("inf")
 
 
-@dataclass(frozen=True)
-class RateParams:
-    """Constants shared by the rate-function evaluators.
-
-    Only the fields an evaluator needs must be set; the rest may stay None.
-    ``b`` and ``a1`` are the diagonal and real off-diagonal coefficients
-    entering min(b, a1/2).
-    """
-
-    alpha: float
-    b: float = 1.0
-    a1: float = 1.0
-    constant_c: float | None = None
-    c1: float | None = None
-    c_minus1: float | None = None
-    tauP: float | None = None
-    g11: float | None = None
-    d: int | None = None
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha <= 2.0:
-            raise DomainError(f"alpha must lie in (0, 2], got {self.alpha}")
-        for name in ("b", "a1", "constant_c", "c1", "c_minus1", "tauP", "g11"):
-            val = getattr(self, name)
-            if val is not None and not math.isfinite(val):
-                raise DomainError(f"{name} must be finite, got {val}")
-        for name in ("constant_c", "c1", "c_minus1"):
-            val = getattr(self, name)
-            if val is not None and val < 0:
-                raise DomainError(f"{name} must be non-negative")
-        if self.d is not None and self.d < 1:
-            raise DomainError(f"d must be at least 1, got {self.d}")
+_FLOORS = {"c": 0, "c1": 0, "c_minus1": 0, "d": 1}
 
 
-def _finite_x(x: float) -> None:
+def _check(x: float, alpha: float, **constants: float) -> None:
+    """Raise DomainError unless alpha lies in (0, 2], x and the constants
+    are finite, c, c1 and c_minus1 are non-negative and d is at least 1."""
+    if not 0.0 < alpha <= 2.0:
+        raise DomainError(f"alpha must lie in (0, 2], got {alpha}")
+    for name, val in constants.items():
+        if not math.isfinite(val):
+            raise DomainError(f"{name} must be finite, got {val}")
+        if val < _FLOORS.get(name, -INF):
+            raise DomainError(f"{name} must be at least {_FLOORS[name]}, got {val}")
     if not math.isfinite(x):
         raise DomainError(f"rate functions are evaluated at a finite x, got {x}")
 
 
-def rate_J(x: float, params: RateParams) -> float:
+def rate_J(x: float, alpha: float, c: float) -> float:
     """Largest-eigenvalue rate: c g_sc(x)^(-alpha) above 2, 0 at 2, inf below."""
-    if params.constant_c is None:
-        raise DomainError("rate_J needs constant_c")
-    _finite_x(x)
+    _check(x, alpha, c=c)
     if x < 2.0:
         return INF
     if x == 2.0:
         return 0.0
     g = float(np.real(g_semicircle(x)))
-    return params.constant_c * g ** (-params.alpha)
+    return c * g ** (-alpha)
 
 
-def rate_K(x: float, params: RateParams) -> float:
-    """Polynomial-trace rate with one-sided constants c1 / c_minus1."""
-    if params.c1 is None or params.c_minus1 is None or params.tauP is None or params.d is None:
-        raise DomainError("rate_K needs c1, c_minus1, tauP and d")
-    _finite_x(x)
-    gap = x - params.tauP
+def rate_K(x: float, alpha: float, c1: float, c_minus1: float, tau_p: float, d: int) -> float:
+    """Polynomial-trace rate with one-sided constants c1 / c_minus1 about tau(P)."""
+    _check(x, alpha, c1=c1, c_minus1=c_minus1, tau_p=tau_p, d=d)
+    gap = x - tau_p
     if gap == 0.0:
         return 0.0
-    expo = params.alpha / params.d
+    expo = alpha / d
     if gap > 0:
-        return params.c1 * gap**expo
-    return params.c_minus1 * abs(gap) ** expo
+        return c1 * gap**expo
+    return c_minus1 * abs(gap) ** expo
 
 
-def rate_L(x: float, params: RateParams) -> float:
+def rate_L(x: float, alpha: float, g11: float) -> float:
     """Last-passage rate: (x - g(1,...,1))^alpha on the right of g(1,...,1)."""
-    if params.g11 is None:
-        raise DomainError("rate_L needs g11")
-    _finite_x(x)
-    if x < params.g11:
+    _check(x, alpha, g11=g11)
+    if x < g11:
         return INF
-    return (x - params.g11) ** params.alpha
+    return (x - g11) ** alpha
 
 
-def rate_I_symmetric(nu: Measure1D, params: RateParams) -> float:
-    """Closed form min(b, a1/2) int |x|^alpha dnu for symmetric targets.
+def rate_I_symmetric(nu: Measure1D, ens: WignerEnsemble) -> float:
+    """Closed form min(b, a1/2) int |x|^alpha dnu for symmetric targets (``ens``'s alpha, b, a1).
 
     The deformation measure must be mirror-symmetric (checked to 1e-12).
     """
     atoms, wts = nu.atoms, nu.weights
     if np.max(np.abs(atoms + atoms[::-1])) > 1e-12 or np.max(np.abs(wts - wts[::-1])) > 1e-12:
         raise DomainError("rate_I_symmetric needs a mirror-symmetric measure")
-    return min(params.b, params.a1 / 2.0) * nu.moment(params.alpha)
+    return min(ens.b, ens.a1 / 2.0) * nu.moment(ens.alpha)
 
 
 def _noise(gen, n: int, beta: int) -> np.ndarray:

@@ -43,9 +43,11 @@ class WeightFunction:
     def __call__(self, t) -> np.ndarray:
         t = np.abs(np.asarray(t, dtype=float))
         d = self.delta
-        # np.where drops this branch past the cut, where t**2 may overflow
-        with np.errstate(over="ignore", invalid="ignore"):
-            quad = d * math.exp(-1.0 / d) * t**2 / 8.0
+        coef = d * math.exp(-1.0 / d)
+        # np.where drops this branch past the cut, where t**2 may overflow;
+        # where coef underflows to 0 the branch is 0, not 0 * inf
+        with np.errstate(over="ignore"):
+            quad = coef * t**2 / 8.0 if coef > 0.0 else np.zeros_like(t)
         lin = (1.0 - 2.0 * d) * t
         # where delta^2 underflows to 0, 2 / delta^2 lies beyond every double
         cut = 2.0 / d**2 if d**2 > 0.0 else math.inf

@@ -222,9 +222,8 @@ def test_criterion_10_lpp_oracles():
 
 
 def test_criterion_11_rate_function_ledger():
-    params = rf.RateParams(alpha=1.0, constant_c=1.0)
-    edge = rf.rate_J(2.0, params) == 0.0
-    below = all(rf.rate_J(x, params) == math.inf for x in (1.999, 0.0, -5.0))
+    edge = rf.rate_J(2.0, 1.0, 1.0) == 0.0
+    below = all(rf.rate_J(x, 1.0, 1.0) == math.inf for x in (1.999, 0.0, -5.0))
 
     spike = np.zeros((5, 5))
     spike[4, 4] = 2.7

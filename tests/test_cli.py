@@ -159,7 +159,10 @@ def test_unknown_subcommand_exits_one(capsys):
 def test_missing_rate_constant_exits_one(capsys):
     code, _, err = run(capsys, "rate", "--kind", "J", "--x", "3")
     assert code == 1
-    assert "error" in err
+    assert "config error: rate --kind J needs --c" in err
+    code, _, err = run(capsys, "rate", "--kind", "K", "--c1", "1", "--x", "3")
+    assert code == 1
+    assert "config error: rate --kind K needs --cm1 --taup --d" in err
 
 
 def test_sample_output_and_determinism(capsys, tmp_path):
@@ -199,6 +202,20 @@ def test_spectrum_command(capsys, tmp_path):
     coef_vals = [float(v) for v in lines[2:]]
     assert len(coef_vals) == 30
     assert coef_vals != vals
+
+
+def test_spectrum_reads_a2_at_beta_two_only(capsys, tmp_path):
+    # a2 is the imaginary part's coefficient, which beta 1 never draws
+    cfg = tmp_path / "a2.cfg"
+    cfg.write_text("a2=5\n")
+    for argv in (("--a2", "5"), ("--beta", "1", "--a2", "5"), ("--config", str(cfg))):
+        code, out, err = run(capsys, "spectrum", "--n", "3", "--seed", "1", *argv)
+        assert (code, out) == (1, "")
+        assert "config error: spectrum --beta 1 does not read --a2" in err
+    for argv in (("--beta", "2", "--a2", "5"), ("--beta", "2", "--config", str(cfg))):
+        code, out, err = run(capsys, "spectrum", "--n", "3", "--seed", "1", *argv)
+        assert (code, err) == (0, "")
+        assert "a2=5.0" in out.splitlines()[0].split()
 
 
 def test_freeconv_command(capsys, tmp_path):
@@ -550,12 +567,15 @@ def test_small_alpha_spectrum_and_audit_run(capsys, argv):
         (("audit", "--alpha", "0.5", "--n", "1", "--replicas", "10"), None),
         (("audit", "--alpha", "0.5", "--n", "1", "--replicas", "10", "--functional", "esm_distance"),
          None),
+        (("spectrum", "--beta", "1", "--n", "3", "--seed", "1", "--a2", "5"), None),
+        (("rate", "--kind", "J", "--c", "-1", "--x", ","), None),
     ],
     ids=["rate-x", "audit-t-grid", "net-eps", "measure-semicolon", "measure-text", "measure-nan",
          "audit-replicas0", "grid-count0", "grid-count-1", "net-m0", "net-trials0", "rate-d0",
          "audit-t-grid-nan", "audit-t-grid-inf", "net-eps-inf", "net-eps-nan",
          "rate-x-nan", "rate-x-inf", "rate-g11-nan", "rate-taup-nan", "spectrum-b-nan",
-         "spectrum-b-inf", "grid-lo-nan", "grid-hi-inf", "audit-n1", "audit-n1-esm"],
+         "spectrum-b-inf", "grid-lo-nan", "grid-hi-inf", "audit-n1", "audit-n1-esm",
+         "spectrum-a2-beta1", "rate-x-empty"],
 )
 def test_malformed_input_exits_one(capsys, tmp_path, argv, measure):
     # each of these once ended in a traceback (ValueError; ZeroDivisionError
@@ -565,7 +585,9 @@ def test_malformed_input_exits_one(capsys, tmp_path, argv, measure):
     # (audit-replicas0) or thresholds (audit-t-grid-nan), nets of size 0
     # (net-trials0, net-eps-inf, net-eps-nan), a NaN rate (rate-x-nan and the
     # other rate cases), a zeroed diagonal (spectrum-b-inf) or a division by
-    # log 1 = 0 (audit-n1, audit-n1-esm)
+    # log 1 = 0 (audit-n1, audit-n1-esm), or in exit 0 with a value never
+    # read in the header (spectrum-a2-beta1: a2 enters only at beta 2);
+    # rate-x-empty pairs a negative --c with no point to evaluate it at
     if measure is not None:
         path = tmp_path / "measure.csv"
         path.write_text(measure)

@@ -126,6 +126,17 @@ def test_error_curve_lpp():
         ex.equivalent_error_curve("nope", cfg)
 
 
+@pytest.mark.parametrize("kind", ["esm", "eig", "poly"])
+def test_error_curve_g_eval_only_for_lpp(kind):
+    # these kinds never read g_eval, which was once accepted and dropped
+    from heavylab import lpp
+
+    cfg = small_config(n_list=(10,), replicas=4)
+    shape = lpp.CachedShape(0.5, n_mc=10, replicas=10, seed=99, grid_points=3)
+    with pytest.raises(DomainError, match=f"{kind} curves read no g_eval"):
+        ex.equivalent_error_curve(kind, cfg, spike=1.0, g_eval=shape)
+
+
 def test_tail_rate_low_threshold_near_zero():
     cfg = small_config(functional="lpp_time", alpha=0.5, n_list=(10, 20), replicas=400)
     rows = ex.tail_rate(cfg, x=1.0)  # far below typical: p ~ 1, rate ~ 0

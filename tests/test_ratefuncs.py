@@ -13,87 +13,95 @@ from heavylab.freeprob import NCPolynomial
 from oracles import dirac
 
 
-def params_J(alpha=1.0, c=1.0):
-    return rf.RateParams(alpha=alpha, constant_c=c)
-
-
 def test_rate_J_piecewise():
-    p = params_J()
-    assert rf.rate_J(2.0, p) == 0.0
-    assert rf.rate_J(1.0, p) == math.inf
-    assert rf.rate_J(2.5, p) == pytest.approx(2.0)  # g(2.5) = 1/2
-    p2 = params_J(alpha=1.5, c=0.7)
-    assert rf.rate_J(2.5, p2) == pytest.approx(0.7 * 0.5 ** (-1.5))
+    assert rf.rate_J(2.0, 1.0, 1.0) == 0.0
+    assert rf.rate_J(1.0, 1.0, 1.0) == math.inf
+    assert rf.rate_J(2.5, 1.0, 1.0) == pytest.approx(2.0)  # g(2.5) = 1/2
+    assert rf.rate_J(2.5, 1.5, 0.7) == pytest.approx(0.7 * 0.5 ** (-1.5))
 
 
 def test_rate_J_monotone_and_scales_in_c():
     xs = np.linspace(2.0, 6.0, 41)
-    p = params_J(alpha=0.8, c=1.3)
-    vals = np.array([rf.rate_J(float(x), p) for x in xs])
+    vals = np.array([rf.rate_J(float(x), 0.8, 1.3) for x in xs])
     assert vals[0] == 0.0
     assert np.all(np.diff(vals) > 0)
-    doubled = np.array([rf.rate_J(float(x), params_J(alpha=0.8, c=2.6)) for x in xs])
+    doubled = np.array([rf.rate_J(float(x), 0.8, 2.6) for x in xs])
     assert np.allclose(doubled[1:], 2 * vals[1:])
 
 
 def test_rate_K_piecewise():
-    p = rf.RateParams(alpha=1.0, c1=0.4, c_minus1=0.9, tauP=2.0, d=5)
-    assert rf.rate_K(2.0, p) == 0.0
-    assert rf.rate_K(3.0, p) == pytest.approx(0.4)
-    assert rf.rate_K(2.0 - 32.0, p) == pytest.approx(0.9 * 2.0)  # 32^(1/5) = 2
+    k = {"alpha": 1.0, "c1": 0.4, "c_minus1": 0.9, "tau_p": 2.0, "d": 5}
+    assert rf.rate_K(2.0, **k) == 0.0
+    assert rf.rate_K(3.0, **k) == pytest.approx(0.4)
+    assert rf.rate_K(2.0 - 32.0, **k) == pytest.approx(0.9 * 2.0)  # 32^(1/5) = 2
 
 
 def test_rate_L_piecewise():
-    p = rf.RateParams(alpha=0.5, g11=2.0)
-    assert rf.rate_L(2.0, p) == 0.0
-    assert rf.rate_L(1.0, p) == math.inf
-    assert rf.rate_L(3.0, p) == pytest.approx(1.0)
-    assert rf.rate_L(6.0, p) == pytest.approx(2.0)
+    assert rf.rate_L(2.0, 0.5, 2.0) == 0.0
+    assert rf.rate_L(1.0, 0.5, 2.0) == math.inf
+    assert rf.rate_L(3.0, 0.5, 2.0) == pytest.approx(1.0)
+    assert rf.rate_L(6.0, 0.5, 2.0) == pytest.approx(2.0)
 
 
-def test_rate_missing_constants_raise():
-    with pytest.raises(DomainError):
-        rf.rate_J(3.0, rf.RateParams(alpha=1.0))
-    with pytest.raises(DomainError):
-        rf.rate_K(3.0, rf.RateParams(alpha=1.0, c1=1.0))
-    with pytest.raises(DomainError):
-        rf.rate_L(3.0, rf.RateParams(alpha=1.0))
-    with pytest.raises(DomainError):
-        rf.RateParams(alpha=1.0, constant_c=-1.0)
+# one valid set of constants per evaluator
+_CONSTANTS = {
+    rf.rate_J: {"c": 1.0},
+    rf.rate_K: {"c1": 1.0, "c_minus1": 1.0, "tau_p": 0.0, "d": 2},
+    rf.rate_L: {"g11": 2.0},
+}
+
+
+def test_rate_constants_out_of_domain_raise():
+    for bad in (-1.0, 0.0):
+        with pytest.raises(DomainError, match="d must be at least 1"):
+            rf.rate_K(3.0, 1.0, 1.0, 1.0, 0.0, bad)
+    for name in ("c1", "c_minus1"):
+        with pytest.raises(DomainError, match=f"{name} must be at least 0"):
+            rf.rate_K(3.0, 1.0, **{**_CONSTANTS[rf.rate_K], name: -1.0})
+    with pytest.raises(DomainError, match="c must be at least 0"):
+        rf.rate_J(3.0, 1.0, -1.0)
+    for rate, constants in _CONSTANTS.items():
+        for alpha in (0.0, -0.5, 2.5, math.nan):
+            with pytest.raises(DomainError, match="alpha must lie in"):
+                rate(3.0, alpha, **constants)
 
 
 def test_rate_evaluators_reject_non_finite_input():
     # each of these once returned nan (x = nan or inf in rate_J, a NaN g11
-    # or tauP) or passed the constant's sign check (a NaN c)
-    for field in ("b", "a1", "constant_c", "c1", "c_minus1", "tauP", "g11"):
-        for bad in (math.nan, math.inf):
-            with pytest.raises(DomainError, match=f"{field} must be finite"):
-                rf.RateParams(alpha=1.0, **{field: bad})
-    params = rf.RateParams(alpha=1.0, constant_c=1.0, c1=1.0, c_minus1=1.0, tauP=0.0, d=2, g11=2.0)
-    for rate in (rf.rate_J, rf.rate_K, rf.rate_L):
+    # or tau_p) or passed the constant's sign check (a NaN c)
+    for rate, constants in _CONSTANTS.items():
+        for name in constants:
+            for bad in (math.nan, math.inf):
+                with pytest.raises(DomainError, match=f"{name} must be finite"):
+                    rate(3.0, 1.0, **{**constants, name: bad})
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError, match="finite x"):
-                rate(bad, params)
+                rate(bad, 1.0, **constants)
+    pair = sm.Measure1D(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
+    for name in ("b", "a1"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="b, a1 and a2 must be finite"):
+                rf.rate_I_symmetric(pair, ml.WignerEnsemble(1.0, **{name: bad}))
 
 
 def test_rate_I_symmetric_values_and_scaling():
-    p = rf.RateParams(alpha=1.0, b=1.0, a1=3.0)
+    ens = ml.WignerEnsemble(1.0, b=1.0, a1=3.0)
     dirac0 = dirac(0.0)
-    assert rf.rate_I_symmetric(dirac0, p) == 0.0
+    assert rf.rate_I_symmetric(dirac0, ens) == 0.0
     pair = sm.Measure1D(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
-    assert rf.rate_I_symmetric(pair, p) == pytest.approx(min(1.0, 1.5))
-    p2 = rf.RateParams(alpha=0.7, b=2.0, a1=1.0)
-    v1 = rf.rate_I_symmetric(pair, p2)
-    v3 = rf.rate_I_symmetric(pair.dilate(3.0), p2)
+    assert rf.rate_I_symmetric(pair, ens) == pytest.approx(min(1.0, 1.5))
+    ens2 = ml.WignerEnsemble(0.7, b=2.0, a1=1.0)
+    v1 = rf.rate_I_symmetric(pair, ens2)
+    v3 = rf.rate_I_symmetric(pair.dilate(3.0), ens2)
     assert v3 == pytest.approx(3.0**0.7 * v1)
-    p5 = rf.RateParams(alpha=0.7, b=2.0, a1=5.0)
-    assert rf.rate_I_symmetric(pair, p5) == pytest.approx(2.0 * pair.moment(0.7))
+    ens5 = ml.WignerEnsemble(0.7, b=2.0, a1=5.0)
+    assert rf.rate_I_symmetric(pair, ens5) == pytest.approx(2.0 * pair.moment(0.7))
 
 
 def test_rate_I_symmetric_rejects_asymmetric():
     lop = sm.Measure1D(np.array([-1.0, 2.0]), np.array([0.5, 0.5]))
     with pytest.raises(DomainError):
-        rf.rate_I_symmetric(lop, rf.RateParams(alpha=1.0))
+        rf.rate_I_symmetric(lop, ml.WignerEnsemble(1.0))
 
 
 def test_optimize_constant_c_upper_bound_and_n1():

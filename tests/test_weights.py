@@ -386,6 +386,18 @@ def test_wide_finite_grid_raises_no_warning(delta):
     assert float(w(-1e200)) == (1.0 - 2.0 * delta) * 1e200
 
 
+@pytest.mark.parametrize("delta, t", [(1e-100, 1e200), (1e-78, 1e155)], ids=["1e-100", "1e-78"])
+def test_corexp_is_zero_where_its_coefficient_underflows(delta, t):
+    # delta e^(-1/delta) underflows to 0 while |t| lies inside the cut
+    # 2 / delta^2 and t**2 overflows: the quadratic branch once read
+    # 0 * inf = nan, and inf_convolution raised on the non-finite table
+    w = weights.corexp(delta)
+    assert t <= 2.0 / delta**2
+    vals = w(np.array([-t, 0.0, t]))
+    assert np.array_equal(vals, np.zeros(3)) and not np.signbit(vals).any()
+    assert np.array_equal(weights.inf_convolution(np.zeros(2), w, np.array([0.0, t])), np.zeros(2))
+
+
 def _simpson_grid(lo, hi, n=1201):
     return np.linspace(lo, hi, n)
 
