@@ -61,11 +61,14 @@ def _resolved_config(args: argparse.Namespace) -> dict:
 
 
 def _floats(text: str, flag: str) -> tuple[float, ...]:
-    """The numbers of a comma-separated flag value; empty items are skipped."""
+    """The numbers of a comma-separated flag value, at least one; empty items are skipped."""
     try:
-        return tuple(float(tok) for tok in text.split(",") if tok)
+        values = tuple(float(tok) for tok in text.split(",") if tok)
     except ValueError:
-        raise ConfigError(f"--{flag} needs comma-separated numbers, got {text!r}") from None
+        values = ()
+    if not values:
+        raise ConfigError(f"--{flag} needs comma-separated numbers, got {text!r}")
+    return values
 
 
 def _write(out: str | None, text: str) -> None:
@@ -242,8 +245,6 @@ def cmd_rate(args) -> int:
         "L": (rf.rate_L, {"g11": "g11"}),
     }
     xs = _floats(args.x, "x")
-    if not xs:
-        raise ConfigError("rate needs at least one --x")
     rate, keywords = rates[args.kind]
     others = (k for _, flags in rates.values() for k in flags if k not in keywords)
     stray = [f"--{k}" for k in others if getattr(args, k) is not None]

@@ -17,8 +17,8 @@ well (`pool.run`).  When the pool runs more than one thread, eigensolves
 run on one BLAS thread each and release the interpreter lock (`openblas`).
 Matrices too large for two in the pool's memory budget (n >= 916 for
 beta = 1, n >= 648 for beta = 2) run serially on the process's BLAS
-threads: numpy's default in a library caller, one thread in a CLI process
-unless its caller set the thread count (`cli`).
+threads: one in a preset (`run_preset`) and, unless its caller set the
+count, in a CLI process (`cli`); numpy's default in other library callers.
 
 Every output goes through `emit`'s `jsonl_text` (records, by
 `emit_jsonl(config, fields, rows)`) or `csv_text` (the audit's summary),
@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import lpp, measures, pool
+from . import lpp, measures, openblas, pool
 from . import matrixlab as ml
 from . import specmeasures as sm
 from .emit import config_hash, csv_text, jsonl_text
@@ -142,14 +142,17 @@ def _wigner_replicas(config: ExperimentConfig, n: int, fn, corner: float = 0.0) 
 
 
 def concentration_audit(config: ExperimentConfig):
-    """Exceedance table for P(|f - median| > t) at the config's largest n.
+    """Exceedance table for P(|f - median| > t) at the config's one size n.
 
     Returns (rows, c_hat): rows of (t, exceedance, exp(-c_hat k(t))) and the
     fitted constant c_hat = min over observed t of -log(exceedance)/k(t).
     The paper-side constants are existential, so only the fitted shape is
     reported.
     """
-    n = config.n_list[-1]
+    if len(config.n_list) > 1 or not config.t_grid:
+        raise DomainError("a concentration audit reads one size and a non-empty t_grid, got "
+                          f"n_list={config.n_list}, t_grid={config.t_grid}")
+    (n,) = config.n_list
     if config.functional == "largest_eig":
         vals = _wigner_replicas(config, n, ml.HermitianMatrix.largest_eig)
         center = float(np.median(vals))
@@ -161,7 +164,7 @@ def concentration_audit(config: ExperimentConfig):
         devs = np.max(np.abs(rows - center[None, :]), axis=1)
     else:
         raise DomainError("concentration audits cover esm_distance and largest_eig")
-    t_grid = np.asarray(config.t_grid if config.t_grid else np.geomspace(0.05, 1.0, 8))
+    t_grid = np.asarray(config.t_grid)
     exceed = np.array([float(np.mean(devs > t)) for t in t_grid])
     shapes = k_alpha_shape(config.functional, config.alpha, n, t_grid)
     usable = (exceed > 0) & (exceed < 1)
@@ -178,8 +181,8 @@ def equivalent_error_curve(kind: str, config: ExperimentConfig, spike: float = 2
     measure with the semicircle free convolution, "eig" the top eigenvalue
     with rho(lambda), "poly" the normalized trace of x^3 with its limit,
     "lpp" the normalized passage time with the shape DP.  Deformations are rank-one
-    (or corner) spikes of height ``spike``.  The lpp kind alone reads the
-    shape estimate ``g_eval``, and needs it.
+    (or corner) spikes of height ``spike`` (esm takes 0 alone).  The lpp kind
+    alone reads the shape estimate ``g_eval``, and needs it.
     """
     if kind not in _CURVE_ERRORS:
         raise DomainError(f"unknown curve kind {kind!r}")
@@ -198,16 +201,15 @@ def equivalent_error_curve(kind: str, config: ExperimentConfig, spike: float = 2
 
 
 def _esm_errors(config, n, spike):
+    if spike != 0.0:
+        raise DomainError("esm curves compare with the semicircle, so they take spike 0 only")
     nodes = sm.default_contour().nodes
-    if spike == 0.0:
-        target = sm.g_semicircle(nodes)
-    else:
-        target = sm.freeconv_transform(sm.Measure1D.from_atoms(np.array([spike] + [0.0] * (n - 1))), nodes)
+    target = sm.g_semicircle(nodes)
 
     def err(x):
         return float(np.max(np.abs(sm.stieltjes(x.esm(), nodes) - target)))
 
-    return _wigner_replicas(config, n, err, spike)
+    return _wigner_replicas(config, n, err)
 
 
 def _eig_errors(config, n, spike):
@@ -434,9 +436,10 @@ _PRESET_OUTPUTS = {
 
 
 def run_preset(name: str) -> str:
-    """Run a shipped preset and return its JSON-lines output."""
+    """A shipped preset's JSON-lines output, its rows built on one BLAS thread."""
     if name not in PRESETS:
         raise DomainError(f"unknown preset {name!r}; known: {sorted(PRESETS)}")
     config = PRESETS[name]
     fields, build_rows = _PRESET_OUTPUTS[name]
-    return emit_jsonl(config, fields, build_rows(config))
+    with openblas.single_threaded():
+        return emit_jsonl(config, fields, build_rows(config))

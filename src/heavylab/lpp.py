@@ -90,8 +90,8 @@ def enumerate_paths(v1, v2):
 def passage_times(alpha: float, boxes, replicas: int, seed: int, shift=None) -> np.ndarray:
     """Corner-to-corner passage times of ``replicas`` i.i.d. weight boxes, one row per box.
 
-    Each of ``boxes`` gives two side lengths; one box given alone counts as
-    a list of one.  Replica k of a box takes the first prod(box) one-sided
+    ``boxes`` is a list of boxes, each two side lengths; a bare box is a
+    `DomainError`.  Replica k of a box takes the first prod(box) one-sided
     draws of stream k, in C order of that box.  With ``shift`` (an array of
     the largest box's size, read in C order) the weights are
     (draws + shift)^+: the shift is added to the largest box's draws before
@@ -109,9 +109,7 @@ def passage_times(alpha: float, boxes, replicas: int, seed: int, shift=None) -> 
     boxes = list(boxes)
     if not boxes:
         raise DomainError("passage_times needs at least one box")
-    if np.ndim(boxes[0]) == 0:  # one box given as its two sides
-        boxes = [boxes]
-    boxes = [tuple(int(s) for s in box) for box in boxes]
+    boxes = [tuple(int(s) for s in np.atleast_1d(box)) for box in boxes]
     for box in boxes:
         if len(box) != 2 or min(box) < 1:
             raise DomainError(f"box must have two positive sides, got {box}")

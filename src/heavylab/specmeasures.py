@@ -68,19 +68,16 @@ class Measure1D:
 
     @staticmethod
     def from_atoms(atoms, weights=None) -> "Measure1D":
-        """Probability measure from unsorted atoms, merging exact duplicates."""
-        atoms = np.asarray(atoms, dtype=float)
+        """Probability measure from unsorted atoms, merging exact duplicates (`_merge_rows`)."""
+        atoms = np.asarray(atoms, dtype=float).reshape(1, -1)
         if atoms.size == 0:
             raise DomainError("a measure needs at least one atom")
         if weights is None:
             weights = np.full(atoms.size, 1.0 / atoms.size)
-        weights = np.asarray(weights, dtype=float)
-        order = np.argsort(atoms, kind="stable")
-        atoms, weights = atoms[order], weights[order]
-        uniq, inverse = np.unique(atoms, return_inverse=True)
-        merged = np.zeros(uniq.size)
-        np.add.at(merged, inverse, weights)
-        return Measure1D(uniq, merged)
+        weights = np.asarray(weights, dtype=float).reshape(1, -1)
+        if weights.shape != atoms.shape:
+            raise DomainError("atoms and weights must be matching arrays")
+        return Measure1D(*_merge_rows(atoms, weights)[:2])
 
     def moment(self, p: float) -> float:
         """p-th absolute moment (finite by construction)."""
@@ -111,28 +108,35 @@ class Measure1D:
         return Measure1D.from_atoms(np.array(atoms), np.array(weights))
 
 
+def _merge_rows(atoms: np.ndarray, weights: np.ndarray):
+    """Each row of the (m, n) ``atoms`` sorted stably, keeping the first of
+    equal atoms (of -0.0 and +0.0, the one the row holds first), and the
+    (m, n) ``weights`` of equal atoms summed from 0 by np.add.at in sorted
+    row order.  Returns the kept atoms and their weights, rows concatenated,
+    and each row's count of kept atoms."""
+    order = np.argsort(atoms, axis=1, kind="stable")
+    atoms = np.take_along_axis(atoms, order, axis=1)
+    first = np.ones(atoms.shape, dtype=bool)
+    first[:, 1:] = atoms[:, 1:] != atoms[:, :-1]
+    merged = np.zeros(np.count_nonzero(first))
+    np.add.at(merged, np.cumsum(first) - 1, np.take_along_axis(weights, order, axis=1).ravel())
+    return atoms[first], merged, first.sum(axis=1)
+
+
 @dataclass(frozen=True)
 class StieltjesContour:
-    """Evaluation nodes for the transform distance: Im >= 2, diameter <= 1."""
+    """Evaluation nodes for the transform distance (`default_contour`'s: Im >= 2, diameter <= 1)."""
 
     nodes: np.ndarray
 
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=complex)
-        if nodes.size < 8:
-            raise DomainError("a contour needs at least 8 nodes")
-        if np.any(nodes.imag < 2.0):
-            raise DomainError("every contour node needs Im z >= 2")
-        span = np.abs(nodes[:, None] - nodes[None, :]).max()
-        if span > 1.0 + 1e-12:
-            raise DomainError("contour diameter must not exceed 1")
-        nodes.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
+
+_CONTOUR = StieltjesContour(np.linspace(0.0, 1.0, 64) + 2.0j)
+_CONTOUR.nodes.setflags(write=False)
 
 
 def default_contour() -> StieltjesContour:
-    """64 equispaced nodes on the segment {x + 2i : x in [0, 1]}."""
-    return StieltjesContour(np.linspace(0.0, 1.0, 64) + 2.0j)
+    """64 equispaced nodes on the segment {x + 2i : x in [0, 1]}: one read-only object."""
+    return _CONTOUR
 
 
 def stieltjes(mu: Measure1D, z):
@@ -443,37 +447,24 @@ def _freeconv_rows(points: np.ndarray, z: np.ndarray) -> np.ndarray:
     an (m, n) array, at the 1-d nodes z, one row each.
 
     Row r equals freeconv_transform(Measure1D.from_atoms(points[r]), z) bit
-    for bit.  Each row is sorted and its exact duplicates merged, and the
-    merged weights are summed from 1/n by np.add.at in the order from_atoms
-    sums them (k (1/n) differs from that sum unless n is a power of two).
-    Rows with equal numbers of distinct atoms share one `_subordination`
-    call, whose rows each keep the bits of their own solve.  Rows of unequal
-    length are never padded into one stack: zero-weight atoms would change
-    the pairwise summation of numpy's row sums.  A row holding -0.0 is
-    built by from_atoms, whose sort picks the zero it keeps.  The atoms
-    must be finite; sorted atoms and weights summing to 1 hold by
-    construction.
+    for bit: the rows are merged as from_atoms merges one (`_merge_rows`),
+    each atom weighing 1/n.  Rows with equal numbers of distinct atoms share
+    one `_subordination` call, whose rows each keep the bits of their own
+    solve.  Rows of unequal length are never padded into one stack:
+    zero-weight atoms would change the pairwise summation of numpy's row
+    sums.  The atoms must be finite; sorted atoms and weights summing to 1
+    hold by construction.
     """
     m, n = points.shape
     if not np.isfinite(points).all():
         raise DomainError("atoms and weights must be finite")
     out = np.empty((m, z.size), dtype=complex)
-    signed = ((points == 0.0) & np.signbit(points)).any(axis=1)
-    for r in np.flatnonzero(signed):
-        out[r] = freeconv_transform(Measure1D.from_atoms(points[r]), z)
-    plain = np.flatnonzero(~signed)
-    atoms = np.sort(points[plain], axis=1)
-    first = np.ones(atoms.shape, dtype=bool)
-    first[:, 1:] = atoms[:, 1:] != atoms[:, :-1]
-    weights = np.zeros(np.count_nonzero(first))
-    np.add.at(weights, np.cumsum(first) - 1, np.full(first.size, 1.0 / n))
-    atoms = atoms[first]
-    sizes = first.sum(axis=1)
+    atoms, weights, sizes = _merge_rows(points, np.full(points.shape, 1.0 / n))
     starts = np.cumsum(sizes) - sizes
     for k in np.unique(sizes):
         group = np.flatnonzero(sizes == k)
         cols = starts[group, None] + np.arange(k)
-        out[plain[group]] = _subordination(atoms[cols], weights[cols], z)
+        out[group] = _subordination(atoms[cols], weights[cols], z)
     return out
 
 

@@ -569,13 +569,15 @@ def test_small_alpha_spectrum_and_audit_run(capsys, argv):
          None),
         (("spectrum", "--beta", "1", "--n", "3", "--seed", "1", "--a2", "5"), None),
         (("rate", "--kind", "J", "--c", "-1", "--x", ","), None),
+        (("audit", "--n", "10", "--replicas", "10", "--t-grid", ","), None),
+        (("net", "--m", "4", "--eps", ","), None),
     ],
     ids=["rate-x", "audit-t-grid", "net-eps", "measure-semicolon", "measure-text", "measure-nan",
          "audit-replicas0", "grid-count0", "grid-count-1", "net-m0", "net-trials0", "rate-d0",
          "audit-t-grid-nan", "audit-t-grid-inf", "net-eps-inf", "net-eps-nan",
          "rate-x-nan", "rate-x-inf", "rate-g11-nan", "rate-taup-nan", "spectrum-b-nan",
          "spectrum-b-inf", "grid-lo-nan", "grid-hi-inf", "audit-n1", "audit-n1-esm",
-         "spectrum-a2-beta1", "rate-x-empty"],
+         "spectrum-a2-beta1", "rate-x-empty", "audit-t-grid-empty", "net-eps-empty"],
 )
 def test_malformed_input_exits_one(capsys, tmp_path, argv, measure):
     # each of these once ended in a traceback (ValueError; ZeroDivisionError
@@ -586,8 +588,10 @@ def test_malformed_input_exits_one(capsys, tmp_path, argv, measure):
     # (net-trials0, net-eps-inf, net-eps-nan), a NaN rate (rate-x-nan and the
     # other rate cases), a zeroed diagonal (spectrum-b-inf) or a division by
     # log 1 = 0 (audit-n1, audit-n1-esm), or in exit 0 with a value never
-    # read in the header (spectrum-a2-beta1: a2 enters only at beta 2);
-    # rate-x-empty pairs a negative --c with no point to evaluate it at
+    # read in the header (spectrum-a2-beta1: a2 enters only at beta 2), or in
+    # exit 0 on an empty comma list (audit-t-grid-empty ran a hidden default
+    # grid, net-eps-empty printed an empty table); rate-x-empty pairs a
+    # negative --c with no point to evaluate it at
     if measure is not None:
         path = tmp_path / "measure.csv"
         path.write_text(measure)

@@ -78,6 +78,16 @@ def test_concentration_audit_esm_distance():
     assert c_hat > 0
 
 
+def test_concentration_audit_reads_one_size_and_a_t_grid():
+    # an empty grid once ran a hidden default grid, and of several sizes
+    # only the largest was audited, while the header recorded them all
+    with pytest.raises(DomainError, match="t_grid"):
+        ex.concentration_audit(small_config(t_grid=()))
+    for functional in ("largest_eig", "esm_distance"):
+        with pytest.raises(DomainError, match="one size"):
+            ex.concentration_audit(small_config(functional=functional, n_list=(20, 40)))
+
+
 def test_concentration_audit_deterministic():
     cfg = small_config(replicas=120)
     assert ex.concentration_audit(cfg) == ex.concentration_audit(cfg)
@@ -96,6 +106,14 @@ def test_error_curve_esm_decreasing():
     rows = ex.equivalent_error_curve("esm", cfg, spike=0.0)
     assert rows[-1][1] < rows[0][1]
     assert rows[-1][1] < 0.05  # n=100 already well under the desk tolerance
+
+
+def test_error_curve_esm_takes_spike_zero_only():
+    # the rank-one target (the semicircle's free convolution with the spike)
+    # is not planted, so a spiked esm curve is refused rather than estimated
+    for spike in (1.5, -2.0, math.nan):
+        with pytest.raises(DomainError, match="spike 0"):
+            ex.equivalent_error_curve("esm", small_config(n_list=(10,), replicas=4), spike=spike)
 
 
 def test_error_curve_eig_bbp():
@@ -251,14 +269,31 @@ def test_preset_rerun_byte_identical():
     ],
 )
 def test_preset_output_bytes_pinned(name, digest):
-    # the pins are the bytes on one BLAS thread, as a CLI process runs.  The
-    # pooled eigensolves (n <= 500 here) run on one thread each anyway, and
-    # the other spectral presets read the same on two threads of this numpy
-    # build; eig-error-curve's n = 1000 solves run serially on the process's
-    # threads, and on two its n = 1000 row moves in the last digits
-    with openblas.single_threaded():
-        text = ex.run_preset(name)
+    # run_preset builds its rows on one BLAS thread, whatever its caller
+    # runs, so eig-error-curve's serial n = 1000 solves read the same here
+    # as in a CLI process
+    text = ex.run_preset(name)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.skipif(openblas._library() is None, reason="numpy without its bundled OpenBLAS")
+def test_presets_build_their_rows_on_one_blas_thread(monkeypatch):
+    lib = openblas._library()
+    seen = []
+
+    def build(config):
+        seen.append(lib.scipy_openblas_get_num_threads64_())
+        return [(50, 0.125, 0.5)]
+
+    monkeypatch.setitem(ex._PRESET_OUTPUTS, "eig-error-curve", (ex.CURVE_FIELDS, build))
+    old = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(2)
+    try:
+        ex.run_preset("eig-error-curve")
+        assert seen == [1]
+        assert lib.scipy_openblas_get_num_threads64_() == 2  # the caller's count is restored
+    finally:
+        lib.scipy_openblas_set_num_threads64_(old)
 
 
 def test_presets_reach_their_entry_points_through_the_module(monkeypatch):

@@ -260,7 +260,7 @@ def test_pool_cancels_chunks_after_a_failure(monkeypatch):
 
     monkeypatch.setattr(measures, "sample", failing_sample)
     with pytest.raises(DomainError, match="third chunk"):
-        lpp.passage_times(0.5, (5, 5), 40, seed=27)
+        lpp.passage_times(0.5, [(5, 5)], 40, seed=27)
     assert 2 in starts
     assert len(starts) < 40
 
@@ -277,16 +277,16 @@ def test_pool_tabulates_a_fresh_map_once_outside_the_workers(monkeypatch):
     monkeypatch.setattr(measures, "_MAP_CACHE", {})
     monkeypatch.setattr(pool, "_WORKERS", 3)
     monkeypatch.setattr(pool, "_CELL_BUDGET", 600)  # 4 replicas per chunk, 5 chunks
-    lpp.passage_times(0.4321, (5, 5), 20, seed=28)
+    lpp.passage_times(0.4321, [(5, 5)], 20, seed=28)
     assert list(measures._MAP_CACHE) == [0.4321]
     assert built == [threading.main_thread()]
 
 
 def test_engine_memory_stays_within_the_cell_budget():
-    lpp.passage_times(0.5, (3, 3), 2, seed=0)  # the transport map is built outside the trace
+    lpp.passage_times(0.5, [(3, 3)], 2, seed=0)  # the transport map is built outside the trace
     tracemalloc.start()
     try:
-        lpp.passage_times(0.5, (161, 161), 400, seed=25)
+        lpp.passage_times(0.5, [(161, 161)], 400, seed=25)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -295,7 +295,9 @@ def test_engine_memory_stays_within_the_cell_budget():
 
 
 def test_passage_times_rejects_bad_boxes():
-    for box in ((5,), (2, 2, 2), (2, 2, 2, 2), (0, 3), [], [(3, 3), (0, 3)], [(3, 3), (2, 2, 2)]):
+    # a bare box, such as (3, 3), is not read as a list of one
+    for box in ((5,), (2, 2, 2), (2, 2, 2, 2), (0, 3), (3, 3), [5, 5], [], [(3, 3), (0, 3)],
+                [(3, 3), (2, 2, 2)]):
         with pytest.raises(DomainError):
             lpp.passage_times(0.5, box, 3, seed=0)
     with pytest.raises(DomainError):
@@ -304,7 +306,7 @@ def test_passage_times_rejects_bad_boxes():
 
 def test_passage_times_rejects_negative_replicas():
     with pytest.raises(DomainError):
-        lpp.passage_times(0.5, (3, 3), -3, seed=0)
+        lpp.passage_times(0.5, [(3, 3)], -3, seed=0)
 
 
 def test_estimate_g_monotone_in_direction():

@@ -64,6 +64,10 @@ def test_measure_validation_and_merge():
             sm.Measure1D(np.array(atoms), np.array(weights))
     with pytest.raises(DomainError, match="at least one atom"):
         sm.Measure1D.from_atoms(np.array([]))
+    # an extra weight was once dropped, a missing one an IndexError
+    for atoms, weights in (([2.0, 1.0], [0.5, 0.5, 0.25]), ([2.0, 1.0, 3.0], [0.5, 0.5])):
+        with pytest.raises(DomainError, match="matching"):
+            sm.Measure1D.from_atoms(np.array(atoms), np.array(weights))
     m = sm.Measure1D.from_atoms(np.array([1.0, 0.0, 1.0]), np.array([0.25, 0.5, 0.25]))
     assert m.atoms.tolist() == [0.0, 1.0]
     assert m.weights.tolist() == [0.5, 0.5]
@@ -142,15 +146,14 @@ def test_semicircle_measure_atoms_are_nearest_quantiles():
 
 
 def test_contour_invariants():
+    # one contour, built once: the same read-only object on every call
     c = sm.default_contour()
-    assert c.nodes.size == 64
+    assert sm.default_contour() is c
+    assert c.nodes.size == 64 and not c.nodes.flags.writeable
+    with pytest.raises(ValueError):
+        c.nodes[0] = 3.0j
     assert np.all(c.nodes.imag >= 2.0)
-    with pytest.raises(DomainError):
-        sm.StieltjesContour(np.linspace(0, 1, 4) + 2j)
-    with pytest.raises(DomainError):
-        sm.StieltjesContour(np.linspace(0, 1, 16) + 1j)
-    with pytest.raises(DomainError):
-        sm.StieltjesContour(np.linspace(0, 3, 16) + 2j)
+    assert np.abs(c.nodes[:, None] - c.nodes[None, :]).max() <= 1.0
 
 
 # ---------------------------------------------------------------- distances
@@ -729,9 +732,13 @@ def test_freeconv_rows_match_single_solves():
         rows = candidate_rows(rng, n)
         if n > 1:
             assert len({np.unique(row).size for row in rows}) > 1
-        # -0.0 beside +0.0: from_atoms keeps the zero its sort puts first
-        rows[-1, : (n + 1) // 2] = -0.0
-        rows[-1, (n + 1) // 2 :] = 0.0
+        # -0.0 before +0.0 and after it: both keep the zero the row holds first
+        half = (n + 1) // 2
+        rows[-1, :half], rows[-1, half:] = -0.0, 0.0
+        rows[-4, :half], rows[-4, half:] = 0.0, -0.0
+        for row, sign in ((rows[-1], True), (rows[-4], False)):
+            zeros = sm.Measure1D.from_atoms(row).atoms
+            assert zeros.tolist() == [0.0] and bool(np.signbit(zeros[0])) == sign
         got = sm._freeconv_rows(rows, z)
         for row, g in zip(rows, got):
             assert g.tobytes() == sm.freeconv_transform(sm.Measure1D.from_atoms(row), z).tobytes()
