@@ -8,7 +8,8 @@ imaginary off-diagonal parts in the matrix energy
                  + sum_{i<j} (a1 |Re A_ij|^alpha + a2 |Im A_ij|^alpha).
 
 Entries of a sampled matrix scale the base symmetric law by coef^(-1/alpha),
-so each draw flows through the transport-map sampler of `measures`.
+so each draw comes from the transport-map sampler of `measures` (at
+alpha = 1 those are the exact Laplace draws, with no map).
 `unit_variance_ensemble` derives one coefficient b = a1 = a2 from
 closed-form moments so that E|X_12|^2 = 1.
 

@@ -5,9 +5,11 @@ Two families are supported: the symmetric law with density
 ``exp(-x^alpha) / Z_alpha`` on the half line, for tail exponents
 ``alpha in (0, 2]``.  Sampling is routed through the monotone rearrangement
 ``phi`` that pushes the exponential law onto the one-sided law (odd extension
-``psi`` for the symmetric law), so every Monte Carlo draw exercises the
-transport map.  phi has a closed form through the inverse regularized
-incomplete Gamma function; draws go through a cubic Hermite table of it.
+``psi`` for the symmetric law).  phi has a closed form through the inverse
+regularized incomplete Gamma function; draws at alpha != 1 go through a cubic
+Hermite table of it.  At alpha = 1 the two laws are the exponential and
+Laplace laws, phi is the identity, and the draws are the exact exponential
+and Laplace draws of `rng`.
 Acceptance criterion 5 checks the draws against a direct inverse-CDF sampler.
 
 The two inverse incomplete-Gamma ufuncs are scipy's own, loaded from the
@@ -262,7 +264,9 @@ def sample(law: AlphaLaw, count: int, seed: int, stream: int | range = 0) -> np.
     """i.i.d. draws routed through the transport map.
 
     One-sided: exponential draws mapped through phi.  Two-sided: Laplace
-    draws mapped through the odd extension psi.  Deterministic given
+    draws mapped through the odd extension psi.  At alpha = 1 the laws are
+    the exponential and Laplace laws themselves and phi is the identity, so
+    the draws are returned exactly, with no table.  Deterministic given
     (seed, stream).  With a range of streams the result has one row of
     ``count`` draws per stream, each row equal to that stream's own draw:
     one `rng` call fills the whole chunk, resetting one local Philox to each
@@ -271,6 +275,12 @@ def sample(law: AlphaLaw, count: int, seed: int, stream: int | range = 0) -> np.
     """
     if count < 0:
         raise DomainError(f"count must be non-negative, got {count}")
+    if law.alpha == 1.0:
+        if law.sided == "one":
+            return rng.exponentials(seed, stream, count)
+        out = rng.laplaces(seed, stream, count)
+        out += 0.0  # psi(-0.0) = +0.0
+        return out
     tmap = rearrangement_map(law.alpha)
     if law.sided == "one":
         draw, transport = rng.exponentials, tmap

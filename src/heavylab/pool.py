@@ -16,15 +16,22 @@ the chunks run in order on the caller's thread and nothing else changes:
 on a pool thread, the allocator serves a large replica's arrays from a
 per-thread arena, and spectral-audit's peak RSS (its n = 1000 curve runs
 on one thread) rose from 82 to 95-97 MB in most runs.  With more threads,
-numpy's BLAS is pinned to one thread while the pool is open
+numpy's BLAS is pinned to one thread while the pool runs chunks
 (`openblas.single_threaded`), so the threads do not oversubscribe the CPUs
 with BLAS threads of their own.
+
+The threads are made once per thread count and kept for the life of the
+process, each with its allocator arena.  With fresh threads on every call,
+a new thread could start before an old one had handed its arena back, get
+a new arena, and leave the old one holding its freed chunk arrays: the
+peak RSS of lpp-tail's two-call passes read 73 MB in most runs and 81 or
+95 MB in others.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor, as_completed, wait
 
 from . import openblas
 
@@ -36,6 +43,11 @@ if hasattr(os, "sched_getaffinity"):
     _WORKERS = len(os.sched_getaffinity(0))
 else:  # no affinity call on this platform
     _WORKERS = os.cpu_count() or 1
+
+# The idle threads of each thread count used so far; a forked child has none
+_EXECUTORS: dict[int, ThreadPoolExecutor] = {}
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_EXECUTORS.clear)
 
 
 def plan(footprint: int) -> tuple[int, int]:
@@ -52,7 +64,8 @@ def run(task, count: int, footprint: int) -> None:
     replicas (the last one fewer), where k is the smallest multiple of the
     thread count that keeps chunks within `plan`'s size, so the threads get
     about equal shares.  If a task raises, chunks not yet started are
-    cancelled and its exception reaches the caller.
+    cancelled and its exception reaches the caller.  A task must not call
+    `run`: the threads it would wait for may all be running its callers.
     """
     workers, most = plan(footprint)
     rounds = max(1, -(-count // (workers * most)))  # chunks per thread
@@ -62,11 +75,14 @@ def run(task, count: int, footprint: int) -> None:
         for streams in chunks:
             task(streams)
         return
+    if workers not in _EXECUTORS:
+        _EXECUTORS[workers] = ThreadPoolExecutor(max_workers=workers)
     with openblas.single_threaded():
-        pool = ThreadPoolExecutor(max_workers=workers)
+        futures = [_EXECUTORS[workers].submit(task, streams) for streams in chunks]
         try:
-            futures = [pool.submit(task, streams) for streams in chunks]
             for future in as_completed(futures):
                 future.result()
         finally:
-            pool.shutdown(cancel_futures=True)
+            for future in futures:
+                future.cancel()
+            wait(futures)  # no chunk outlives the call

@@ -282,6 +282,9 @@ def test_lpp_output_bytes_pinned(capsys, argv, header, digest):
         (("sample", "--law", "nu", "--alpha", "0.3", "--count", "50", "--seed", "1"),
          "# heavylab 0.1.0 config_hash=ed6109923fa5 alpha=0.3 command=sample count=50 law=nu seed=1",
          "3823eab4c1a3db4646fbde7549c3108c5f279c6415bf0f7251a09fb23f5332b9"),
+        (("sample", "--law", "nu", "--alpha", "1", "--count", "50", "--seed", "4"),
+         "# heavylab 0.1.0 config_hash=41451cb6940f alpha=1.0 command=sample count=50 law=nu seed=4",
+         "946e54031f12760465e8ce95d7b651756d2ce7096f38b21c7e65ae691057df97"),
         (("freeconv", "--theta", "2", "--eta", "0.01", "--grid-count", "41"),
          "# heavylab 0.1.0 config_hash=6314d73d02fa command=freeconv eta=0.01 grid_count=41"
          " theta=2.0",
@@ -299,7 +302,8 @@ def test_lpp_output_bytes_pinned(capsys, argv, header, digest):
          " seed=5 trials=30",
          "1c0c84d3fb8fed6f413930d2fc6a4bcdb5dba9f197fa2aa4a67ba96f4331f153"),
     ],
-    ids=["sample-mu", "sample-nu-alpha0.3", "freeconv", "rate-single", "rate-multi", "net"],
+    ids=["sample-mu", "sample-nu-alpha0.3", "sample-nu-alpha1", "freeconv", "rate-single", "rate-multi",
+         "net"],
 )
 def test_csv_output_bytes_pinned(capsys, argv, header, digest):
     # spectrum is left out: its eigenvalues depend on the BLAS build; a CLI

@@ -261,10 +261,10 @@ def test_preset_rerun_byte_identical():
     "name, digest",
     [
         ("eig-concentration-small", "49ad91c72f513094717ed4242568a66c38d56cf769192c8dc06d9e3ca87c08c0"),
-        ("esm-error-curve", "366eda4606fd97b52f3fc40ee422624e70dfcd4942845ef5221a2f6d277af860"),
+        ("esm-error-curve", "b8984e1837c1283764ea376056ecb1e09bca288846a1a80a3f686e5ca11c4bf6"),
         ("lpp-tail-trend", "910c3f083a0ec084c24f4682f4177674c398a81cec2865c8ae85e4bec5830f8c"),
-        ("eig-error-curve", "ea57a6942876a617f8279925ed5622d0815a5147caa82f54f285556090a5c076"),
-        ("poly-error-curve", "db34a3d665f90e273ce5ef8cebda121db05b0f59c08c2760795b1e3ac499cfa2"),
+        ("eig-error-curve", "8ce4a5befe6c099f41333a410ee10ecfcc1f3be00188c7ea7ff31a49c8620110"),
+        ("poly-error-curve", "455b00ec80f18dd4f5a6bff8268d98bfca6342ea7e5465bb32541dcaa9f60776"),
         ("lpp-error-curve", "441a598b072b52ef8717fb2028285ed838d3d84514198467313b1f6843643360"),
     ],
 )

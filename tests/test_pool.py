@@ -226,6 +226,27 @@ def test_chunks_share_a_job_evenly_between_the_threads(monkeypatch):
     assert seen == []
 
 
+def test_calls_share_their_threads_and_wait_for_every_chunk(monkeypatch):
+    monkeypatch.setattr(pool, "_WORKERS", 2)
+    threads, running = [], []
+
+    def chunk(streams):
+        threads.append(threading.current_thread())  # list.append is atomic
+        running.append(streams)
+        time.sleep(0.01)
+        if streams.start == 0:
+            raise RuntimeError("first chunk")
+        running.remove(streams)
+
+    for _ in range(3):
+        with pytest.raises(RuntimeError, match="first chunk"):
+            pool.run(chunk, 10, footprint=1)  # two chunks of five
+        assert running == [range(0, 5)]  # the other chunk ended before run did
+        running.clear()
+    assert len({id(t) for t in threads}) <= 2
+    assert all(t.is_alive() for t in threads)
+
+
 def test_large_matrices_run_on_one_worker(monkeypatch):
     monkeypatch.setattr(pool, "_WORKERS", 64)
     assert pool.plan(ml._replica_cells(1000, 1))[0] == 1

@@ -77,9 +77,35 @@ def test_fill_rejects_negative_streams(draw):
 def test_sample_rows_match_oracle_formulas(alpha):
     streams = range(3, 17, 2)
     count = 1001
-    tmap = measures.rearrangement_map(alpha)
+    if alpha == 1.0:  # phi is the identity: the draws themselves, psi(-0.0) = +0.0
+        transport, odd = (lambda x: x), (lambda x: x + 0.0)
+    else:
+        tmap = measures.rearrangement_map(alpha)
+        transport, odd = tmap, tmap.odd
     one = measures.sample(measures.mu(alpha), count, SEED, streams)
     two = measures.sample(measures.nu(alpha), count, SEED, streams)
     for k, s in enumerate(streams):
-        assert np.array_equal(one[k], tmap(_oracle_exponentials(SEED, s, count)))
-        assert np.array_equal(two[k], tmap.odd(_oracle_laplaces(SEED, s, count)))
+        assert np.array_equal(one[k], transport(_oracle_exponentials(SEED, s, count)))
+        assert np.array_equal(two[k], odd(_oracle_laplaces(SEED, s, count)))
+
+
+@pytest.mark.parametrize("stream", [5, range(3, 9)], ids=["stream", "range"])
+def test_sample_at_alpha_one_is_the_exact_draw(stream, monkeypatch):
+    count = 4097
+    tmap = measures.RearrangementMap(1.0)
+    for law, draw, transport in (
+        (measures.mu(1.0), rng.exponentials, tmap),
+        (measures.nu(1.0), rng.laplaces, tmap.odd),
+    ):
+        got = measures.sample(law, count, SEED, stream)
+        raw = draw(SEED, stream, count)
+        assert np.array_equal(got, raw)
+        # the table the draws skip gives the same law to its interpolation error
+        mapped = transport(raw.reshape(-1)).reshape(raw.shape)
+        np.testing.assert_allclose(got, mapped, rtol=1e-13, atol=0.0)
+    # a Laplace draw of -0.0 (u = 0 with a minus sign) comes back as +0.0
+    shape = (len(stream), count) if isinstance(stream, range) else (count,)
+    monkeypatch.setattr(rng, "laplaces", lambda seed, stream, count: np.full(shape, -0.0))
+    zeros = measures.sample(measures.nu(1.0), count, SEED, stream)
+    assert zeros.shape == shape
+    assert np.all(zeros == 0.0) and not np.signbit(zeros).any()
