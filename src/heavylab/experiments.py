@@ -126,7 +126,6 @@ def _wigner_replicas(config: ExperimentConfig, n: int, fn, corner: float = 0.0) 
     (`pool.run`); ``fn`` must be safe to call from several threads at once.
     """
     ens = ml.unit_variance_ensemble(config.alpha, beta=config.beta)
-    measures.rearrangement_map(ens.alpha)  # tabulated here, not by two workers at once
     root = math.sqrt(n)
     values = [None] * config.replicas
 
@@ -153,20 +152,19 @@ def concentration_audit(config: ExperimentConfig):
         raise DomainError("a concentration audit reads one size and a non-empty t_grid, got "
                           f"n_list={config.n_list}, t_grid={config.t_grid}")
     (n,) = config.n_list
+    t_grid = np.asarray(config.t_grid)
+    # outside the audits' domain this raises before any replica is drawn
+    shapes = k_alpha_shape(config.functional, config.alpha, n, t_grid)
     if config.functional == "largest_eig":
         vals = _wigner_replicas(config, n, ml.HermitianMatrix.largest_eig)
         center = float(np.median(vals))
         devs = np.abs(vals - center)
-    elif config.functional == "esm_distance":
+    else:
         nodes = sm.default_contour().nodes
         rows = _wigner_replicas(config, n, lambda x: sm.stieltjes(x.esm(), nodes))
         center = np.median(rows.real, axis=0) + 1j * np.median(rows.imag, axis=0)
         devs = np.max(np.abs(rows - center[None, :]), axis=1)
-    else:
-        raise DomainError("concentration audits cover esm_distance and largest_eig")
-    t_grid = np.asarray(config.t_grid)
     exceed = np.array([float(np.mean(devs > t)) for t in t_grid])
-    shapes = k_alpha_shape(config.functional, config.alpha, n, t_grid)
     usable = (exceed > 0) & (exceed < 1)
     c_hat = float(np.min(-np.log(exceed[usable]) / shapes[usable])) if usable.any() else math.inf
     bound = np.exp(-c_hat * shapes) if math.isfinite(c_hat) else np.zeros_like(shapes)

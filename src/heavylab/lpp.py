@@ -116,7 +116,6 @@ def passage_times(alpha: float, boxes, replicas: int, seed: int, shift=None) -> 
     if replicas < 0:
         raise DomainError(f"replicas must be non-negative, got {replicas}")
     law = measures.mu(alpha)
-    measures.rearrangement_map(law.alpha)  # tabulated here, not by two workers at once
     cells = max(math.prod(box) for box in boxes)
     if shift is not None:
         shift = np.asarray(shift, dtype=float).reshape(cells, 1)

@@ -21,11 +21,13 @@ ufuncs that load in about 2 ms.
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -191,15 +193,15 @@ class RearrangementMap:
         return np.copysign(self(np.abs(x)), x + 0.0)
 
 
-_MAP_CACHE: dict[float, RearrangementMap] = {}
+_MAP_LOCK = threading.Lock()
+_tabulated = functools.cache(RearrangementMap)
 
 
 def rearrangement_map(alpha: float) -> RearrangementMap:
-    """Shared tabulated map per alpha (maps are immutable)."""
-    key = float(alpha)
-    if key not in _MAP_CACHE:
-        _MAP_CACHE[key] = RearrangementMap(key)
-    return _MAP_CACHE[key]
+    """Shared tabulated map per alpha (maps are immutable), built once,
+    by whichever thread asks first, while the others wait for it."""
+    with _MAP_LOCK:
+        return _tabulated(float(alpha))
 
 
 @dataclass(frozen=True)
@@ -260,38 +262,42 @@ def moment(law: AlphaLaw, k: int) -> float:
 _MAP_BLOCK = 2**16
 
 
-def sample(law: AlphaLaw, count: int, seed: int, stream: int | range = 0) -> np.ndarray:
-    """i.i.d. draws routed through the transport map.
+def transport(alpha: float, sided: str, draws: np.ndarray) -> np.ndarray:
+    """``draws`` carried onto the law with exponent ``alpha`` and side ``sided``.
 
     One-sided: exponential draws mapped through phi.  Two-sided: Laplace
     draws mapped through the odd extension psi.  At alpha = 1 the laws are
     the exponential and Laplace laws themselves and phi is the identity, so
-    the draws are returned exactly, with no table.  Deterministic given
-    (seed, stream).  With a range of streams the result has one row of
-    ``count`` draws per stream, each row equal to that stream's own draw:
-    one `rng` call fills the whole chunk, resetting one local Philox to each
-    stream's key in turn (no state is shared across calls), and the map
-    then runs over the chunk in place, block by block.
+    the draws are returned exactly, with no table.  Otherwise the map runs
+    over a C-contiguous ``draws`` in place, block by block, and returns it.
+    """
+    if alpha == 1.0:
+        if sided == "two":
+            draws += 0.0  # psi(-0.0) = +0.0
+        return draws
+    tmap = rearrangement_map(alpha)
+    map_block = tmap if sided == "one" else tmap.odd
+    flat = draws.reshape(-1)
+    for lo in range(0, flat.size, _MAP_BLOCK):
+        block = flat[lo : lo + _MAP_BLOCK]
+        block[:] = map_block(block)
+    return draws
+
+
+def sample(law: AlphaLaw, count: int, seed: int, stream: int | range = 0) -> np.ndarray:
+    """i.i.d. draws of ``law``: exponential or Laplace draws of `rng`, carried
+    onto it by `transport`.
+
+    Deterministic given (seed, stream).  With a range of streams the result
+    has one row of ``count`` draws per stream, each row equal to that
+    stream's own draw: one `rng` call fills the whole chunk, resetting one
+    local Philox to each stream's key in turn (no state is shared across
+    calls), and the map then runs over the chunk in place.
     """
     if count < 0:
         raise DomainError(f"count must be non-negative, got {count}")
-    if law.alpha == 1.0:
-        if law.sided == "one":
-            return rng.exponentials(seed, stream, count)
-        out = rng.laplaces(seed, stream, count)
-        out += 0.0  # psi(-0.0) = +0.0
-        return out
-    tmap = rearrangement_map(law.alpha)
-    if law.sided == "one":
-        draw, transport = rng.exponentials, tmap
-    else:
-        draw, transport = rng.laplaces, tmap.odd
-    out = draw(seed, stream, count)
-    flat = out.reshape(-1)
-    for lo in range(0, flat.size, _MAP_BLOCK):
-        block = flat[lo : lo + _MAP_BLOCK]
-        block[:] = transport(block)
-    return out
+    draw = rng.exponentials if law.sided == "one" else rng.laplaces
+    return transport(law.alpha, law.sided, draw(seed, stream, count))
 
 
 def sample_inverse_cdf(law: AlphaLaw, count: int, seed: int, stream: int = 0) -> np.ndarray:

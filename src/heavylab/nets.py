@@ -35,9 +35,8 @@ def _net_probe(p: float, m: int, gen) -> np.ndarray:
     visit the ball's spiky extremes, so half the probes put Dirichlet-split
     l^p mass on a random sparse support at a random radius.
     """
-    tmap = measures.rearrangement_map(p)
     if gen.random() < 0.5:
-        mags = np.asarray(tmap(-np.log1p(-gen.random(m))))
+        mags = measures.transport(p, "one", -np.log1p(-gen.random(m)))
         signs = np.where(gen.random(m) < 0.5, -1.0, 1.0)
         vec = signs * mags
         return vec / _lp_radius(vec, -math.log1p(-gen.random()), p)

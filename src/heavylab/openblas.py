@@ -106,18 +106,14 @@ def single_threaded():
         lib.scipy_openblas_set_num_threads64_(old)
 
 
-# Per (kind, n, dtype): the workspace lengths the solver's size query reports
-_LENGTHS: dict[tuple[str, int, np.dtype], tuple[int, ...]] = {}
-
-
 def _solve(lib, kind: str, a: np.ndarray, lengths) -> tuple[int, np.ndarray, list[np.ndarray]]:
-    """One call of the kind's routine on a Fortran-order copy of ``a``.
+    """One call of the kind's routine on ``a``, an n x n Fortran-order array
+    that it overwrites.
 
     Returns (info, eigenvalues, workspaces): all n eigenvalues for ``evd``,
     those found of the top one for ``evr``.  Lengths of -1 query the
-    workspace sizes into each workspace's first entry.
+    workspace sizes into each workspace's first entry, reading no entry of ``a``.
     """
-    fortran = np.array(a, order="F")  # the solver overwrites it
     w = np.empty(a.shape[0])
     work = [np.empty(max(k, 1), dt) for k, dt in zip(lengths, _WORK[a.dtype])]
     dim, info = _INT(a.shape[0]), _INT(0)
@@ -125,7 +121,7 @@ def _solve(lib, kind: str, a: np.ndarray, lengths) -> tuple[int, np.ndarray, lis
     names, lead = _ROUTINES[kind]
     if kind == "evd":
         args = [
-            b"N", b"L", ctypes.byref(dim), fortran.ctypes.data, ctypes.byref(dim), w.ctypes.data,
+            b"N", b"L", ctypes.byref(dim), a.ctypes.data, ctypes.byref(dim), w.ctypes.data,
         ]
     else:
         # vl, vu and abstol are 0 (the first two unread); il = iu = n; no
@@ -133,7 +129,7 @@ def _solve(lib, kind: str, a: np.ndarray, lengths) -> tuple[int, np.ndarray, lis
         zero, one = ctypes.c_double(0.0), _INT(1)
         z, isuppz = np.empty(1, a.dtype), np.empty(2, np.int64)
         args = [
-            b"N", b"I", b"L", ctypes.byref(dim), fortran.ctypes.data, ctypes.byref(dim),
+            b"N", b"I", b"L", ctypes.byref(dim), a.ctypes.data, ctypes.byref(dim),
             ctypes.byref(zero), ctypes.byref(zero), ctypes.byref(dim), ctypes.byref(dim),
             ctypes.byref(zero), ctypes.byref(found), w.ctypes.data, z.ctypes.data,
             ctypes.byref(one), isuppz.ctypes.data,
@@ -142,6 +138,16 @@ def _solve(lib, kind: str, a: np.ndarray, lengths) -> tuple[int, np.ndarray, lis
         args += [buf.ctypes.data, ctypes.byref(_INT(k))]
     getattr(lib, names[a.dtype])(*args, ctypes.byref(info), *[1] * lead.count(_CHAR))
     return info.value, w[: found.value], work
+
+
+@cache
+def _lengths(kind: str, n: int, dtype: np.dtype) -> tuple[int, ...]:
+    """The workspace lengths the kind's size query reports for n x n
+    matrices of ``dtype``.  The query reads no entry, so one zero, broadcast,
+    stands in for the matrix."""
+    a = np.broadcast_to(np.zeros((), dtype), (n, n))
+    _, _, work = _solve(_library(), kind, a, (-1,) * len(_WORK[dtype]))
+    return tuple(int(buf[0].real) for buf in work)
 
 
 def _native(kind: str, a: np.ndarray) -> np.ndarray | None:
@@ -155,11 +161,7 @@ def _native(kind: str, a: np.ndarray) -> np.ndarray | None:
     square = a.ndim == 2 and a.shape[0] == a.shape[1] > 0
     if lib is None or not square or a.dtype not in _WORK:
         return None
-    key = kind, a.shape[0], a.dtype
-    if key not in _LENGTHS:
-        _, _, work = _solve(lib, kind, a, (-1,) * len(_WORK[a.dtype]))
-        _LENGTHS[key] = tuple(int(buf[0].real) for buf in work)
-    info, w, _ = _solve(lib, kind, a, _LENGTHS[key])
+    info, w, _ = _solve(lib, kind, np.array(a, order="F"), _lengths(kind, a.shape[0], a.dtype))
     if info != 0 or w.size == 0:
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
     return w

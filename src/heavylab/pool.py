@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor, as_completed, wait
+from functools import cache
 
 from . import openblas
 
@@ -44,10 +45,11 @@ if hasattr(os, "sched_getaffinity"):
 else:  # no affinity call on this platform
     _WORKERS = os.cpu_count() or 1
 
-# The idle threads of each thread count used so far; a forked child has none
-_EXECUTORS: dict[int, ThreadPoolExecutor] = {}
+# The idle threads of each thread count used so far, made on first use by
+# `_executor(workers)`; a forked child has none
+_executor = cache(ThreadPoolExecutor)
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_EXECUTORS.clear)
+    os.register_at_fork(after_in_child=_executor.cache_clear)
 
 
 def plan(footprint: int) -> tuple[int, int]:
@@ -75,10 +77,9 @@ def run(task, count: int, footprint: int) -> None:
         for streams in chunks:
             task(streams)
         return
-    if workers not in _EXECUTORS:
-        _EXECUTORS[workers] = ThreadPoolExecutor(max_workers=workers)
+    executor = _executor(workers)
     with openblas.single_threaded():
-        futures = [_EXECUTORS[workers].submit(task, streams) for streams in chunks]
+        futures = [executor.submit(task, streams) for streams in chunks]
         try:
             for future in as_completed(futures):
                 future.result()

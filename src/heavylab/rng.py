@@ -16,9 +16,11 @@ draws straight into that stream's row of the result.  A reset yields
 exactly the draws of a fresh ``philox(seed, stream)`` at a fraction of a
 generator build, and no generator state is shared between calls.
 
-Non-uniform draws are derived from uniforms through explicit inverse-CDF
-transforms so the mapping from counter stream to output is documented here
-and nowhere else.
+The bulk draws of the replica engines (uniforms, exponentials, Laplace
+draws) are derived here from uniforms through explicit inverse-CDF
+transforms.  Other routines draw from a `philox` Generator of their own and
+derive their draws where they use them: `nets`' probes, `ratefuncs`'
+restarts and the criterion-5 sampler of `measures`.
 """
 
 from __future__ import annotations

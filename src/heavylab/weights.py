@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -58,14 +59,6 @@ def corexp(delta: float) -> WeightFunction:
     return WeightFunction(delta)
 
 
-# weight tables W[i,j] = w(x_i - x_j), reused across tau-product corpora, each
-# kept beside its block floors (`_table_entry`)
-_TABLE_CACHE: dict[tuple, tuple] = {}
-
-# Simpson weights times the law's density, per law and grid (`_quadrature`)
-_QUAD_CACHE: dict[tuple, np.ndarray] = {}
-
-
 def _weight_table(w, grid: np.ndarray) -> np.ndarray:
     """W[i,j] = w(x_i - x_j), built 64 rows at a time, the blocks
     `inf_convolution` evaluates above 1600 nodes, so no n x n temporary of
@@ -80,8 +73,10 @@ def _weight_table(w, grid: np.ndarray) -> np.ndarray:
     return table
 
 
-def _table_entry(w: WeightFunction, grid: np.ndarray):
-    """(table, floors) of w on grid, built once per weight and grid: the
+@lru_cache(maxsize=8)
+def _table_entry(w: WeightFunction, grid_bytes: bytes):
+    """(table, floors) of w on the grid whose float64 bytes are given, built
+    once per weight and grid and reused across tau-product corpora: the
     table W[i,j] = w(x_i - x_j), and floors[b, j], the smallest entry of
     column j over the 64-row block b.
 
@@ -89,18 +84,11 @@ def _table_entry(w: WeightFunction, grid: np.ndarray):
     x - y = -(y - x) in IEEE arithmetic, w reads |t| and w(+0) = +0.  A
     non-finite entry raises `DomainError`.
     """
-    key = w, grid.tobytes()
-    entry = _TABLE_CACHE.get(key)
-    if entry is None:
-        table = _weight_table(w, grid)
-        if not np.isfinite(table).all():
-            raise DomainError(f"{w} has a non-finite entry on this grid")
-        floors = np.array([table[start : start + 64].min(axis=0) for start in range(0, len(table), 64)])
-        entry = table, floors
-        if len(_TABLE_CACHE) > 8:
-            _TABLE_CACHE.clear()
-        _TABLE_CACHE[key] = entry
-    return entry
+    table = _weight_table(w, np.frombuffer(grid_bytes))
+    if not np.isfinite(table).all():
+        raise DomainError(f"{w} has a non-finite entry on this grid")
+    floors = np.array([table[start : start + 64].min(axis=0) for start in range(0, len(table), 64)])
+    return table, floors
 
 
 def inf_convolution(f, w: WeightFunction, grid) -> np.ndarray:
@@ -147,7 +135,7 @@ def inf_convolution(f, w: WeightFunction, grid) -> np.ndarray:
             block = slice(start, start + 64)
             out[block] = np.min(f[None, :] + w(grid[block, None] - grid[None, :]), axis=1)
         return out
-    table, floors = _table_entry(w, grid)
+    table, floors = _table_entry(w, grid.tobytes())
     starts = np.arange(0, n, 64)
     padded = np.full(starts.size * 64, np.inf)
     padded[:n] = f
@@ -172,26 +160,22 @@ def _simpson_weights(n: int, h: float) -> np.ndarray:
     return wts * (h / 3.0)
 
 
-def _quadrature(law: AlphaLaw, grid: np.ndarray) -> np.ndarray:
-    """Simpson weights times law's density on grid, built once per AlphaLaw
-    and grid.  A grid of fewer than 3 nodes, not uniform or whose weights
-    sum to a mass off 1 by more than 1e-6 raises and is not cached, so it
-    raises on every call."""
-    key = law, grid.tobytes()
-    wd = _QUAD_CACHE.get(key)
-    if wd is None:
-        if grid.size < 3:
-            raise DomainError("tau_product needs a Simpson grid of at least 3 nodes")
-        h = grid[1] - grid[0]
-        if not np.allclose(np.diff(grid), h, rtol=1e-9):
-            raise DomainError("tau_product needs a uniform Simpson grid")
-        wd = _simpson_weights(grid.size, h) * law.density(grid)
-        mass = float(np.sum(wd))
-        if abs(mass - 1.0) > 1e-6:
-            raise AccuracyError(f"quadrature weights sum to {mass}, not the law's mass 1")
-        if len(_QUAD_CACHE) > 8:
-            _QUAD_CACHE.clear()
-        _QUAD_CACHE[key] = wd
+@lru_cache(maxsize=8)
+def _quadrature(law: AlphaLaw, grid_bytes: bytes) -> np.ndarray:
+    """Simpson weights times law's density on the grid whose float64 bytes
+    are given, built once per AlphaLaw and grid.  A grid of fewer than 3
+    nodes, not uniform or whose weights sum to a mass off 1 by more than
+    1e-6 raises and is not cached, so it raises on every call."""
+    grid = np.frombuffer(grid_bytes)
+    if grid.size < 3:
+        raise DomainError("tau_product needs a Simpson grid of at least 3 nodes")
+    h = grid[1] - grid[0]
+    if not np.allclose(np.diff(grid), h, rtol=1e-9):
+        raise DomainError("tau_product needs a uniform Simpson grid")
+    wd = _simpson_weights(grid.size, h) * law.density(grid)
+    mass = float(np.sum(wd))
+    if abs(mass - 1.0) > 1e-6:
+        raise AccuracyError(f"quadrature weights sum to {mass}, not the law's mass 1")
     return wd
 
 
@@ -206,7 +190,7 @@ def tau_product(law: AlphaLaw, w, f, grid) -> float:
     f = np.asarray(f, dtype=float)
     if not (f >= 0).all():
         raise DomainError("tau_product needs a non-negative f")
-    wd = _quadrature(law, grid)
+    wd = _quadrature(law, grid.tobytes())
     fw = inf_convolution(f, w, grid)
     left = float(np.sum(wd * np.exp(np.minimum(fw, 700.0))))
     right = float(np.sum(wd * np.exp(-f)))

@@ -301,9 +301,14 @@ def test_lpp_output_bytes_pinned(capsys, argv, header, digest):
          "# heavylab 0.1.0 config_hash=11429cb5b4d4 command=net eps=0.5,0.9 m=8 p=0.5 q=2.0"
          " seed=5 trials=30",
          "1c0c84d3fb8fed6f413930d2fc6a4bcdb5dba9f197fa2aa4a67ba96f4331f153"),
+        (("net", "--p", "1", "--q", "2", "--eps", "0.5,0.9", "--m", "8", "--trials", "30",
+          "--seed", "5"),
+         "# heavylab 0.1.0 config_hash=be6c5690a32f command=net eps=0.5,0.9 m=8 p=1.0 q=2.0"
+         " seed=5 trials=30",
+         "84f6f0e79cd5076024985a75fc4d36dfb93698de5ce1ac7976072014bcb849f0"),
     ],
     ids=["sample-mu", "sample-nu-alpha0.3", "sample-nu-alpha1", "freeconv", "rate-single", "rate-multi",
-         "net"],
+         "net", "net-p1"],
 )
 def test_csv_output_bytes_pinned(capsys, argv, header, digest):
     # spectrum is left out: its eigenvalues depend on the BLAS build; a CLI

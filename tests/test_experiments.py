@@ -88,6 +88,19 @@ def test_concentration_audit_reads_one_size_and_a_t_grid():
             ex.concentration_audit(small_config(functional=functional, n_list=(20, 40)))
 
 
+def test_concentration_audit_checks_its_domain_before_sampling(monkeypatch):
+    # an n = 1 audit once ran all its replicas before learning that log n = 0
+    def sampled(*args, **kwargs):
+        raise AssertionError("the audit entered the replica loop")
+
+    monkeypatch.setattr(ex, "_wigner_replicas", sampled)
+    for functional in ("largest_eig", "esm_distance"):
+        with pytest.raises(DomainError, match="n >= 2"):
+            ex.concentration_audit(small_config(functional=functional, n_list=(1,), replicas=500))
+    with pytest.raises(DomainError, match="cover esm_distance and largest_eig"):
+        ex.concentration_audit(small_config(functional="trace_poly"))
+
+
 def test_concentration_audit_deterministic():
     cfg = small_config(replicas=120)
     assert ex.concentration_audit(cfg) == ex.concentration_audit(cfg)
@@ -202,6 +215,18 @@ def test_net_probes_lie_in_the_ball():
         norms = np.sum(np.abs(probes) ** p, axis=1)
         assert np.all(norms <= 1.0 + 1e-12)
         assert norms.mean() > 0.5  # not collapsed at the origin
+
+
+def test_net_probes_at_p1_read_no_table(monkeypatch):
+    # phi is the identity at p = 1: probes once read the Hermite table there,
+    # up to 1.1e-14 relative off the exact exponential magnitudes
+    from heavylab import measures
+
+    def no_table(alpha):
+        raise AssertionError(f"the transport table was read at p={alpha}")
+
+    monkeypatch.setattr(measures, "rearrangement_map", no_table)
+    assert len(nets.greedy_net_centers(1.0, 2.0, eps=0.5, m=8, trials=30, seed=5)) == 27
 
 
 def test_greedy_net_trivial_and_nesting():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import sys
@@ -265,21 +266,24 @@ def test_pool_cancels_chunks_after_a_failure(monkeypatch):
     assert len(starts) < 40
 
 
-def test_pool_tabulates_a_fresh_map_once_outside_the_workers(monkeypatch):
+def test_pool_builds_a_fresh_map_once_inside_the_workers(monkeypatch):
+    # the first chunk to ask for an alpha builds its map; the others wait for it
     built = []
 
     class RecordingMap(measures.RearrangementMap):
         def __post_init__(self):
             built.append(threading.current_thread())
+            time.sleep(0.05)  # the other workers ask while it is built
             super().__post_init__()
 
-    monkeypatch.setattr(measures, "RearrangementMap", RecordingMap)
-    monkeypatch.setattr(measures, "_MAP_CACHE", {})
+    monkeypatch.setattr(measures, "_tabulated", functools.cache(RecordingMap))
     monkeypatch.setattr(pool, "_WORKERS", 3)
     monkeypatch.setattr(pool, "_CELL_BUDGET", 600)  # 4 replicas per chunk, 5 chunks
-    lpp.passage_times(0.4321, [(5, 5)], 20, seed=28)
-    assert list(measures._MAP_CACHE) == [0.4321]
-    assert built == [threading.main_thread()]
+    times = lpp.passage_times(0.4321, [(5, 5)], 20, seed=28)
+    assert len(built) == 1 and built[0] is not threading.main_thread()
+    monkeypatch.setattr(pool, "_WORKERS", 1)
+    assert np.array_equal(lpp.passage_times(0.4321, [(5, 5)], 20, seed=28), times)
+    assert len(built) == 1
 
 
 def test_engine_memory_stays_within_the_cell_budget():

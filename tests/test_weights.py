@@ -309,7 +309,7 @@ def test_weight_tables_equal_their_transpose(delta, n, uniform, seed):
     else:
         grid = np.sort(rng.uniform(-half, half, n))
         grid = grid + 1e-9 * half * np.arange(n)  # enforce strict increase
-    table, _ = weights._table_entry(weights.corexp(delta), grid)
+    table, _ = weights._table_entry(weights.corexp(delta), grid.tobytes())
     assert table.tobytes() == table.T.tobytes()
     assert not np.signbit(table).any()
 
@@ -340,18 +340,18 @@ def test_weight_table_blocks_equal_whole_table():
         random = np.sort(rng.uniform(-30, 30, n)) + 1e-9 * np.arange(n)
         for grid in (uniform, random):
             for w in TABLE_WEIGHTS:
-                weights._TABLE_CACHE.clear()
+                weights._table_entry.cache_clear()
                 table = weights._weight_table(w, grid)
                 assert table.shape == (n, n)
                 assert np.array_equal(table, w(grid[:, None] - grid[None, :]))
-    weights._TABLE_CACHE.clear()
+    weights._table_entry.cache_clear()
 
 
 def test_weight_table_build_memory():
     # the whole-table expression peaked at 4-5 tables (56 MB for 11.5 MB)
     grid = np.linspace(-30, 30, 1201)
     for w in TABLE_WEIGHTS:
-        weights._TABLE_CACHE.clear()
+        weights._table_entry.cache_clear()
         tracemalloc.start()
         try:
             weights._weight_table(w, grid)
@@ -359,7 +359,7 @@ def test_weight_table_build_memory():
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * grid.size**2 * 8
-    weights._TABLE_CACHE.clear()
+    weights._table_entry.cache_clear()
 
 
 def test_inf_convolution_rejects_bad_grid():
@@ -453,7 +453,7 @@ def test_tau_product_checks_hold_on_every_call():
     zero = np.zeros_like(grid)
     one_nan = zero.copy()
     one_nan[600] = math.nan
-    weights._QUAD_CACHE.clear()
+    weights._quadrature.cache_clear()
     cold = {law: weights.tau_product(law, w, zero, grid)}
     for _ in range(2):
         with pytest.raises(DomainError, match="uniform Simpson grid"):
@@ -474,7 +474,7 @@ def test_tau_product_checks_hold_on_every_call():
     other = measures.nu(2.0)
     cold[other] = weights.tau_product(other, w, zero, grid)
     assert cold[other] != cold[law]
-    weights._QUAD_CACHE.clear()
+    weights._quadrature.cache_clear()
     assert weights.tau_product(other, w, zero, grid) == cold[other]
     # too much mass fails as too little does: the one-sided density jumps at
     # 0, a node of this grid, and Simpson's rule gives it a mass of 1.0167
