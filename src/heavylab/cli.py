@@ -190,6 +190,7 @@ def cmd_sample(args) -> int:
 
 def cmd_spectrum(args) -> int:
     from . import matrixlab as ml
+    from . import openblas
 
     if args.a2 is not None and args.beta == ml.BETA_SYMMETRIC:
         raise ConfigError("spectrum --beta 1 does not read --a2")
@@ -203,10 +204,11 @@ def cmd_spectrum(args) -> int:
             a2=args.a2 if args.a2 is not None else 1.0,
             beta=args.beta,
         )
-    x = ml.sample_wigner(ens, args.n, args.seed)
+    # one matrix: scaled in place and solved as it lies, its last use
+    mat = ml._wigner_array(ens, args.n, args.seed, 0)
     if args.scale == "sqrtn":
-        x = x.scale(1.0 / math.sqrt(args.n))
-    rows = ((v,) for v in x.spectrum())
+        mat *= 1.0 / math.sqrt(args.n)
+    rows = ((v,) for v in openblas.eigvalsh(mat, overwrite_a=True))
     _write(args.out, csv_text(_resolved_config(args), ("eigenvalue",), rows))
     return 0
 

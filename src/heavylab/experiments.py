@@ -9,16 +9,19 @@ can differ in the last digits with the BLAS thread count.
 Spectral audits and curves share one replica loop, `_wigner_replicas`: each
 replica's Wigner matrix is built once, divided by sqrt(n) in place, shifted
 in place at its [0, 0] corner (the rank-one spike of the curves) and handed
-to the functional.  The ``largest_eig`` audit and the "eig" curve solve
-for the top eigenvalue alone (`HermitianMatrix.largest_eig`); the
-``esm_distance`` audit and the "esm" curve take whole spectra.  The loop's
-chunks of streams run on the replica pool that `lpp.passage_times` uses as
-well (`pool.run`).  When the pool runs more than one thread, eigensolves
-run on one BLAS thread each and release the interpreter lock (`openblas`).
-Matrices too large for two in the pool's memory budget (n >= 916 for
-beta = 1, n >= 648 for beta = 2) run serially on the process's BLAS
-threads: one in a preset (`run_preset`) and, unless its caller set the
-count, in a CLI process (`cli`); numpy's default in other library callers.
+to the functional, which solves on that array itself: the solve is the
+matrix's last use, so LAPACK overwrites it in place of a copy
+(`openblas`'s ``overwrite_a``).  The ``largest_eig`` audit and the "eig"
+curve solve for the top eigenvalue alone (`_top_eig`); the
+``esm_distance`` audit and the "esm" curve take whole spectra (`_esm`).
+The loop's chunks of streams run on the replica pool that
+`lpp.passage_times` uses as well (`pool.run`).  When the pool runs more
+than one thread, eigensolves run on one BLAS thread each and release the
+interpreter lock (`openblas`).  Matrices too large for two in the pool's
+memory budget (n >= 916 for beta = 1, n >= 648 for beta = 2) run serially
+on the process's BLAS threads: one in a preset (`run_preset`) and, unless
+its caller set the count, in a CLI process (`cli`); numpy's default in
+other library callers.
 
 Every output goes through `emit`'s `jsonl_text` (records, by
 `emit_jsonl(config, fields, rows)`) or `csv_text` (the audit's summary),
@@ -121,9 +124,10 @@ def _wigner_replicas(config: ExperimentConfig, n: int, fn, corner: float = 0.0) 
     X is the unit-variance Wigner matrix of the config's alpha and beta drawn
     from stream s of ``config.seed``, for s < ``config.replicas``.  Each
     replica's matrix is built once: the draw is divided by sqrt(n) in place,
-    the corner shift is added to its [0, 0] entry in place, and the result is
-    wrapped for ``fn`` as it is.  Chunks of streams run on the replica pool
-    (`pool.run`); ``fn`` must be safe to call from several threads at once.
+    the corner shift is added to its [0, 0] entry in place, and ``fn`` gets
+    the resulting writable C-order array, which it may overwrite.  Chunks of
+    streams run on the replica pool (`pool.run`); ``fn`` must be safe to
+    call from several threads at once.
     """
     ens = ml.unit_variance_ensemble(config.alpha, beta=config.beta)
     root = math.sqrt(n)
@@ -134,10 +138,20 @@ def _wigner_replicas(config: ExperimentConfig, n: int, fn, corner: float = 0.0) 
             mat = ml._wigner_array(ens, n, config.seed, s)
             np.divide(mat, root, out=mat)
             mat[0, 0] += corner
-            values[s] = fn(ml.HermitianMatrix._wrap(mat))
+            values[s] = fn(mat)
 
-    pool.run(run_chunk, config.replicas, ml._replica_cells(n, config.beta))
+    pool.run(run_chunk, config.replicas, ml._pooled_cells(n, config.beta))
     return np.array(values)
+
+
+def _top_eig(mat: np.ndarray) -> float:
+    """The largest eigenvalue of a replica's matrix, solved on its array."""
+    return openblas.largest_eigvalsh(mat, overwrite_a=True)
+
+
+def _esm(mat: np.ndarray) -> sm.Measure1D:
+    """The empirical spectral measure of a replica's matrix, solved on its array."""
+    return sm.Measure1D.from_atoms(openblas.eigvalsh(mat, overwrite_a=True))
 
 
 def concentration_audit(config: ExperimentConfig):
@@ -156,12 +170,12 @@ def concentration_audit(config: ExperimentConfig):
     # outside the audits' domain this raises before any replica is drawn
     shapes = k_alpha_shape(config.functional, config.alpha, n, t_grid)
     if config.functional == "largest_eig":
-        vals = _wigner_replicas(config, n, ml.HermitianMatrix.largest_eig)
+        vals = _wigner_replicas(config, n, _top_eig)
         center = float(np.median(vals))
         devs = np.abs(vals - center)
     else:
         nodes = sm.default_contour().nodes
-        rows = _wigner_replicas(config, n, lambda x: sm.stieltjes(x.esm(), nodes))
+        rows = _wigner_replicas(config, n, lambda mat: sm.stieltjes(_esm(mat), nodes))
         center = np.median(rows.real, axis=0) + 1j * np.median(rows.imag, axis=0)
         devs = np.max(np.abs(rows - center[None, :]), axis=1)
     exceed = np.array([float(np.mean(devs > t)) for t in t_grid])
@@ -179,11 +193,16 @@ def equivalent_error_curve(kind: str, config: ExperimentConfig, spike: float = 2
     measure with the semicircle free convolution, "eig" the top eigenvalue
     with rho(lambda), "poly" the normalized trace of x^3 with its limit,
     "lpp" the normalized passage time with the shape DP.  Deformations are rank-one
-    (or corner) spikes of height ``spike`` (esm takes 0 alone).  The lpp kind
-    alone reads the shape estimate ``g_eval``, and needs it.
+    (or corner) spikes of height ``spike`` (esm takes 0 alone).  The config's
+    functional must be the kind's (esm_distance, largest_eig, trace_poly,
+    lpp_time).  The lpp kind alone reads the shape estimate ``g_eval``, and
+    needs it.
     """
-    if kind not in _CURVE_ERRORS:
+    if kind not in _CURVES:
         raise DomainError(f"unknown curve kind {kind!r}")
+    functional, errors = _CURVES[kind]
+    if config.functional != functional:
+        raise DomainError(f"{kind} curves take a {functional} config, got {config.functional}")
     shape = ()
     if kind == "lpp":
         if g_eval is None:
@@ -193,7 +212,7 @@ def equivalent_error_curve(kind: str, config: ExperimentConfig, spike: float = 2
         raise DomainError(f"{kind} curves read no g_eval")
     out = []
     for n in config.n_list:
-        errs = _CURVE_ERRORS[kind](config, n, spike, *shape)
+        errs = errors(config, n, spike, *shape)
         out.append((n, float(np.mean(errs)), float(np.std(errs, ddof=1) / math.sqrt(len(errs)))))
     return out
 
@@ -204,15 +223,15 @@ def _esm_errors(config, n, spike):
     nodes = sm.default_contour().nodes
     target = sm.g_semicircle(nodes)
 
-    def err(x):
-        return float(np.max(np.abs(sm.stieltjes(x.esm(), nodes) - target)))
+    def err(mat):
+        return float(np.max(np.abs(sm.stieltjes(_esm(mat), nodes) - target)))
 
     return _wigner_replicas(config, n, err)
 
 
 def _eig_errors(config, n, spike):
     target = ml.rho(spike)
-    return _wigner_replicas(config, n, lambda x: abs(x.largest_eig() - target), spike)
+    return _wigner_replicas(config, n, lambda mat: abs(_top_eig(mat) - target), spike)
 
 
 def _poly_errors(config, n, spike):
@@ -220,8 +239,8 @@ def _poly_errors(config, n, spike):
     d = poly.total_degree
     limit = deterministic_equivalent_poly(poly, (ml.spike_matrix(n, spike),), n)
 
-    def err(y):
-        return abs(eval_trace(poly, (y,), normalize=True) - limit)
+    def err(mat):
+        return abs(eval_trace(poly, (ml.HermitianMatrix._wrap(mat),), normalize=True) - limit)
 
     return _wigner_replicas(config, n, err, n ** (1.0 / d) * spike)
 
@@ -237,7 +256,13 @@ def _lpp_errors(config, n, spike, g_eval):
     return np.abs(times / n - t_det)
 
 
-_CURVE_ERRORS = {"esm": _esm_errors, "eig": _eig_errors, "poly": _poly_errors, "lpp": _lpp_errors}
+# per curve kind: the functional its config names, and its errors per replica
+_CURVES = {
+    "esm": ("esm_distance", _esm_errors),
+    "eig": ("largest_eig", _eig_errors),
+    "poly": ("trace_poly", _poly_errors),
+    "lpp": ("lpp_time", _lpp_errors),
+}
 
 
 def _power_fit(n: np.ndarray, means: np.ndarray):

@@ -17,9 +17,12 @@ Spectra come from `openblas.eigvalsh`, the LAPACK call `np.linalg.eigvalsh`
 makes, with identical output.  The largest eigenvalue is solved alone by
 `openblas.largest_eigvalsh` and agrees with the spectrum's last entry to
 rounding.  Both release the interpreter lock, so the replica pool's threads
-solve at the same time.  `_replica_cells` gives the memory one sampled
-matrix holds until its spectrum is known, which sets how many replicas the
-pool runs at once.
+solve at the same time.  A `HermitianMatrix` is read-only, so its solves
+run on a copy; the replica loop and CLI `spectrum` solve the writable
+array of `_wigner_array` itself, its last use.  `_replica_cells` gives the
+memory one sampled matrix holds until its spectrum is known, and
+`_pooled_cells` what the replica pool counts for it, which sets how many
+replicas the pool runs at once.
 """
 
 from __future__ import annotations
@@ -102,9 +105,9 @@ class HermitianMatrix:
     ``HermitianMatrix(upper)`` takes a square array from outside (a
     rate-function search, a test) and builds the stored matrix from its
     upper triangle: the strict lower triangle is replaced by the mirrored
-    (conjugated) upper one and the diagonal by its real part.  Matrices
-    made here -- `sample_wigner`, `scale` -- are exactly self-adjoint
-    already and are wrapped as they are, with no second build.
+    (conjugated) upper one and the diagonal by its real part.  A matrix
+    `sample_wigner` draws is exactly self-adjoint already and is wrapped as
+    it is, with no second build.
     """
 
     __slots__ = ("mat", "n", "beta")
@@ -133,16 +136,13 @@ class HermitianMatrix:
         self.n = full.shape[0]
         self.beta = BETA_HERMITIAN if np.iscomplexobj(full) else BETA_SYMMETRIC
 
-    def scale(self, t: float) -> "HermitianMatrix":
-        """The matrix times the real number t."""
-        return HermitianMatrix._wrap(self.mat * float(t))
-
     def spectrum(self) -> np.ndarray:
-        """Ascending eigenvalues, a new array per call (`openblas.eigvalsh`)."""
+        """Ascending eigenvalues, a new array per call (`openblas.eigvalsh`),
+        solved on a copy: ``mat`` is left as it was."""
         return openblas.eigvalsh(self.mat)
 
     def largest_eig(self) -> float:
-        """Largest eigenvalue, solved alone (`openblas.largest_eigvalsh`).
+        """Largest eigenvalue, solved alone on a copy (`openblas.largest_eigvalsh`).
 
         It agrees with ``spectrum()[-1]`` to rounding, not bit for bit.
         """
@@ -196,8 +196,8 @@ def sample_wigner(ens: WignerEnsemble, n: int, seed: int, stream: int = 0) -> He
 
 
 def _wigner_array(ens: WignerEnsemble, n: int, seed: int, stream: int) -> np.ndarray:
-    """The writable array `sample_wigner` wraps; the draws are scaled in place
-    and written through the real and imaginary views of the array."""
+    """The writable C-order array `sample_wigner` wraps; the draws are scaled
+    in place and written through the real and imaginary views of the array."""
     if n < 1:
         raise DomainError(f"dimension must be >= 1, got {n}")
     law = measures.nu(ens.alpha)
@@ -224,12 +224,25 @@ def _wigner_array(ens: WignerEnsemble, n: int, seed: int, stream: int) -> np.nda
 def _replica_cells(n: int, beta: int) -> int:
     """Cells (doubles) one sampled matrix holds at once until its spectrum is known.
 
-    The draw block, the matrix and the eigensolver's copy of it, a complex
-    entry counting two cells.
+    The draws and the matrix, a complex entry counting two cells: the solve
+    runs on the matrix itself, with O(n) workspace.
     """
     entry = 1 if beta == BETA_SYMMETRIC else 2
-    draws = n + (n * (n - 1) // 2) * entry
-    return draws + 2 * entry * n * n
+    return n + (n * (n - 1) // 2) * entry + entry * n * n
+
+
+def _pooled_cells(n: int, beta: int) -> int:
+    """Cells the replica pool counts for one sampled matrix: what it holds
+    (`_replica_cells`) and a reserve of one matrix more.
+
+    Counted at what they hold, the n = 1000 curve's replicas would run on
+    two pool threads, and so run they raised spectral-audit's peak RSS by
+    12 %: a second replica's draws, and the allocator arenas of the pool's
+    threads (`pool`).  With the reserve, matrices from n = 916 (beta = 1)
+    and n = 648 (beta = 2) run serially.
+    """
+    entry = 1 if beta == BETA_SYMMETRIC else 2
+    return _replica_cells(n, beta) + entry * n * n
 
 
 def rho(x: float) -> float:

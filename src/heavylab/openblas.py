@@ -9,13 +9,22 @@ that library on first use and offers:
   and restores the previous count after it.  The setting is process-global:
   any BLAS work of the process runs single-threaded while the block is open.
 - `eigvalsh` makes the call `np.linalg.eigvalsh` makes (``dsyevd`` or
-  ``zheevd``, eigenvalues only, lower triangle, a Fortran-order copy and the
-  queried workspace), so its eigenvalues equal numpy's bit for bit.
+  ``zheevd``, eigenvalues only, lower triangle, the queried workspace), so
+  its eigenvalues equal numpy's bit for bit.
 - `largest_eigvalsh` asks ``dsyevr`` or ``zheevr`` for the top eigenvalue
   alone (index n of n, eigenvalues only, lower triangle, absolute tolerance
   0): the reduction to tridiagonal form, then bisection for one eigenvalue
   instead of the whole spectrum.  It agrees with ``eigvalsh(a)[-1]`` to
   rounding, not bit for bit.
+
+The routines overwrite the Fortran-order array they are given, so each
+solve runs on a Fortran-order copy, unless its caller passes
+``overwrite_a=True`` for a matrix it no longer needs, as the spectral
+replica loop and CLI ``spectrum`` do.  A writable C-order array is then
+solved as it lies: read in Fortran order it is the transpose, which for an
+exactly self-adjoint matrix is the matrix itself (real) or its conjugate
+(complex), whose eigenvalues the solvers return bit for bit (tested up to
+n = 1000).
 
 ctypes releases the interpreter lock for each solve, so eigensolves on
 different threads run at the same time.  Both solves raise
@@ -150,18 +159,23 @@ def _lengths(kind: str, n: int, dtype: np.dtype) -> tuple[int, ...]:
     return tuple(int(buf[0].real) for buf in work)
 
 
-def _native(kind: str, a: np.ndarray) -> np.ndarray | None:
+def _native(kind: str, a: np.ndarray, overwrite_a: bool) -> np.ndarray | None:
     """The eigenvalues of ``a`` from the library, or None where numpy solves.
 
     Square float64 and complex128 matrices go to the library without the
     interpreter lock; other shapes and dtypes, an empty matrix or a missing
-    library go to numpy.
+    library go to numpy.  With ``overwrite_a``, a writable C-order ``a`` is
+    solved in place of a copy (see the module docstring).
     """
     lib = _library()
     square = a.ndim == 2 and a.shape[0] == a.shape[1] > 0
     if lib is None or not square or a.dtype not in _WORK:
         return None
-    info, w, _ = _solve(lib, kind, np.array(a, order="F"), _lengths(kind, a.shape[0], a.dtype))
+    if overwrite_a and a.flags.c_contiguous and a.flags.writeable:
+        f = a.T
+    else:
+        f = np.array(a, order="F")
+    info, w, _ = _solve(lib, kind, f, _lengths(kind, a.shape[0], a.dtype))
     if info != 0 or w.size == 0:
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
     return w
@@ -174,23 +188,26 @@ def _finite(x: np.ndarray, what: str) -> np.ndarray:
     return x
 
 
-def eigvalsh(a: np.ndarray) -> np.ndarray:
+def eigvalsh(a: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
     """Ascending eigenvalues of a self-adjoint matrix from its lower triangle.
 
     Equal to ``np.linalg.eigvalsh(a)`` bit for bit (``dsyevd``/``zheevd``);
     raises `np.linalg.LinAlgError` where an entry or eigenvalue is not finite.
+    ``overwrite_a=True`` lets the solve overwrite ``a``, which must then be
+    exactly self-adjoint: a C-order array is read from its upper triangle.
     """
-    w = _native("evd", _finite(a, "Matrix entries are"))
+    w = _native("evd", _finite(a, "Matrix entries are"), overwrite_a)
     return _finite(np.linalg.eigvalsh(a) if w is None else w, "Eigenvalues are")
 
 
-def largest_eigvalsh(a: np.ndarray) -> float:
+def largest_eigvalsh(a: np.ndarray, overwrite_a: bool = False) -> float:
     """Largest eigenvalue of a self-adjoint matrix from its lower triangle.
 
     Solved alone (``dsyevr``/``zheevr``, index n of n), so it agrees with
     ``np.linalg.eigvalsh(a)[-1]`` to rounding, not bit for bit; where numpy
     solves, it is that value.  Raises `np.linalg.LinAlgError` where an
-    entry or the eigenvalue is not finite.
+    entry or the eigenvalue is not finite.  ``overwrite_a`` is as for
+    `eigvalsh`.
     """
-    w = _native("evr", _finite(a, "Matrix entries are"))
+    w = _native("evr", _finite(a, "Matrix entries are"), overwrite_a)
     return float(_finite(np.linalg.eigvalsh(a)[-1:] if w is None else w, "Eigenvalues are")[0])

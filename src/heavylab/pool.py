@@ -7,7 +7,9 @@ consecutive chunks and calls the engine's task once per chunk.  A task
 draws from its own streams and writes only its own replicas' slots, so the
 results do not depend on the chunking, the thread count or the scheduling.
 
-A replica holds ``footprint`` cells (doubles) while it is processed.  The
+A replica holds at most ``footprint`` cells (doubles) while it is
+processed; an engine may count more than it holds, as the spectral loop
+does to keep its large matrices serial (`matrixlab._pooled_cells`).  The
 pool runs as many threads as the 2^22-cell budget (32 MB) holds one replica
 for each, and at most one per usable CPU; chunks are sized so that all
 threads' chunks together stay within the budget even if a task holds its

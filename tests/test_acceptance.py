@@ -126,7 +126,8 @@ def test_criterion_06_wigner_limits_desk_scale():
     ref = sm.semicircle_measure(2000)
     dists, tops = [], []
     for stream in range(reps):
-        x = ml.sample_wigner(ens, n, seed=606, stream=stream).scale(1.0 / math.sqrt(n))
+        x = ml.sample_wigner(ens, n, seed=606, stream=stream)
+        x = ml.HermitianMatrix(x.mat * (1.0 / math.sqrt(n)))
         dists.append(sm.distance_d(x.esm(), ref))
         tops.append(x.largest_eig())
     mean_d, mean_top = float(np.mean(dists)), float(np.mean(tops))

@@ -126,7 +126,8 @@ def test_error_curve_esm_takes_spike_zero_only():
     # is not planted, so a spiked esm curve is refused rather than estimated
     for spike in (1.5, -2.0, math.nan):
         with pytest.raises(DomainError, match="spike 0"):
-            ex.equivalent_error_curve("esm", small_config(n_list=(10,), replicas=4), spike=spike)
+            cfg = small_config(functional="esm_distance", n_list=(10,), replicas=4)
+            ex.equivalent_error_curve("esm", cfg, spike=spike)
 
 
 def test_error_curve_eig_bbp():
@@ -157,15 +158,37 @@ def test_error_curve_lpp():
         ex.equivalent_error_curve("nope", cfg)
 
 
+# each curve kind's functional
+CURVE_FUNCTIONALS = {
+    "esm": "esm_distance", "eig": "largest_eig", "poly": "trace_poly", "lpp": "lpp_time"
+}
+
+
 @pytest.mark.parametrize("kind", ["esm", "eig", "poly"])
 def test_error_curve_g_eval_only_for_lpp(kind):
     # these kinds never read g_eval, which was once accepted and dropped
     from heavylab import lpp
 
-    cfg = small_config(n_list=(10,), replicas=4)
+    cfg = small_config(functional=CURVE_FUNCTIONALS[kind], n_list=(10,), replicas=4)
     shape = lpp.CachedShape(0.5, n_mc=10, replicas=10, seed=99, grid_points=3)
     with pytest.raises(DomainError, match=f"{kind} curves read no g_eval"):
         ex.equivalent_error_curve(kind, cfg, spike=1.0, g_eval=shape)
+
+
+def test_error_curve_takes_only_its_kinds_functional(monkeypatch):
+    # ("eig", <trace_poly config>) and ("esm", <lpp_time config>) once ran
+    # whatever the config named and returned a curve
+    def sampled(*args, **kwargs):
+        raise AssertionError("the curve entered a replica loop")
+
+    monkeypatch.setattr(ex, "_wigner_replicas", sampled)
+    monkeypatch.setattr(ex.lpp, "passage_times", sampled)
+    for kind, want in CURVE_FUNCTIONALS.items():
+        for functional in ex.FUNCTIONALS:
+            if functional != want:
+                cfg = small_config(functional=functional, n_list=(10,), replicas=4)
+                with pytest.raises(DomainError, match=f"{kind} curves take a {want} config"):
+                    ex.equivalent_error_curve(kind, cfg, spike=0.0)
 
 
 def test_tail_rate_low_threshold_near_zero():
@@ -227,6 +250,22 @@ def test_net_probes_at_p1_read_no_table(monkeypatch):
 
     monkeypatch.setattr(measures, "rearrangement_map", no_table)
     assert len(nets.greedy_net_centers(1.0, 2.0, eps=0.5, m=8, trials=30, seed=5)) == 27
+
+
+@pytest.mark.parametrize(
+    "p, digest",
+    [
+        (0.3, "3f730be36a0d9edbf889fa7bf0c6523cbdc28bb96ecf59da4bfe4cbe20eb5688"),
+        (0.5, "750244d7252a75049031f59b2b34f378a153cbe0d52c61aa5de08fe00fdf75a7"),
+        (1.0, "5ab59d2cafd023e763d56f786786c9154ad0246b1a8b345d9c1441416ef810fd"),
+    ],
+)
+def test_net_center_bytes_pinned(p, digest):
+    # `heavylab net` writes only net sizes, so its pins cannot see the
+    # probes' bits: at p = 1, 30 of these 216 coordinates once moved by up
+    # to 7.1e-15 relative while the CLI's bytes stayed
+    centers = nets.greedy_net_centers(p, 2.0, 0.5, 8, 30, 5)
+    assert hashlib.sha256(centers.tobytes()).hexdigest() == digest
 
 
 def test_greedy_net_trivial_and_nesting():

@@ -86,14 +86,11 @@ def test_trace_quartic_monte_carlo():
     n, replicas = 500, 20
     ens = ml.unit_variance_ensemble(1.0)
     quartic = fp.NCPolynomial.word_power(1, 4)
-    vals = [
-        fp.eval_trace(
-            quartic,
-            (ml.sample_wigner(ens, n, seed=8, stream=s).scale(1 / math.sqrt(n)),),
-            normalize=True,
-        )
-        for s in range(replicas)
-    ]
+    vals = []
+    for s in range(replicas):
+        x = ml.sample_wigner(ens, n, seed=8, stream=s)
+        x = ml.HermitianMatrix(x.mat * (1 / math.sqrt(n)))
+        vals.append(fp.eval_trace(quartic, (x,), normalize=True))
     assert abs(np.mean(vals) - 2.0) < 0.05
 
 

@@ -42,7 +42,7 @@ def test_energy_homogeneity():
         ens = ml.WignerEnsemble(alpha, b=0.7, a1=1.3, a2=0.9, beta=2)
         a = ml.HermitianMatrix(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
         w1 = ml.w_alpha_energy(a, ens)
-        w3 = ml.w_alpha_energy(a.scale(3.0), ens)
+        w3 = ml.w_alpha_energy(ml.HermitianMatrix(a.mat * 3.0), ens)
         assert w3 == pytest.approx(3.0**alpha * w1, rel=1e-12)
 
 
@@ -70,12 +70,24 @@ def test_sample_hermitian_adjoint():
 def test_built_matrices_are_read_only_with_n_and_beta(beta):
     ens = ml.unit_variance_ensemble(1.0, beta=beta)
     x = ml.sample_wigner(ens, 6, seed=3)
-    for m in (x, x.scale(0.5), ml.HermitianMatrix(np.array(x.mat))):
+    for m in (x, ml.HermitianMatrix(np.array(x.mat))):
         assert not m.mat.flags.writeable
         assert (m.n, m.beta) == (6, beta)
         with pytest.raises(ValueError):
             m.mat[0, 0] = 1.0
-    assert np.array_equal(x.scale(0.5).mat, x.mat * 0.5)
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+def test_public_solves_leave_the_matrix_as_it_was(beta):
+    # the solves run on copies: `ratefuncs.optimize_constant` reads m.mat
+    # after m.largest_eig(); only the replica loop and CLI `spectrum`,
+    # holding the sole reference to their arrays, solve in place
+    ens = ml.unit_variance_ensemble(1.0, beta=beta)
+    x = ml.sample_wigner(ens, 40, seed=8)
+    for m in (x, ml.HermitianMatrix(np.array(x.mat))):
+        before = m.mat.copy()
+        m.spectrum(), m.largest_eig(), m.esm()
+        assert np.array_equal(m.mat, before)
 
 
 def test_unit_variance_offdiagonal_moment():
@@ -150,7 +162,9 @@ def test_scalar_matrix_law_matches_scaled_base_law():
 def test_largest_eigenvalue_near_two():
     ens = ml.unit_variance_ensemble(1.0)
     tops = [
-        ml.sample_wigner(ens, 200, seed=31, stream=s).scale(1 / math.sqrt(200)).largest_eig()
+        ml.HermitianMatrix(
+            ml.sample_wigner(ens, 200, seed=31, stream=s).mat * (1 / math.sqrt(200))
+        ).largest_eig()
         for s in range(50)
     ]
     assert abs(np.mean(tops) - 2.0) < 0.15
@@ -237,7 +251,7 @@ def test_esm_close_to_semicircle_at_n400():
     ref = sm.semicircle_measure(2000)
     dists = []
     for stream in range(10):
-        x = ml.sample_wigner(ens, 400, seed=2, stream=stream).scale(1 / 20.0)
+        x = ml.HermitianMatrix(ml.sample_wigner(ens, 400, seed=2, stream=stream).mat * (1 / 20.0))
         dists.append(sm.distance_d(x.esm(), ref))
     assert np.mean(dists) < 0.05
 

@@ -90,6 +90,36 @@ def test_largest_eigvalsh_exact_cases():
             assert openblas.largest_eigvalsh(np.zeros((n, n), dtype)) == 0.0
 
 
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 200, 1000])
+def test_in_place_solves_equal_copying_solves(n, beta):
+    # read in Fortran order, a C-order self-adjoint array is its transpose:
+    # the matrix itself (beta = 1) or its conjugate (beta = 2), whose
+    # eigenvalues the solvers return bit for bit
+    ens = ml.unit_variance_ensemble(1.0, beta=beta)
+    for stream in range(1 if n == 1000 else 3):
+        a = ml._wigner_array(ens, n, 23, stream)
+        np.divide(a, math.sqrt(n), out=a)
+        a[0, 0] += 2.0  # the spiked replicas of the eig curve
+        for solve in (openblas.eigvalsh, openblas.largest_eigvalsh):
+            mine = a.copy()
+            assert np.array_equal(solve(mine, overwrite_a=True), solve(a))
+            if n >= 3:  # a Householder vector overwrote the array
+                assert not np.array_equal(mine, a)
+
+
+def test_overwrite_a_copies_what_it_may_not_overwrite():
+    x = ml.sample_wigner(ml.unit_variance_ensemble(1.0, beta=2), 9, seed=4)
+    want = np.linalg.eigvalsh(x.mat)
+    fortran = np.asfortranarray(x.mat)
+    for a in (x.mat, fortran, x.mat[::2, ::2]):
+        before = a.copy()
+        for solve in (openblas.eigvalsh, openblas.largest_eigvalsh):
+            solve(a, overwrite_a=True)
+            assert np.array_equal(a, before)
+    assert np.array_equal(openblas.eigvalsh(fortran, overwrite_a=True), want)
+
+
 def test_other_inputs_take_the_numpy_path(monkeypatch):
     eigvalsh, shapes = np.linalg.eigvalsh, []
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
@@ -139,7 +169,7 @@ def test_missing_library_falls_back_to_numpy(monkeypatch):
                     solve(bad)
     monkeypatch.setattr(pool, "_WORKERS", 2)
     cfg = spectral_config()
-    got = ex._wigner_replicas(cfg, 12, ml.HermitianMatrix.largest_eig)  # pin is a no-op
+    got = ex._wigner_replicas(cfg, 12, ex._top_eig)  # pin is a no-op
     assert np.array_equal(got, serial_replicas(cfg, 12, ml.HermitianMatrix.largest_eig))
 
 
@@ -152,25 +182,30 @@ def test_spectral_pool_equals_serial_loop(monkeypatch, workers, beta):
     n = 12
     monkeypatch.setattr(pool, "_WORKERS", workers)
     # room for 7 replicas: chunks of at most 7, 3 or 2, which split 23 unevenly
-    monkeypatch.setattr(pool, "_CELL_BUDGET", 7 * ml._replica_cells(n, beta))
-    assert pool.plan(ml._replica_cells(n, beta)) == (workers, 7 // workers)
+    monkeypatch.setattr(pool, "_CELL_BUDGET", 7 * ml._pooled_cells(n, beta))
+    assert pool.plan(ml._pooled_cells(n, beta)) == (workers, 7 // workers)
     cfg = spectral_config(beta=beta)
     nodes = sm.default_contour().nodes
-    functionals = (ml.HermitianMatrix.largest_eig, lambda x: sm.stieltjes(x.esm(), nodes))
+    # the pool's functionals solve each replica's own array; the serial
+    # loop's solve copies of read-only matrices
+    functionals = (
+        (ex._top_eig, ml.HermitianMatrix.largest_eig),
+        (lambda mat: sm.stieltjes(ex._esm(mat), nodes), lambda x: sm.stieltjes(x.esm(), nodes)),
+    )
     interval = sys.getswitchinterval()
-    for fn in functionals:
+    for fn, serial_fn in functionals:
         for spike in (0.0, 2.0):
             sys.setswitchinterval(1e-6)  # hand the interpreter lock between chunks often
             try:
                 got = ex._wigner_replicas(cfg, n, fn, spike)
             finally:
                 sys.setswitchinterval(interval)
-            assert np.array_equal(got, serial_replicas(cfg, n, fn, spike))
+            assert np.array_equal(got, serial_replicas(cfg, n, serial_fn, spike))
 
 
 def test_spectral_pool_cancels_chunks_after_a_failure(monkeypatch):
     monkeypatch.setattr(pool, "_WORKERS", 2)
-    monkeypatch.setattr(pool, "_CELL_BUDGET", 2 * ml._replica_cells(5, 1))  # one replica per chunk
+    monkeypatch.setattr(pool, "_CELL_BUDGET", 2 * ml._pooled_cells(5, 1))  # one replica per chunk
     build = ml._wigner_array
     starts = []
 
@@ -183,7 +218,7 @@ def test_spectral_pool_cancels_chunks_after_a_failure(monkeypatch):
 
     monkeypatch.setattr(ml, "_wigner_array", failing_build)
     with pytest.raises(DomainError, match="third replica"):
-        ex._wigner_replicas(spectral_config(replicas=40), 5, ml.HermitianMatrix.largest_eig)
+        ex._wigner_replicas(spectral_config(replicas=40), 5, ex._top_eig)
     assert 2 in starts
     assert len(starts) < 40
 
@@ -249,28 +284,59 @@ def test_calls_share_their_threads_and_wait_for_every_chunk(monkeypatch):
 
 def test_large_matrices_run_on_one_worker(monkeypatch):
     monkeypatch.setattr(pool, "_WORKERS", 64)
-    assert pool.plan(ml._replica_cells(1000, 1))[0] == 1
-    assert pool.plan(ml._replica_cells(650, 2))[0] == 1
+    assert pool.plan(ml._pooled_cells(1000, 1))[0] == 1
+    assert pool.plan(ml._pooled_cells(650, 2))[0] == 1
     monkeypatch.setattr(pool, "_WORKERS", 2)
-    assert pool.plan(ml._replica_cells(200, 1)) == (2, 20)
+    assert pool.plan(ml._pooled_cells(200, 1)) == (2, 20)
 
 
-@pytest.mark.parametrize("beta, n", [(1, 600), (2, 300)])
-def test_replica_cells_match_a_replicas_measured_peak(beta, n):
-    # from n = 600 (beta = 1) the sampler's 2^16-draw map blocks no longer
-    # hold whole draw blocks; below that the budget never binds
+def traced_peak(n, beta):
+    """Bytes tracemalloc traces at most while one replica is built and solved in place."""
     ens = ml.unit_variance_ensemble(1.0, beta=beta)
 
     def one_replica(stream):
         mat = ml._wigner_array(ens, n, 9, stream)
         np.divide(mat, math.sqrt(n), out=mat)
-        ml.HermitianMatrix._wrap(mat).largest_eig()
+        ex._top_eig(mat)
 
-    one_replica(0)  # the map, the mask and the workspace sizes are cached outside the trace
+    one_replica(0)  # the mask and the workspace sizes are cached outside the trace
     tracemalloc.start()
     try:
         one_replica(1)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 0.75 <= peak / (8 * ml._replica_cells(n, beta)) <= 1.01
+
+
+@pytest.mark.parametrize("beta, n", [(1, 600), (2, 300), (1, 1000), (2, 1000)])
+def test_replica_cells_match_a_replicas_measured_peak(beta, n):
+    # the peak comes as the matrix is built from the draws; the solve that
+    # follows holds the matrix and O(n) workspace.  Below these sizes the
+    # O(n) terms (the diagonal's temporaries, the workspace) pass 1 % of
+    # the count, where one replica is far below the pool's budget
+    assert 0.75 <= traced_peak(n, beta) / (8 * ml._replica_cells(n, beta)) <= 1.01
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("n", [50, 200, 1000])
+def test_pooled_cells_bound_a_replicas_measured_peak(n, beta):
+    # the reserve of one matrix covers the solve's workspace at small n;
+    # at alpha = 1, where every spectral preset and workload draws (other
+    # alphas add up to five 2^16-draw map temporaries)
+    assert traced_peak(n, beta) <= 8 * ml._pooled_cells(n, beta)
+
+
+def test_pool_keeps_the_serial_thresholds_and_the_shipped_plans(monkeypatch):
+    monkeypatch.setattr(pool, "_WORKERS", 64)
+    for beta, first_serial in ((1, 916), (2, 648)):
+        assert pool.plan(ml._pooled_cells(first_serial - 1, beta))[0] == 2
+        assert pool.plan(ml._pooled_cells(first_serial, beta))[0] == 1
+    # the matrix sizes of every preset, README audit line and workload,
+    # all beta = 1, with the plans the pool made when each solve copied
+    shipped = {
+        2: {50: (2, 334), 100: (2, 83), 150: (2, 37), 200: (2, 20), 300: (2, 9), 500: (2, 3), 1000: (1, 1)},
+        4: {50: (4, 167), 100: (4, 41), 150: (4, 18), 200: (4, 10), 300: (4, 4), 500: (4, 1), 1000: (1, 1)},
+    }
+    for workers, plans in shipped.items():
+        monkeypatch.setattr(pool, "_WORKERS", workers)
+        assert {n: pool.plan(ml._pooled_cells(n, 1)) for n in plans} == plans

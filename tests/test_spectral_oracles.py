@@ -129,6 +129,7 @@ def poly_errors(config, n, spike):
 
 
 ORACLE_ERRORS = {"esm": esm_errors, "eig": eig_errors, "poly": poly_errors}
+CURVE_FUNCTIONALS = {"esm": "esm_distance", "eig": "largest_eig", "poly": "trace_poly"}
 
 
 def config(**kw):
@@ -158,7 +159,7 @@ def test_sample_wigner_equals_upper_fill(beta, n):
      for kind in ("eig", "esm", "poly") if kind != "esm" or spike == 0.0],
 )
 def test_error_curve_equals_per_functional_loops(kind, beta, spike):
-    cfg = config(beta=beta)
+    cfg = config(beta=beta, functional=CURVE_FUNCTIONALS[kind])
     got = ex.equivalent_error_curve(kind, cfg, spike=spike)
     want = []
     for n in cfg.n_list:
@@ -186,5 +187,5 @@ def test_concentration_audit_equals_per_functional_loop(monkeypatch, functional,
 def test_audit_values_move_by_rounding_only():
     # x / sqrt(n) in place of x * (1 / sqrt(n)): the top eigenvalues agree to rounding
     cfg = config(n_list=(200,), replicas=10)
-    got = ex._wigner_replicas(cfg, 200, ml.HermitianMatrix.largest_eig)
+    got = ex._wigner_replicas(cfg, 200, ex._top_eig)
     assert np.max(np.abs(got - spectral_replicas(cfg, 200))) <= 1e-13
